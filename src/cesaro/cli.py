@@ -197,10 +197,9 @@ def _alpha_sweep(args):
         lo, hi, step = args.alpha_range
         if step <= 0:
             raise ValueError("--alpha-range step must be positive")
-        a = lo
-        while a <= hi + 1e-12:
-            yield a
-            a += step
+        # indexed, not a running sum: ten `+= 0.1` steps end at 0.9999999999999999
+        for i in range(math.floor((hi - lo) / step + 1e-9) + 1):
+            yield lo + i * step
     elif args.alpha is not None:
         yield args.alpha
     else:

@@ -9,6 +9,7 @@ identity below requires this sign and would be silently wrong under B_1 = +1/2.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -27,35 +28,69 @@ __all__ = [
 ]
 
 
+def _tangent_numbers(n: int) -> list[int]:
+    """Tangent numbers T_1..T_n (1, 2, 16, 272, ...), as ``out[k-1] = T_k``.
+
+    Brent and Harvey, "Fast computation of Bernoulli, Tangent and Secant
+    numbers" (2011), Algorithm TangentNumbers: an in-place integer triangle
+    with O(n^2) multiply-adds and no division.
+    """
+    t = [0] * n
+    if n:
+        t[0] = 1
+    for k in range(1, n):
+        t[k] = k * t[k - 1]
+    for k in range(1, n):
+        for j in range(k, n):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t
+
+
+def _bernoulli_values(length: int) -> tuple[Fraction, ...]:
+    """B_0 .. B_{length-1} from the tangent numbers (length >= 2)."""
+    out = [Fraction(0)] * length
+    out[0] = Fraction(1)
+    out[1] = Fraction(-1, 2)
+    for n, t in enumerate(_tangent_numbers((length - 1) // 2), start=1):
+        four_n = 4 ** n
+        b = Fraction(2 * n * t, four_n * (four_n - 1))
+        out[2 * n] = b if n % 2 else -b
+    return tuple(out)
+
+
 class BernoulliTable:
     """Memoized Bernoulli numbers B_0, B_1, ... with B_1 = -1/2.
 
-    Values are extended with the recurrence
+    Values come from the tangent numbers T_n of ``_tangent_numbers``:
 
-        B_n = -1/(n+1) * sum_{k=0}^{n-1} C(n+1, k) B_k,
+        B_{2n} = (-1)^(n-1) * 2n * T_n / (4^n (4^n - 1)),
 
-    which is the defining relation sum_{k=0}^{n} C(n+1, k) B_k = 0 (n >= 1)
-    solved for its last entry.  Extension work is quadratic in the target
-    index; indices in the low hundreds are effectively instant, and the big
-    Fraction denominators are the only practical bound far beyond that.
+    with B_0 = 1, B_1 = -1/2 and every other odd value 0.  Only the final
+    division per entry leaves the integers, so building B_0..B_N costs
+    O(N^2) integer operations.  Each extension rebuilds the whole table to
+    at least twice its previous length, which keeps a run of small
+    extensions amortized O(N^2) as well.
 
-    The table mutates only by appending.  It is not locked: share one across
-    threads only behind external synchronization, or keep it thread-local.
+    Thread safety: the table is an immutable tuple that an extension
+    replaces with one reference assignment, so a reader sees either the old
+    table or the new one, never a half-built one.  Extensions are serialized
+    by a lock and only ever lengthen the table, so one instance may be
+    shared freely across threads.
     """
 
     def __init__(self):
-        self._values: list[Fraction] = [Fraction(1)]
+        self._values: tuple[Fraction, ...] = (Fraction(1),)
+        self._lock = threading.Lock()
 
     def extend_to(self, n: int) -> None:
         if n < 0:
             raise ValueError(f"Bernoulli index must be >= 0, got {n}")
-        vals = self._values
-        while len(vals) <= n:
-            m = len(vals)  # computing B_m
-            acc = Fraction(0)
-            for k in range(m):
-                acc += comb(m + 1, k) * vals[k]
-            vals.append(-acc / (m + 1))
+        if n < len(self._values):
+            return
+        with self._lock:
+            length = len(self._values)
+            if n >= length:
+                self._values = _bernoulli_values(max(n + 1, 2 * length))
 
     def value(self, n: int) -> Fraction:
         self.extend_to(n)
@@ -66,7 +101,7 @@ class BernoulliTable:
     @property
     def values(self) -> tuple[Fraction, ...]:
         """Snapshot of everything computed so far."""
-        return tuple(self._values)
+        return self._values
 
     def __len__(self) -> int:
         return len(self._values)

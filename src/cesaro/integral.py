@@ -21,7 +21,10 @@ Two related quantities live here and are kept deliberately distinct:
 
 Quadrature fallbacks target 1e-12 absolute per finite window; a window that
 cannot reach a usable error estimate raises QuadratureError rather than
-returning a silently bad number.
+returning a silently bad number.  scipy is imported inside the two
+quadrature functions, not here: importing it takes most of a cold process's
+start-up, and every closed-form path (and all of ``cesaro.exact``) runs
+without it.
 """
 from __future__ import annotations
 
@@ -32,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate as _sciint
 
 from .evaluation import CesaroEvaluation, tail_judgement
 from .exact import PeriodicPolynomial, periodic_mean
@@ -306,6 +308,8 @@ def riesz_mean(spec: IntegrandSpec, k: float, X: float) -> float:
 
 
 def _riesz_quadrature(spec: IntegrandSpec, k: float, X: float) -> float:
+    from scipy import integrate as _sciint  # see the module docstring
+
     f = spec.func
 
     def weighted(t):
@@ -383,6 +387,8 @@ def primitive_limit(spec: IntegrandSpec, k: int, X_grid=None,
 
 def _cumulative_first_primitive(spec: IntegrandSpec, grid) -> list[float]:
     """F_1 at each grid point by stitched adaptive quadrature."""
+    from scipy import integrate as _sciint  # see the module docstring
+
     f = spec.func
     out = []
     acc = 0.0

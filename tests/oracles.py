@@ -1,10 +1,10 @@
 """Independent reference implementations used to pin expected values.
 
 Everything here is deliberately written by a different route than the
-package: Bernoulli numbers via the Akiyama-Tanigawa triangle instead of the
-recurrence, power sums by brute force, zeta values via Euler-Maclaurin with
-hardcoded even Bernoulli numbers, zeta' by direct summation with integral
-tail corrections.  Agreement is then meaningful.
+package: Bernoulli numbers via the Akiyama-Tanigawa triangle instead of
+tangent numbers, power sums by brute force, zeta values via Euler-Maclaurin
+with hardcoded even Bernoulli numbers, zeta' by direct summation with
+integral tail corrections.  Agreement is then meaningful.
 """
 from __future__ import annotations
 
@@ -17,19 +17,27 @@ _EVEN_BERNOULLI = [Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42),
                    Fraction(7, 6)]
 
 
-def bernoulli_akiyama_tanigawa(n: int) -> Fraction:
-    """B_n from the Akiyama-Tanigawa triangle.
+def bernoulli_table_akiyama_tanigawa(n: int) -> tuple[Fraction, ...]:
+    """B_0..B_n from one Akiyama-Tanigawa triangle: B_m is row[0] after m
+    reduction steps.
 
     The triangle natively produces the B_1 = +1/2 convention; flip the sign
     at index 1 to match the generating-function convention z/(e^z - 1).
     """
     row = [Fraction(1, m + 1) for m in range(n + 1)]
+    out = [row[0]]
     for m in range(1, n + 1):
         for j in range(n + 1 - m):
             row[j] = (j + 1) * (row[j] - row[j + 1])
-    if n == 1:
-        return -row[0]
-    return row[0]
+        out.append(row[0])
+    if n >= 1:
+        out[1] = -out[1]
+    return tuple(out)
+
+
+def bernoulli_akiyama_tanigawa(n: int) -> Fraction:
+    """B_n alone, from the same triangle."""
+    return bernoulli_table_akiyama_tanigawa(n)[n]
 
 
 def power_sum_brute(n: int, m: int) -> int:

@@ -142,6 +142,15 @@ def test_alpha_range_sweep_emits_one_record_each(capsys):
     assert [r["inputs"]["alpha"] for r in records] == [0.0, 1.0, 2.0]
 
 
+def test_alpha_range_does_not_drift(capsys):
+    code, records = run_json(capsys, ["zeta-estimate", "--alpha-range",
+                                      "0", "1", "0.1", "--xmax", "1000"])
+    assert code == 0
+    alphas = [r["inputs"]["alpha"] for r in records]
+    assert alphas == [i * 0.1 for i in range(11)]
+    assert alphas[-1] == 1.0
+
+
 def test_sweep_skips_the_pole_with_a_log(capsys):
     code = cli.run(["zeta-estimate", "--alpha-range", "-1", "0", "1",
                     "--format", "structured", "--xmax", "1000"])

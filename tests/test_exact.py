@@ -1,11 +1,15 @@
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from cesaro import exact
-from oracles import bernoulli_akiyama_tanigawa, power_sum_brute
+from oracles import bernoulli_table_akiyama_tanigawa, power_sum_brute
+
+ORACLE = bernoulli_table_akiyama_tanigawa(200)
 
 
 def test_bernoulli_first_values():
@@ -20,8 +24,44 @@ def test_bernoulli_sign_convention():
 
 
 def test_bernoulli_against_triangle_oracle():
-    for n in range(31):
-        assert exact.bernoulli(n) == bernoulli_akiyama_tanigawa(n), n
+    for n in range(len(ORACLE)):
+        assert exact.bernoulli(n) == ORACLE[n], n
+
+
+def test_bernoulli_table_shared_across_threads():
+    # more threads than cores and a short switch interval, so extensions
+    # interleave; a half-built or shrunk table would show as a wrong value
+    # or an IndexError in some thread
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trial in range(20):
+            table = exact.BernoulliTable()
+            start = threading.Barrier(4, timeout=30)
+            results, errors = [], []
+
+            def work(first):
+                start.wait()
+                try:
+                    results.append((first, table.value(first), table.value(120)))
+                except Exception as exc:  # reported by the assertions below
+                    errors.append(exc)
+
+            # different first targets race extensions of different lengths
+            threads = [threading.Thread(target=work, args=(30 * i,))
+                       for i in range(1, 5)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads), trial
+            assert errors == [], trial
+            assert len(results) == 4, trial
+            for first, b_first, b_120 in results:
+                assert (b_first, b_120) == (ORACLE[first], ORACLE[120]), trial
+            assert table.values[:121] == ORACLE[:121], trial
+    finally:
+        sys.setswitchinterval(old_interval)
 
 
 def test_bernoulli_odd_vanish():

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import cesaro
 from cesaro import exact, integral
 
 
@@ -61,6 +65,31 @@ def test_riesz_mean_fractional_order_goes_through_quadrature():
     spec = integral.sin_wave(1.0)
     v = integral.riesz_mean(spec, 0.5, 300.0)
     assert abs(v - 1.0) < 0.05
+
+
+_IMPORT_PROBE = """
+import math, sys
+import cesaro
+if "scipy" in sys.modules:
+    sys.exit("import cesaro loaded scipy")
+import cesaro.cli
+if "scipy" in sys.modules:
+    sys.exit("import cesaro.cli loaded scipy")
+value = cesaro.integral.riesz_mean(cesaro.integral.sampled(math.sin), 0.5, 300.0)
+if "scipy" not in sys.modules:
+    sys.exit("quadrature ran without scipy")
+print(value)
+"""
+
+
+def test_scipy_is_imported_only_when_quadrature_runs():
+    # scipy dominates a cold process's start-up; only quadrature needs it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cesaro.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert abs(float(proc.stdout) - 1.0) < 0.05
 
 
 def test_riesz_mean_rejects_bad_orders():
