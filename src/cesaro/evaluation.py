@@ -35,6 +35,13 @@ class CesaroEvaluation:
     converged: bool
 
 
+def require_finite(**named) -> None:
+    """Reject a NaN or infinite argument by name, before any work starts."""
+    for name, value in named.items():
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def tail_judgement(samples, order, n_terms, tol, tail_count) -> CesaroEvaluation:
     """Build a CesaroEvaluation from a full sample sequence.
 

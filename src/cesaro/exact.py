@@ -131,10 +131,12 @@ def faulhaber_sum(n: int, m: int) -> Fraction:
     if m < 1:
         raise ValueError(f"faulhaber_sum needs upper bound m >= 1, got {m}")
     _TABLE.extend_to(n)
-    acc = Fraction(0)
-    for k in range(n + 1):
-        acc += comb(n + 1, k) * _TABLE.value(k) * Fraction(m) ** (n - k + 1)
-    return acc / (n + 1)
+    b = _TABLE.values[:n + 1]
+    # scale B_0..B_n to integers so the sum runs on ints, one division at the end
+    lcm = math.lcm(*(v.denominator for v in b))
+    acc = sum(comb(n + 1, k) * (v.numerator * (lcm // v.denominator))
+              * m ** (n - k + 1) for k, v in enumerate(b))
+    return Fraction(acc, lcm * (n + 1))
 
 
 @dataclass(frozen=True)

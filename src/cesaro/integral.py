@@ -36,7 +36,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .evaluation import CesaroEvaluation, tail_judgement
+from .evaluation import CesaroEvaluation, require_finite, tail_judgement
 from .exact import PeriodicPolynomial, periodic_mean
 from .powerlog import PowerLogExpr
 
@@ -291,6 +291,7 @@ def riesz_mean(spec: IntegrandSpec, k: float, X: float) -> float:
     k! F_{k+1}(X)/X^k when the spec carries the structure; everything else
     falls back to windowed adaptive quadrature.
     """
+    require_finite(k=k, X=X)
     if X <= 0:
         raise ValueError("X must be positive")
     if k <= -1:

@@ -12,6 +12,14 @@ are where the within-interval polynomial layers vanish, so the samples are
 clean; k = 0 degenerates to ordinary convergence, which is the right tool
 for alpha < -1.
 
+For integer alpha >= 0 without the log weight, every primitive at the
+boundaries is a polynomial in n with rational coefficients, and so is every
+primitive of a periodic layer in ``lemma_witness``.  Those paths step the
+recursion exactly over the first few boundaries only, which fix the
+polynomial, and evaluate it at the sample boundaries in Newton form; their
+cost does not depend on X.  The float recursion below and the ordinary
+k = 0 sums still run up to X.
+
 Primitives advance one unit interval at a time in closed form.  On [n, n+1)
 the staircase is (constant S_n) - P(t) with P the finite-part antiderivative
 of the weight, so each advance needs the iterated unit-interval integrals of
@@ -34,12 +42,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
 
 from .accumulate import CompensatedSum
-from .evaluation import CesaroEvaluation, tail_judgement
+from .evaluation import CesaroEvaluation, require_finite, tail_judgement
 from .exact import PeriodicPolynomial
 from .finite_part import fp_log_power_integral, fp_power_integral
 from .powerlog import PowerLogExpr
@@ -277,6 +286,30 @@ def _ordinary_samples(spec: StaircaseSpec, boundaries: list[int]) -> list[float]
     return samples
 
 
+def _polynomial_at(step, values, deg: int, boundaries: list[int]) -> list:
+    """Exact values[-1] at each boundary m, without stepping up to m.
+
+    values is the state at n = 0 and step(values, n) the state at n + 1;
+    values[-1] must be a polynomial in n of degree <= deg with exact (int or
+    Fraction) coefficients.  Its first deg + 1 values fix it, so only those
+    are stepped, and Newton's forward-difference form
+
+        values[-1](m) = sum_d Delta^d(0) * C(m, d)
+
+    gives every boundary in O(deg) exact operations, whatever its size.
+    """
+    head = [values[-1]]
+    for n in range(deg):
+        values = step(values, n)
+        head.append(values[-1])
+    diffs = []
+    while head:
+        diffs.append(head[0])
+        head = [b - a for a, b in zip(head, head[1:])]
+    return [sum(d * math.comb(m, i) for i, d in enumerate(diffs))
+            for m in boundaries]
+
+
 def _cesaro_limit_samples_exact(spec: StaircaseSpec, k: int,
                                 boundaries: list[int]) -> list[float]:
     """Integer alpha >= 0: the advance in exact integer arithmetic.
@@ -287,6 +320,14 @@ def _cesaro_limit_samples_exact(spec: StaircaseSpec, k: int,
     tame denominator: w_j = F_j(n) * (beta+j)! stays integral (each update
     coefficient below is an integer), so the recursion runs on Python ints
     and the only rounding is in the final float(sample).
+
+    w_k is moreover a polynomial in n of degree alpha + k.  S_n is
+    Faulhaber's polynomial of degree beta, whose leading n^beta/beta cancels
+    against Rint_j, so each forcing term has degree alpha; each order j then
+    sums once more in n.  So the recursion runs only over n = 0..alpha+k and
+    ``_polynomial_at`` evaluates w_k at the boundaries exactly: the samples
+    are those of the unit-step recursion up to X, and the cost does not
+    depend on X.
     """
     beta = int(spec.alpha) + 1
     # w'_j = sum_i C(beta+j, i) w_{j-i} + [(beta+j)!/j!] S_n - Rint_j(n)
@@ -300,14 +341,13 @@ def _cesaro_limit_samples_exact(spec: StaircaseSpec, k: int,
     rint = [[math.comb(beta, i) * math.factorial(i) * math.factorial(beta + j)
              // (math.factorial(i + j) * beta) for i in range(beta + 1)]
             for j in range(k + 1)]
-    kfact = math.factorial(k)
-    wanted = set(boundaries)
-    n_max = boundaries[-1]
     alpha_int = beta - 1
-    w = [0] * (k + 1)
-    s_n = 0
-    samples = []
-    for n in range(n_max):
+    deg = alpha_int + k
+    partial_sums = list(accumulate((m ** alpha_int for m in range(1, deg)),
+                                   initial=0))
+
+    def step(w, n):
+        s_n = partial_sums[n]
         new = [0] * (k + 1)
         for j in range(1, k + 1):
             acc = 0
@@ -318,13 +358,13 @@ def _cesaro_limit_samples_exact(spec: StaircaseSpec, k: int,
             for i in range(j):
                 total += w[j - i] * mul[i]
             new[j] = total
-        w = new
-        m = n + 1
-        s_n += m ** alpha_int
-        if m in wanted:
-            samples.append(float(Fraction(
-                w[k] * kfact, math.factorial(beta + k) * m ** k)))
-    return samples
+        return new
+
+    w_k = _polynomial_at(step, [0] * (k + 1), deg, boundaries)
+    kfact = math.factorial(k)
+    scale = math.factorial(beta + k)
+    return [float(Fraction(v * kfact, scale * m ** k))
+            for v, m in zip(w_k, boundaries)]
 
 
 def _cesaro_limit_samples(spec: StaircaseSpec, k: int,
@@ -358,6 +398,7 @@ def _cesaro_limit_samples(spec: StaircaseSpec, k: int,
 
 def _staircase_evaluation(spec: StaircaseSpec, k: Optional[int], X_max: float,
                           tol: float) -> CesaroEvaluation:
+    require_finite(alpha=spec.alpha, k=k, X_max=X_max)
     if X_max < 64:
         raise ValueError("X_max is too small to form a sample tail")
     if k is None:
@@ -420,7 +461,15 @@ def lemma_witness(p: PeriodicPolynomial, k: int = 1, X_max: float = DEFAULT_XMAX
     periodic, so k! F_k(x)/x^k collapses at any order k >= 1; this witnesses
     that such functions are Cesaro-negligible.  With nonzero mean the same
     evaluation converges to the mean instead, which makes a handy control.
+
+    At integer boundaries F_j advances by a Taylor step plus the constant
+    j-fold integral of p over one period, so F_k(n) is a polynomial in n of
+    degree <= k with Fraction coefficients.  It is stepped exactly for
+    n = 0..k only and evaluated at the boundaries in closed form; each
+    sample is the correctly rounded exact value, and the cost does not
+    depend on X_max.
     """
+    require_finite(k=k, X_max=X_max)
     if k < 0:
         raise ValueError("order k must be >= 0")
     n_max = int(math.floor(X_max))
@@ -437,23 +486,20 @@ def lemma_witness(p: PeriodicPolynomial, k: int = 1, X_max: float = DEFAULT_XMAX
     coeffs = list(p.coeffs)
     for _ in range(k):
         coeffs = [Fraction(0)] + [c / (i + 1) for i, c in enumerate(coeffs)]
-        r_at_one.append(float(sum(c for c in coeffs)))
-    inv_fact = [1.0 / math.factorial(i) for i in range(k + 1)]
+        r_at_one.append(sum(coeffs))
+    inv_fact = [Fraction(1, math.factorial(i)) for i in range(k + 1)]
 
-    wanted = set(boundaries)
-    values = [0.0] * (k + 1)
-    kfact = math.factorial(k)
-    samples = []
-    for n in range(n_max):
-        new = [0.0] * (k + 1)
+    def step(values, n):
+        new = [Fraction(0)] * (k + 1)
         for j in range(1, k + 1):
-            taylor = 0.0
+            taylor = Fraction(0)
             for i in range(j):
                 taylor += values[j - i] * inv_fact[i]
             new[j] = taylor + r_at_one[j - 1]
-        values = new
-        m = n + 1
-        if m in wanted:
-            samples.append(kfact * values[k] / float(m) ** k)
+        return new
+
+    f_k = _polynomial_at(step, [Fraction(0)] * (k + 1), k, boundaries)
+    kfact = math.factorial(k)
+    samples = [float(kfact * v / m ** k) for v, m in zip(f_k, boundaries)]
     return tail_judgement(samples, order=k, n_terms=n_max, tol=tol,
                           tail_count=max(4, len(samples) // 4))

@@ -274,3 +274,14 @@ def test_trig_chain_layers_vanish_at_zero():
     spec = integral.cos_wave(2.0)
     for F in spec.primitives:
         assert abs(F(0.0)) < 1e-15
+
+
+@pytest.mark.parametrize("k,X,name", [
+    (float("nan"), 10.0, "k"),
+    (float("inf"), 10.0, "k"),
+    (1, float("nan"), "X"),
+    (1, float("inf"), "X"),
+])
+def test_riesz_mean_rejects_non_finite_inputs(k, X, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        integral.riesz_mean(integral.sin_wave(1.0), k, X)

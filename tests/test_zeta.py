@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -249,3 +250,123 @@ def test_exact_and_float_advances_agree():
     exact_ev = zeta.zeta_via_cesaro(2.0, k=3, X_max=2e3)
     float_ev = zeta.zeta_via_cesaro(2.0 + 1e-13, k=3, X_max=2e3)
     assert exact_ev.value == pytest.approx(float_ev.value, abs=1e-5)
+
+
+def _exact_samples_by_loop(alpha: int, k: int, boundaries):
+    """The exact-integer staircase stepped one unit interval at a time up to
+    the last boundary: the O(X) reference for the closed-form evaluation."""
+    beta = alpha + 1
+    taylor_mul = [[math.comb(beta + j, i) for i in range(j)] for j in range(k + 1)]
+    s_mul = [math.factorial(beta + j) // math.factorial(j) for j in range(k + 1)]
+    rint = [[math.comb(beta, i) * math.factorial(i) * math.factorial(beta + j)
+             // (math.factorial(i + j) * beta) for i in range(beta + 1)]
+            for j in range(k + 1)]
+    kfact = math.factorial(k)
+    wanted = set(boundaries)
+    w = [0] * (k + 1)
+    s_n = 0
+    samples = []
+    for n in range(boundaries[-1]):
+        new = [0] * (k + 1)
+        for j in range(1, k + 1):
+            acc = 0
+            for c in rint[j]:
+                acc = acc * n + c
+            total = s_n * s_mul[j] - acc
+            for i in range(j):
+                total += w[j - i] * taylor_mul[j][i]
+            new[j] = total
+        w = new
+        m = n + 1
+        s_n += m ** alpha
+        if m in wanted:
+            samples.append(float(Fraction(
+                w[k] * kfact, math.factorial(beta + k) * m ** k)))
+    return samples
+
+
+@pytest.mark.parametrize("alpha", range(8))
+def test_exact_path_matches_the_unit_step_loop(alpha):
+    for k in range(1, alpha + 4):
+        for X in (64, 100, 1e3, 5e3):
+            boundaries = zeta._sample_boundaries(int(X))
+            got = zeta._cesaro_limit_samples_exact(
+                zeta.StaircaseSpec(float(alpha)), k, boundaries)
+            assert got == _exact_samples_by_loop(alpha, k, boundaries), (k, X)
+
+
+def _lemma_samples_by_loop(p, k, boundaries, num):
+    """lemma_witness's F_k stepped one unit interval at a time in the number
+    type ``num`` (Fraction: exact; float: the former float recurrence)."""
+    r_at_one = []
+    coeffs = list(p.coeffs)
+    for _ in range(k):
+        coeffs = [Fraction(0)] + [c / (i + 1) for i, c in enumerate(coeffs)]
+        r_at_one.append(num(sum(coeffs)))
+    inv_fact = [num(1) / math.factorial(i) for i in range(k + 1)]
+    wanted = set(boundaries)
+    values = [num(0)] * (k + 1)
+    samples = []
+    for n in range(boundaries[-1]):
+        values = [num(0)] + [
+            sum((values[j - i] * inv_fact[i] for i in range(j)), num(0))
+            + r_at_one[j - 1] for j in range(1, k + 1)]
+        m = n + 1
+        if m in wanted:
+            samples.append(float(math.factorial(k) * values[k] / num(m) ** k))
+    return samples
+
+
+_LEMMA_CASES = [(f"P_{m} n={n}", exact.pm_polynomial(n, m))
+                for n in range(1, 6) for m in range(n + 1)] + [
+    ("1", exact.PeriodicPolynomial((Fraction(1),))),
+    ("{x}", exact.PeriodicPolynomial((Fraction(0), Fraction(1)))),
+]
+
+
+@pytest.mark.parametrize("label,p", _LEMMA_CASES, ids=[c[0] for c in _LEMMA_CASES])
+def test_lemma_witness_matches_the_unit_step_loop(label, p):
+    from cesaro.evaluation import tail_judgement
+
+    n_max = 1000
+    boundaries = zeta._sample_boundaries(n_max)
+    tail_count = max(4, len(boundaries) // 4)
+    for k in range(1, 4):
+        ev = zeta.lemma_witness(p, k=k, X_max=n_max)
+        exact_loop = _lemma_samples_by_loop(p, k, boundaries, Fraction)
+        assert ev == tail_judgement(exact_loop, order=k, n_terms=n_max,
+                                    tol=1e-6, tail_count=tail_count), k
+        float_loop = _lemma_samples_by_loop(p, k, boundaries, float)
+        assert ev.converged == tail_judgement(
+            float_loop, order=k, n_terms=n_max, tol=1e-6,
+            tail_count=tail_count).converged, k
+
+
+def test_exact_path_improves_at_huge_domains_in_bounded_time():
+    # cost no longer grows with X: the O(X) loop would take hours at 1e12
+    start = time.perf_counter()
+    for alpha in range(1, 7):
+        want = float(exact.zeta_neg_int(alpha))
+        at_small = abs(zeta.zeta_via_cesaro(float(alpha), X_max=1e4).value - want)
+        at_huge = abs(zeta.zeta_via_cesaro(float(alpha), X_max=1e12).value - want)
+        assert at_huge <= at_small, alpha
+        assert at_huge <= 1e-12, alpha
+    assert time.perf_counter() - start < 1.0
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda: zeta.zeta_via_cesaro(_NAN), "alpha"),
+    (lambda: zeta.zeta_via_cesaro(-_INF, k=0), "alpha"),
+    (lambda: zeta.zeta_via_cesaro(2.0, X_max=_INF), "X_max"),
+    (lambda: zeta.zeta_via_cesaro(2.0, X_max=_NAN), "X_max"),
+    (lambda: zeta.zeta_via_cesaro(2.0, k=_NAN), "k"),
+    (lambda: zeta.zeta_prime_via_cesaro(0.5, X_max=_NAN), "X_max"),
+    (lambda: zeta.lemma_witness(exact.pm_polynomial(2, 1), X_max=_INF), "X_max"),
+    (lambda: zeta.lemma_witness(exact.pm_polynomial(2, 1), X_max=_NAN), "X_max"),
+])
+def test_non_finite_inputs_fail_fast(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        call()
