@@ -9,10 +9,8 @@ from .accumulate import CompensatedSum, compensated_prefix_sums
 from .evaluation import CesaroEvaluation
 from .exact import (
     BernoulliTable,
-    FaulhaberResult,
     PeriodicPolynomial,
     bernoulli,
-    faulhaber,
     faulhaber_sum,
     periodic_mean,
     pm_polynomial,
@@ -68,10 +66,8 @@ __all__ = [
     "compensated_prefix_sums",
     "CesaroEvaluation",
     "BernoulliTable",
-    "FaulhaberResult",
     "PeriodicPolynomial",
     "bernoulli",
-    "faulhaber",
     "faulhaber_sum",
     "periodic_mean",
     "pm_polynomial",

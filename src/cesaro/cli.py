@@ -16,6 +16,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Optional
 
 from . import exact, finite_part, integral, series, zeta
@@ -116,9 +117,12 @@ def _exact_result(value: Fraction) -> dict:
     return {"exact": str(value), "float": float(value)}
 
 
-def _diag(ev) -> dict:
-    return {"order": ev.order, "n_terms": ev.n_terms,
+def _emit_estimate(command: str, inputs: dict, ev, args, fmt: str) -> int:
+    """Print one CesaroEvaluation's record; returns the exit code it earns."""
+    diag = {"order": ev.order, "n_terms": ev.n_terms,
             "error_estimate": ev.error_estimate, "converged": ev.converged}
+    _emit(OutputRecord(command, inputs, {"float": ev.value}, diag), fmt)
+    return EXIT_NOT_CONVERGED if args.strict and not ev.converged else EXIT_OK
 
 
 # -- builders for the named inputs -------------------------------------------
@@ -219,23 +223,11 @@ def _run_estimates(args, fmt: str, estimator, command: str) -> int:
             continue
         inputs = {"alpha": a, "order": ev.order, "xmax": args.xmax,
                   "tol": args.tol}
-        rec = OutputRecord(command, inputs, {"float": ev.value}, _diag(ev))
-        _emit(rec, fmt)
+        worst = max(worst, _emit_estimate(command, inputs, ev, args, fmt))
         emitted = True
-        if args.strict and not ev.converged:
-            worst = EXIT_NOT_CONVERGED
     if not emitted:
         raise ValueError("no alpha in the requested range was usable")
     return worst
-
-
-def _cmd_zeta_estimate(args, fmt: str) -> int:
-    return _run_estimates(args, fmt, zeta.zeta_via_cesaro, "zeta-estimate")
-
-
-def _cmd_zeta_prime_estimate(args, fmt: str) -> int:
-    return _run_estimates(args, fmt, zeta.zeta_prime_via_cesaro,
-                          "zeta-prime-estimate")
 
 
 def _cmd_cesaro_sum(args, fmt: str) -> int:
@@ -247,10 +239,7 @@ def _cmd_cesaro_sum(args, fmt: str) -> int:
         inputs["ratio"] = args.ratio
     if args.power is not None:
         inputs["power"] = args.power
-    _emit(OutputRecord("cesaro-sum", inputs, {"float": ev.value}, _diag(ev)), fmt)
-    if args.strict and not ev.converged:
-        return EXIT_NOT_CONVERGED
-    return EXIT_OK
+    return _emit_estimate("cesaro-sum", inputs, ev, args, fmt)
 
 
 def _cmd_cesaro_int(args, fmt: str) -> int:
@@ -264,48 +253,22 @@ def _cmd_cesaro_int(args, fmt: str) -> int:
     if args.integrand == "power-log":
         inputs["alpha"] = args.alpha
         inputs["logpow"] = args.logpow
-    _emit(OutputRecord("cesaro-int", inputs, {"float": ev.value}, _diag(ev)), fmt)
-    if args.strict and not ev.converged:
-        return EXIT_NOT_CONVERGED
-    return EXIT_OK
+    return _emit_estimate("cesaro-int", inputs, ev, args, fmt)
 
 
-def _parse_rational(text: str) -> Optional[Fraction]:
+def _cmd_finite_part(args, fmt: str, float_fn, exact_fn) -> int:
+    """fp-int / fp-log-int: the float value, plus the exact one where the
+    rational inputs give a rational value (exact_fn raises ValueError where
+    they do not)."""
+    alpha = Fraction(args.alpha)
+    upper = Fraction(args.upper)
+    inputs = {"alpha": float(alpha), "upper": float(upper)}
+    result = {"float": float_fn(inputs["alpha"], inputs["upper"])}
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        return None
-
-
-def _cmd_fp_int(args, fmt: str) -> int:
-    alpha = float(Fraction(args.alpha))
-    upper = float(Fraction(args.upper))
-    result = {"float": finite_part.fp_power_integral(alpha, upper)}
-    a_frac = _parse_rational(args.alpha)
-    b_frac = _parse_rational(args.upper)
-    if a_frac is not None and b_frac is not None:
-        try:
-            result["exact"] = str(
-                finite_part.fp_power_integral_exact(a_frac, b_frac))
-        except ValueError:
-            pass
-    _emit(OutputRecord("fp-int", {"alpha": alpha, "upper": upper}, result), fmt)
-    return EXIT_OK
-
-
-def _cmd_fp_log_int(args, fmt: str) -> int:
-    alpha = float(Fraction(args.alpha))
-    upper = float(Fraction(args.upper))
-    result = {"float": finite_part.fp_log_power_integral(alpha, upper)}
-    a_frac = _parse_rational(args.alpha)
-    if a_frac is not None and upper == 1.0:
-        try:
-            result["exact"] = str(
-                finite_part.fp_log_power_integral_exact(a_frac))
-        except ValueError:
-            pass
-    _emit(OutputRecord("fp-log-int", {"alpha": alpha, "upper": upper}, result),
-          fmt)
+        result["exact"] = str(exact_fn(alpha, upper))
+    except ValueError:
+        pass
+    _emit(OutputRecord(args.cmd, inputs, result), fmt)
     return EXIT_OK
 
 
@@ -348,8 +311,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("m", type=int)
     p.set_defaults(handler=_cmd_pm_poly)
 
-    for name, handler in (("zeta-estimate", _cmd_zeta_estimate),
-                          ("zeta-prime-estimate", _cmd_zeta_prime_estimate)):
+    for name, estimator in (("zeta-estimate", zeta.zeta_via_cesaro),
+                            ("zeta-prime-estimate", zeta.zeta_prime_via_cesaro)):
         p = sub.add_parser(name, parents=[common],
                            help=f"{'zeta' if name == 'zeta-estimate' else 'zeta-prime'}"
                                 "(-alpha) from the staircase Cesaro limit")
@@ -361,7 +324,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="Cesaro order k (default: max(0, ceil(alpha)+1))")
         p.add_argument("--xmax", type=float, default=zeta.DEFAULT_XMAX)
         p.add_argument("--tol", type=float, default=zeta.DEFAULT_TOL)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=partial(_run_estimates, estimator=estimator,
+                                       command=name))
 
     p = sub.add_parser("cesaro-sum", parents=[common],
                        help="Cesaro (C,k) sum of a built-in sequence")
@@ -390,18 +354,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=integral.DEFAULT_TOL)
     p.set_defaults(handler=_cmd_cesaro_int)
 
-    p = sub.add_parser("fp-int", parents=[common],
-                       help="finite part of int_0^b t^alpha dt")
-    p.add_argument("--alpha", required=True,
-                   help="exponent (rational like -3/2 keeps the exact path)")
-    p.add_argument("--upper", default="1", help="upper limit b (default 1)")
-    p.set_defaults(handler=_cmd_fp_int)
-
-    p = sub.add_parser("fp-log-int", parents=[common],
-                       help="finite part of int_0^b t^alpha ln t dt")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--upper", default="1")
-    p.set_defaults(handler=_cmd_fp_log_int)
+    for name, integrand, float_fn, exact_fn in (
+            ("fp-int", "t^alpha", finite_part.fp_power_integral,
+             finite_part.fp_power_integral_exact),
+            ("fp-log-int", "t^alpha ln t", finite_part.fp_log_power_integral,
+             finite_part.fp_log_power_integral_exact)):
+        p = sub.add_parser(name, parents=[common],
+                           help=f"finite part of int_0^b {integrand} dt")
+        p.add_argument("--alpha", required=True,
+                       help="exponent; a rational such as --alpha=-3/2 "
+                            "keeps the exact path")
+        p.add_argument("--upper", default="1", help="upper limit b (default 1)")
+        p.set_defaults(handler=partial(_cmd_finite_part, float_fn=float_fn,
+                                       exact_fn=exact_fn))
 
     return parser
 

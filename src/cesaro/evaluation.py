@@ -36,21 +36,32 @@ class CesaroEvaluation:
 
 
 def require_finite(**named) -> None:
-    """Reject a NaN or infinite argument by name, before any work starts."""
+    """Reject a NaN, infinite or float-overflowing argument by name, before
+    any work starts."""
     for name, value in named.items():
-        if value is not None and not math.isfinite(value):
+        if value is None:
+            continue
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:
+            raise ValueError(f"{name} is too large for a float") from None
+        if not finite:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-def tail_judgement(samples, order, n_terms, tol, tail_count) -> CesaroEvaluation:
+def tail_judgement(samples, order, n_terms, tol,
+                   tail_count=None) -> CesaroEvaluation:
     """Build a CesaroEvaluation from a full sample sequence.
 
-    ``tail_count`` samples from the end form the dispersion window.  The
-    reported value is always the final sample, converged or not.
+    ``tail_count`` samples from the end form the dispersion window; the
+    default is the last quarter, and never fewer than 4.  The reported value
+    is always the final sample, converged or not.
     """
     samples = [float(s) for s in samples]
     if len(samples) < 2:
         raise ValueError("need at least two samples to judge convergence")
+    if tail_count is None:
+        tail_count = max(4, len(samples) // 4)
     tail_count = max(2, min(tail_count, len(samples)))
     tail = samples[-tail_count:]
     if all(math.isfinite(s) for s in tail):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from numbers import Rational
@@ -18,8 +17,6 @@ from numbers import Rational
 __all__ = [
     "BernoulliTable",
     "bernoulli",
-    "FaulhaberResult",
-    "faulhaber",
     "faulhaber_sum",
     "zeta_neg_int",
     "PeriodicPolynomial",
@@ -137,20 +134,6 @@ def faulhaber_sum(n: int, m: int) -> Fraction:
     acc = sum(comb(n + 1, k) * (v.numerator * (lcm // v.denominator))
               * m ** (n - k + 1) for k, v in enumerate(b))
     return Fraction(acc, lcm * (n + 1))
-
-
-@dataclass(frozen=True)
-class FaulhaberResult:
-    """A power sum together with the inputs that produced it."""
-
-    n: int
-    m: int
-    value: Fraction
-
-
-def faulhaber(n: int, m: int) -> FaulhaberResult:
-    """Like faulhaber_sum, wrapped with its parameters for record-keeping."""
-    return FaulhaberResult(n=n, m=m, value=faulhaber_sum(n, m))
 
 
 def zeta_neg_int(n: int) -> Fraction:

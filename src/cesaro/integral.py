@@ -31,11 +31,12 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
+from .accumulate import CompensatedSum
 from .evaluation import CesaroEvaluation, require_finite, tail_judgement
 from .exact import PeriodicPolynomial, periodic_mean
 from .powerlog import PowerLogExpr
@@ -86,136 +87,13 @@ class IntegrandSpec:
     spot-checked by central differences at 32 deterministic pseudo-random
     points.  A couple of misses are tolerated so that piecewise integrands
     whose probe lands on a kink are not rejected, but a wrong chain fails
-    loudly.  Build instances through the factory classmethods.
+    loudly.  Build instances through the factory functions below.
     """
 
     func: Callable[[float], float]
     primitives: tuple = ()
     moments: Optional[Callable[[int, float], float]] = None
     label: str = "f"
-    verified: bool = field(default=False, compare=False)
-
-    # -- factories ---------------------------------------------------------
-
-    @classmethod
-    def sin_wave(cls, a: float = 1.0) -> "IntegrandSpec":
-        """sin(a t), with the full iterated-primitive chain and moments."""
-        if a == 0:
-            raise ValueError("sin_wave needs a nonzero frequency")
-        a = float(a)
-        chain = tuple(_trig_primitive(a, j, want_sin=True) for j in range(1, MAX_CHAIN + 1))
-        spec = cls(func=lambda t: math.sin(a * t), primitives=chain,
-                   moments=_trig_moments(a, want_sin=True), label=f"sin({a:g}t)")
-        return _verified(spec)
-
-    @classmethod
-    def cos_wave(cls, a: float = 1.0) -> "IntegrandSpec":
-        if a == 0:
-            raise ValueError("cos_wave needs a nonzero frequency")
-        a = float(a)
-        chain = tuple(_trig_primitive(a, j, want_sin=False) for j in range(1, MAX_CHAIN + 1))
-        spec = cls(func=lambda t: math.cos(a * t), primitives=chain,
-                   moments=_trig_moments(a, want_sin=False), label=f"cos({a:g}t)")
-        return _verified(spec)
-
-    @classmethod
-    def exp_decay(cls) -> "IntegrandSpec":
-        """exp(-t); the j-fold primitive is (-1)^j (e^-t - its Taylor head)."""
-        def primitive(j):
-            def F(t, j=j):
-                head = sum((-t) ** m / math.factorial(m) for m in range(j))
-                return (-1.0) ** j * (math.exp(-t) - head)
-            return F
-
-        def moments(j, X):
-            # E_j = j E_{j-1} - X^j e^{-X}
-            ex = math.exp(-X)
-            e = 1.0 - ex
-            for i in range(1, j + 1):
-                e = i * e - X ** i * ex
-            return e
-
-        spec = cls(func=lambda t: math.exp(-t),
-                   primitives=tuple(primitive(j) for j in range(1, MAX_CHAIN + 1)),
-                   moments=moments, label="exp(-t)")
-        return _verified(spec)
-
-    @classmethod
-    def power_log(cls, alpha: float, p: int = 0) -> "IntegrandSpec":
-        """t^alpha * (ln t)^p with alpha > -1 (locally integrable at 0).
-
-        Anything with alpha <= -1 is not an integral over [0, X] at all but a
-        finite part; use the finite_part module for those.
-        """
-        alpha = float(alpha)
-        if alpha <= -1.0:
-            raise ValueError(
-                f"alpha={alpha} is not locally integrable at 0; "
-                "use finite_part.fp_power_integral / fp_log_power_integral instead")
-        if p < 0:
-            raise ValueError("log power p must be >= 0")
-        base = PowerLogExpr({(alpha, p): 1.0})
-        chain = []
-        expr = base
-        for _ in range(MAX_CHAIN):
-            expr = expr.antiderivative()
-            chain.append(expr)
-
-        def func(t, alpha=alpha, p=p):
-            if t == 0.0:
-                return 0.0 if alpha > 0 or (alpha == 0 and p > 0) else (1.0 if alpha == 0 else math.inf)
-            v = t ** alpha
-            return v * math.log(t) ** p if p else v
-
-        def moments(j, X, alpha=alpha, p=p):
-            anti = PowerLogExpr({(alpha + j, p): 1.0}).antiderivative()
-            return anti(X)
-
-        spec = cls(func=func, primitives=tuple(e.__call__ for e in chain),
-                   moments=moments, label=f"t^{alpha:g}" + (f"*ln^{p}(t)" if p else ""))
-        return _verified(spec)
-
-    @classmethod
-    def constant(cls, c: float = 1.0) -> "IntegrandSpec":
-        c = float(c)
-        spec = cls(func=lambda t: c,
-                   primitives=tuple(
-                       (lambda j: lambda t: c * t ** j / math.factorial(j))(j)
-                       for j in range(1, MAX_CHAIN + 1)),
-                   moments=lambda j, X: c * X ** (j + 1) / (j + 1),
-                   label=f"{c:g}")
-        return _verified(spec)
-
-    @classmethod
-    def periodic_poly(cls, p: PeriodicPolynomial) -> "IntegrandSpec":
-        """x -> p({x}) with its first primitive mean*floor(x) + R({x})."""
-        mean = float(periodic_mean(p))
-        r_coeffs = [0.0] + [float(c) / (j + 1) for j, c in enumerate(p.coeffs)]
-
-        def f1(t):
-            fl = math.floor(t)
-            u = t - fl
-            acc = 0.0
-            for c in reversed(r_coeffs):
-                acc = acc * u + c
-            return mean * fl + acc
-
-        spec = cls(func=lambda t: p(t), primitives=(f1,), label=f"{p!r}@frac")
-        return _verified(spec)
-
-    @classmethod
-    def from_primitives(cls, func, primitives, label: str = "user",
-                        verify: bool = True) -> "IntegrandSpec":
-        """User-supplied chain: primitives[0] must be int_0^x f, and so on."""
-        spec = cls(func=func, primitives=tuple(primitives), label=label)
-        return _verified(spec) if verify else spec
-
-    @classmethod
-    def sampled(cls, func, label: str = "sampled") -> "IntegrandSpec":
-        """A bare callable; everything downstream goes through quadrature."""
-        return cls(func=func, label=label)
-
-    # -- helpers -----------------------------------------------------------
 
     def primitive(self) -> "IntegrandSpec":
         """The spec of int_0^x f, with the chain shifted down by one.
@@ -226,23 +104,16 @@ class IntegrandSpec:
         if not self.primitives:
             raise ValueError(f"{self.label}: no antiderivative chain to shift")
         return IntegrandSpec(func=self.primitives[0], primitives=self.primitives[1:],
-                             moments=None, label=f"int({self.label})",
-                             verified=self.verified)
+                             moments=None, label=f"int({self.label})")
 
     def __repr__(self):
         return f"IntegrandSpec({self.label})"
 
 
 def _verified(spec: IntegrandSpec) -> IntegrandSpec:
-    _verify_chain(spec)
-    return IntegrandSpec(func=spec.func, primitives=spec.primitives,
-                         moments=spec.moments, label=spec.label, verified=True)
-
-
-def _verify_chain(spec: IntegrandSpec) -> None:
-    """Numeric-differentiation spot check of the whole chain."""
+    """Numeric-differentiation spot check of the whole chain; returns spec."""
     if not spec.primitives:
-        return
+        return spec
     rng = np.random.default_rng(20260815)
     pts = np.exp(rng.uniform(math.log(0.5), math.log(20.0), size=_VERIFY_POINTS))
     layers = (spec.func,) + spec.primitives
@@ -260,6 +131,126 @@ def _verify_chain(spec: IntegrandSpec) -> None:
             raise ValueError(
                 f"antiderivative chain of {spec.label} fails differentiation "
                 f"check ({misses}/{_VERIFY_POINTS} probe points off)")
+    return spec
+
+
+# -- factories ----------------------------------------------------------------
+
+def sin_wave(a: float = 1.0) -> IntegrandSpec:
+    """sin(a t), with the full iterated-primitive chain and moments."""
+    return _trig_wave(a, want_sin=True)
+
+
+def cos_wave(a: float = 1.0) -> IntegrandSpec:
+    """cos(a t), with the full iterated-primitive chain and moments."""
+    return _trig_wave(a, want_sin=False)
+
+
+def _trig_wave(a: float, want_sin: bool) -> IntegrandSpec:
+    name, wave = ("sin", math.sin) if want_sin else ("cos", math.cos)
+    if a == 0:
+        raise ValueError(f"{name}_wave needs a nonzero frequency")
+    a = float(a)
+    chain = tuple(_trig_primitive(a, j, want_sin) for j in range(1, MAX_CHAIN + 1))
+    return _verified(IntegrandSpec(
+        func=lambda t: wave(a * t), primitives=chain,
+        moments=_trig_moments(a, want_sin), label=f"{name}({a:g}t)"))
+
+
+def exp_decay() -> IntegrandSpec:
+    """exp(-t); the j-fold primitive is (-1)^j (e^-t - its Taylor head)."""
+    def primitive(j):
+        def F(t, j=j):
+            head = sum((-t) ** m / math.factorial(m) for m in range(j))
+            return (-1.0) ** j * (math.exp(-t) - head)
+        return F
+
+    def moments(j, X):
+        # E_j = j E_{j-1} - X^j e^{-X}
+        ex = math.exp(-X)
+        e = 1.0 - ex
+        for i in range(1, j + 1):
+            e = i * e - X ** i * ex
+        return e
+
+    return _verified(IntegrandSpec(
+        func=lambda t: math.exp(-t),
+        primitives=tuple(primitive(j) for j in range(1, MAX_CHAIN + 1)),
+        moments=moments, label="exp(-t)"))
+
+
+def power_log(alpha: float, p: int = 0) -> IntegrandSpec:
+    """t^alpha * (ln t)^p with alpha > -1 (locally integrable at 0).
+
+    Anything with alpha <= -1 is not an integral over [0, X] at all but a
+    finite part; use the finite_part module for those.
+    """
+    alpha = float(alpha)
+    if alpha <= -1.0:
+        raise ValueError(
+            f"alpha={alpha} is not locally integrable at 0; "
+            "use finite_part.fp_power_integral / fp_log_power_integral instead")
+    if p < 0:
+        raise ValueError("log power p must be >= 0")
+    base = PowerLogExpr({(alpha, p): 1.0})
+    chain = []
+    expr = base
+    for _ in range(MAX_CHAIN):
+        expr = expr.antiderivative()
+        chain.append(expr)
+
+    def func(t, alpha=alpha, p=p):
+        if t == 0.0:
+            return 0.0 if alpha > 0 or (alpha == 0 and p > 0) else (1.0 if alpha == 0 else math.inf)
+        v = t ** alpha
+        return v * math.log(t) ** p if p else v
+
+    def moments(j, X, alpha=alpha, p=p):
+        anti = PowerLogExpr({(alpha + j, p): 1.0}).antiderivative()
+        return anti(X)
+
+    return _verified(IntegrandSpec(
+        func=func, primitives=tuple(e.__call__ for e in chain),
+        moments=moments, label=f"t^{alpha:g}" + (f"*ln^{p}(t)" if p else "")))
+
+
+def constant(c: float = 1.0) -> IntegrandSpec:
+    c = float(c)
+    return _verified(IntegrandSpec(
+        func=lambda t: c,
+        primitives=tuple(
+            (lambda j: lambda t: c * t ** j / math.factorial(j))(j)
+            for j in range(1, MAX_CHAIN + 1)),
+        moments=lambda j, X: c * X ** (j + 1) / (j + 1),
+        label=f"{c:g}"))
+
+
+def periodic_poly(p: PeriodicPolynomial) -> IntegrandSpec:
+    """x -> p({x}) with its first primitive mean*floor(x) + R({x})."""
+    mean = float(periodic_mean(p))
+    r_coeffs = [0.0] + [float(c) / (j + 1) for j, c in enumerate(p.coeffs)]
+
+    def f1(t):
+        fl = math.floor(t)
+        u = t - fl
+        acc = 0.0
+        for c in reversed(r_coeffs):
+            acc = acc * u + c
+        return mean * fl + acc
+
+    return _verified(IntegrandSpec(func=lambda t: p(t), primitives=(f1,),
+                                   label=f"{p!r}@frac"))
+
+
+def from_primitives(func, primitives, label: str = "user") -> IntegrandSpec:
+    """User-supplied chain: primitives[0] must be int_0^x f, and so on."""
+    return _verified(IntegrandSpec(func=func, primitives=tuple(primitives),
+                                   label=label))
+
+
+def sampled(func, label: str = "sampled") -> IntegrandSpec:
+    """A bare callable; everything downstream goes through quadrature."""
+    return IntegrandSpec(func=func, label=label)
 
 
 def default_grid(lo: float = 1e2, hi: float = 1e5, num: int = 16) -> tuple[float, ...]:
@@ -321,8 +312,7 @@ def _riesz_quadrature(spec: IntegrandSpec, k: float, X: float) -> float:
 
     n_windows = int(min(4096, max(1, math.ceil(X / 50.0))))
     edges = np.linspace(0.0, X, n_windows + 1)
-    total = 0.0
-    carry = 0.0
+    acc = CompensatedSum()
     err_total = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", _sciint.IntegrationWarning)
@@ -330,10 +320,8 @@ def _riesz_quadrature(spec: IntegrandSpec, k: float, X: float) -> float:
             val, err = _sciint.quad(weighted, a, b, epsabs=1e-12, epsrel=1e-10,
                                     limit=200)
             err_total += err
-            t = total + val
-            carry += (total - t) + val if abs(total) >= abs(val) else (val - t) + total
-            total = t
-    total += carry
+            acc.add(val)
+    total = acc.value
     if err_total > 1e-8 * max(1.0, abs(total)):
         raise QuadratureError(
             f"quadrature for {spec.label} at X={X:g} did not converge "
@@ -347,12 +335,11 @@ def cesaro_integral(spec: IntegrandSpec, k: float, X_grid=None,
 
     The grid must hold at least 8 increasing points across two decades; the
     value is the Riesz mean at the last point and convergence is dispersion
-    of the last max(4, len//4) samples against tol.
+    of the tail samples (``tail_judgement``'s default window) against tol.
     """
     grid = _validate_grid(default_grid() if X_grid is None else X_grid)
     samples = [riesz_mean(spec, k, X) for X in grid]
-    return tail_judgement(samples, order=float(k), n_terms=len(grid), tol=tol,
-                          tail_count=max(4, len(grid) // 4))
+    return tail_judgement(samples, order=float(k), n_terms=len(grid), tol=tol)
 
 
 def primitive_limit(spec: IntegrandSpec, k: int, X_grid=None,
@@ -382,8 +369,7 @@ def primitive_limit(spec: IntegrandSpec, k: int, X_grid=None,
         raise ValueError(
             f"{spec.label}: antiderivative chain of depth {k} required "
             f"(have {len(spec.primitives)}); cumulative quadrature only covers k = 1")
-    return tail_judgement(samples, order=k, n_terms=len(grid), tol=tol,
-                          tail_count=max(4, len(grid) // 4))
+    return tail_judgement(samples, order=k, n_terms=len(grid), tol=tol)
 
 
 def _cumulative_first_primitive(spec: IntegrandSpec, grid) -> list[float]:
@@ -398,8 +384,8 @@ def _cumulative_first_primitive(spec: IntegrandSpec, grid) -> list[float]:
         warnings.simplefilter("ignore", _sciint.IntegrationWarning)
         for X in grid:
             n_windows = int(min(2048, max(1, math.ceil((X - prev) / 50.0))))
-            for a, b in zip(np.linspace(prev, X, n_windows + 1)[:-1],
-                            np.linspace(prev, X, n_windows + 1)[1:]):
+            edges = np.linspace(prev, X, n_windows + 1)
+            for a, b in zip(edges[:-1], edges[1:]):
                 val, err = _sciint.quad(f, a, b, epsabs=1e-12, epsrel=1e-10, limit=200)
                 if err > 1e-6:
                     raise QuadratureError(
@@ -450,13 +436,3 @@ def _trig_moments(a: float, want_sin: bool):
 
     return moments
 
-
-# module-level aliases for the factory classmethods
-sin_wave = IntegrandSpec.sin_wave
-cos_wave = IntegrandSpec.cos_wave
-exp_decay = IntegrandSpec.exp_decay
-power_log = IntegrandSpec.power_log
-constant = IntegrandSpec.constant
-periodic_poly = IntegrandSpec.periodic_poly
-from_primitives = IntegrandSpec.from_primitives
-sampled = IntegrandSpec.sampled

@@ -62,9 +62,6 @@ class PowerLogExpr:
             acc += v
         return acc
 
-    def scaled(self, factor: float) -> "PowerLogExpr":
-        return PowerLogExpr({k: c * factor for k, c in self.terms.items()})
-
     def __repr__(self):
         parts = [f"{c!r}*t^{g}*ln^{p}" for (g, p), c in sorted(self.terms.items())]
         return "PowerLogExpr(" + (" + ".join(parts) or "0") + ")"

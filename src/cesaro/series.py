@@ -43,14 +43,11 @@ class SeriesSpec:
     ``term(n)`` is a pure function of the index n >= 0.  Series whose natural
     index starts later (harmonic-type sums, for instance) declare ``start``;
     indices below it contribute 0 and still count toward n_terms, so (C, k)
-    normalization is unaffected.  ``known_sum`` is optional metadata for
-    callers that want to compare against a closed form; the evaluator never
-    reads it.
+    normalization is unaffected.
     """
 
     term: Callable[[int], float]
     start: int = 0
-    known_sum: Optional[float] = None
     label: str = ""
 
     def terms(self, n_terms: int) -> list[float]:

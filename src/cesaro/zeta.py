@@ -18,7 +18,7 @@ primitive of a periodic layer in ``lemma_witness``.  Those paths step the
 recursion exactly over the first few boundaries only, which fix the
 polynomial, and evaluate it at the sample boundaries in Newton form; their
 cost does not depend on X.  The float recursion below and the ordinary
-k = 0 sums still run up to X.
+k = 0 sums still run up to X, so they refuse X beyond MAX_STEPPED_N.
 
 Primitives advance one unit interval at a time in closed form.  On [n, n+1)
 the staircase is (constant S_n) - P(t) with P the finite-part antiderivative
@@ -39,7 +39,7 @@ perturbs k! F_k / x^k by O(1/x).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -70,6 +70,7 @@ DEFAULT_XMAX = 1e4
 _SWITCH_N = 16
 _IMAX = 30
 _CHUNK = 1 << 20
+MAX_STEPPED_N = 10**9
 
 
 @dataclass(frozen=True)
@@ -194,13 +195,6 @@ def _interval_plan(alpha: float, log_weight: bool, k: int):
     return beta, c_pow, c_log, inv_fact, d_arrs, e_arrs, q_exprs
 
 
-def _p_eval(spec: StaircaseSpec, t: float) -> float:
-    """The finite-part antiderivative P(t); finite-part 0 at the origin."""
-    if t == 0.0:
-        return 0.0
-    return spec.fp_integral(t)
-
-
 def _advance_values(values, s_n: float, n: int, spec: StaircaseSpec, plan):
     """One unit-interval step n -> n+1 of (F_0 .. F_k)."""
     beta, c_pow, c_log, inv_fact, d_arrs, e_arrs, q_exprs = plan
@@ -247,17 +241,19 @@ def advance_primitives(state: PrimitiveState, spec: StaircaseSpec,
     new = _advance_values(state.values, s_n, n, spec, plan)
     acc = state.partial_sum.copy()
     acc.add(spec.summand(n + 1))
-    new[0] = acc.value - _p_eval(spec, n + 1.0)
+    new[0] = acc.value - spec.fp_integral(n + 1.0)
     return PrimitiveState(boundary=n + 1, values=tuple(new), partial_sum=acc)
 
 
 # -- drivers ------------------------------------------------------------------
 
 def _sample_boundaries(n_max: int, num: int = 48) -> list[int]:
+    # geomspace in float, rounded to Python ints: int64 would overflow
+    # above about 9.2e18, and the exact paths answer at any X
     lo = max(8, int(round(math.sqrt(n_max))))
     if n_max <= lo:
         lo = max(2, n_max // 4)
-    raw = np.geomspace(lo, n_max, num)
+    raw = np.geomspace(float(lo), float(n_max), num)
     return sorted({int(round(v)) for v in raw})
 
 
@@ -408,14 +404,18 @@ def _staircase_evaluation(spec: StaircaseSpec, k: Optional[int], X_max: float,
     k = int(k)
     n_max = int(math.floor(X_max))
     boundaries = _sample_boundaries(n_max)
-    if k == 0:
-        samples = _ordinary_samples(spec, boundaries)
-    elif not spec.log_weight and spec.alpha >= 0 and float(spec.alpha).is_integer():
+    if k > 0 and not spec.log_weight and spec.alpha >= 0 and spec.alpha.is_integer():
         samples = _cesaro_limit_samples_exact(spec, k, boundaries)
     else:
-        samples = _cesaro_limit_samples(spec, k, boundaries)
-    return tail_judgement(samples, order=k, n_terms=n_max, tol=tol,
-                          tail_count=max(4, len(samples) // 4))
+        if n_max > MAX_STEPPED_N:  # hours of unit steps
+            raise ValueError(
+                f"X_max={n_max:.3g} exceeds {MAX_STEPPED_N:.0e} unit steps; only "
+                "integer alpha >= 0 at order k >= 1 runs at any X_max")
+        if k == 0:
+            samples = _ordinary_samples(spec, boundaries)
+        else:
+            samples = _cesaro_limit_samples(spec, k, boundaries)
+    return tail_judgement(samples, order=k, n_terms=n_max, tol=tol)
 
 
 def zeta_via_cesaro(alpha: float, k: Optional[int] = None,
@@ -447,10 +447,7 @@ def zeta_prime_via_cesaro(alpha: float, k: Optional[int] = None,
     """
     spec = StaircaseSpec(alpha, log_weight=True)
     ev = _staircase_evaluation(spec, k, X_max, tol)
-    return CesaroEvaluation(
-        value=-ev.value, order=ev.order, n_terms=ev.n_terms,
-        trace=tuple(-s for s in ev.trace),
-        error_estimate=ev.error_estimate, converged=ev.converged)
+    return replace(ev, value=-ev.value, trace=tuple(-s for s in ev.trace))
 
 
 def lemma_witness(p: PeriodicPolynomial, k: int = 1, X_max: float = DEFAULT_XMAX,
@@ -478,8 +475,7 @@ def lemma_witness(p: PeriodicPolynomial, k: int = 1, X_max: float = DEFAULT_XMAX
     boundaries = _sample_boundaries(n_max)
     if k == 0:
         samples = [p(0.0)] * len(boundaries)
-        return tail_judgement(samples, order=0, n_terms=n_max, tol=tol,
-                              tail_count=max(4, len(samples) // 4))
+        return tail_judgement(samples, order=0, n_terms=n_max, tol=tol)
 
     # exact j-fold iterated integrals of p over one period, taken once
     r_at_one = []
@@ -501,5 +497,4 @@ def lemma_witness(p: PeriodicPolynomial, k: int = 1, X_max: float = DEFAULT_XMAX
     f_k = _polynomial_at(step, [Fraction(0)] * (k + 1), k, boundaries)
     kfact = math.factorial(k)
     samples = [float(kfact * v / m ** k) for v, m in zip(f_k, boundaries)]
-    return tail_judgement(samples, order=k, n_terms=n_max, tol=tol,
-                          tail_count=max(4, len(samples) // 4))
+    return tail_judgement(samples, order=k, n_terms=n_max, tol=tol)

@@ -123,6 +123,59 @@ def test_fp_log_int(capsys):
     assert rec["result"]["float"] == pytest.approx(-1.0)
 
 
+# records as printed before fp-int and fp-log-int shared one handler
+_FP_GOLDEN = [
+    (["fp-int", "--alpha=-3/2"],
+     '{"command":"fp-int","inputs":{"alpha":-1.5,"upper":1.0},'
+     '"result":{"float":-2.0,"exact":"-2"}}'),
+    (["fp-int", "--alpha=-1", "--upper", "2"],
+     '{"command":"fp-int","inputs":{"alpha":-1.0,"upper":2.0},'
+     '"result":{"float":0.6931471805599453}}'),
+    (["fp-int", "--alpha", "0.5", "--upper", "2"],
+     '{"command":"fp-int","inputs":{"alpha":0.5,"upper":2.0},'
+     '"result":{"float":1.885618083164127}}'),
+    (["fp-int", "--alpha=-2", "--upper=3/2"],
+     '{"command":"fp-int","inputs":{"alpha":-2.0,"upper":1.5},'
+     '"result":{"float":-0.6666666666666666,"exact":"-2/3"}}'),
+    (["fp-int", "--alpha=-1"],
+     '{"command":"fp-int","inputs":{"alpha":-1.0,"upper":1.0},'
+     '"result":{"float":0.0,"exact":"0"}}'),
+    (["fp-int", "--alpha", "1e-3"],
+     '{"command":"fp-int","inputs":{"alpha":0.001,"upper":1.0},'
+     '"result":{"float":0.9990009990009991,"exact":"1000/1001"}}'),
+    (["fp-log-int", "--alpha=-3/2"],
+     '{"command":"fp-log-int","inputs":{"alpha":-1.5,"upper":1.0},'
+     '"result":{"float":-4.0,"exact":"-4"}}'),
+    (["fp-log-int", "--alpha", "0.5", "--upper", "2"],
+     '{"command":"fp-log-int","inputs":{"alpha":0.5,"upper":2.0},'
+     '"result":{"float":0.04993213584864508}}'),
+    (["fp-log-int", "--alpha=-1"],
+     '{"command":"fp-log-int","inputs":{"alpha":-1.0,"upper":1.0},'
+     '"result":{"float":0.0,"exact":"0"}}'),
+    # b rounds to 1.0 but is not 1, so ln b != 0 and no exact value exists
+    (["fp-log-int", "--alpha=-3/2", "--upper", "0.99999999999999999999"],
+     '{"command":"fp-log-int","inputs":{"alpha":-1.5,"upper":1.0},'
+     '"result":{"float":-4.0}}'),
+]
+
+
+@pytest.mark.parametrize("argv,want", _FP_GOLDEN,
+                         ids=[" ".join(argv) for argv, _ in _FP_GOLDEN])
+def test_finite_part_records_are_golden(capsys, argv, want):
+    code = cli.run(argv + ["--format", "structured"])
+    assert code == 0
+    assert capsys.readouterr().out == want + "\n"
+
+
+@pytest.mark.parametrize("command", ["fp-int", "fp-log-int"])
+def test_finite_part_help_shows_the_negative_rational_form(capsys, command):
+    assert cli.run([command, "--help"]) == 0
+    assert "--alpha=-3/2" in capsys.readouterr().out
+    # the form the help shows must parse
+    assert cli.run([command, "--alpha=-3/2"]) == 0
+    capsys.readouterr()
+
+
 def test_exact_and_estimate_paths_agree(capsys):
     # the numeric staircase limit must land within its own error estimate
     # of the closed-form rational for every small integer exponent

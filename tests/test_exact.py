@@ -124,12 +124,6 @@ def test_faulhaber_known_examples():
     assert exact.faulhaber_sum(2, 4) == 14  # 1 + 4 + 9
 
 
-def test_faulhaber_record_carries_inputs():
-    r = exact.faulhaber(3, 11)
-    assert (r.n, r.m) == (3, 11)
-    assert r.value == exact.faulhaber_sum(3, 11) == power_sum_brute(3, 11)
-
-
 def test_zeta_neg_int_frozen_values():
     want = [Fraction(-1, 2), Fraction(-1, 12), Fraction(0), Fraction(1, 120),
             Fraction(0), Fraction(-1, 252)]

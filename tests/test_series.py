@@ -145,11 +145,6 @@ def test_start_index_shifts_the_series():
     assert sums == [0.0, 1.0, 3.0, 6.0, 10.0]
 
 
-def test_known_sum_is_carried():
-    spec = series.SeriesSpec(lambda n: 0.5 ** n, known_sum=2.0)
-    assert spec.known_sum == 2.0
-
-
 def test_asymptotic_normalization_agrees_in_the_limit():
     # n^k/k! vs C(n+k, k): same limit, slightly different finite-N values
     diag = series.asymptotic_normalized(alt_sign(), 1, 50_000)

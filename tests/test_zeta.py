@@ -370,3 +370,37 @@ _NAN, _INF = float("nan"), float("inf")
 def test_non_finite_inputs_fail_fast(call, name):
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         call()
+
+
+def test_exact_paths_answer_beyond_the_int64_range():
+    # the boundaries are built in float and rounded to Python ints, so the
+    # exact polynomial paths read their 1/X-free value at any float X_max
+    start = time.perf_counter()
+    ev = zeta.zeta_via_cesaro(2.0, X_max=1e300)
+    witness = zeta.lemma_witness(exact.pm_polynomial(3, 1), X_max=1e300)
+    assert time.perf_counter() - start < 1.0
+    assert ev.converged and abs(ev.value) <= 1e-12  # zeta(-2) = 0
+    assert witness.converged and abs(witness.value) <= 1e-12
+    assert ev.n_terms == witness.n_terms == int(1e300)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: zeta.zeta_via_cesaro(2.5, X_max=1e300),
+    lambda: zeta.zeta_via_cesaro(-2.0, k=0, X_max=1e300),
+    lambda: zeta.zeta_prime_via_cesaro(2.0, X_max=1e10),
+], ids=["float", "ordinary", "float_log"])
+def test_stepped_paths_refuse_unreachable_domains(call):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^X_max="):
+        call()
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("call", [
+    lambda: zeta.zeta_via_cesaro(2.0, X_max=10**400),
+    lambda: zeta.zeta_via_cesaro(2.5, X_max=10**400),
+    lambda: zeta.lemma_witness(exact.pm_polynomial(3, 1), X_max=10**400),
+], ids=["exact", "float", "lemma"])
+def test_ints_beyond_float_range_are_rejected_by_name(call):
+    with pytest.raises(ValueError, match="^X_max "):
+        call()
