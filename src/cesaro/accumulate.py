@@ -8,8 +8,31 @@ nothing until the carry itself underflows.
 from __future__ import annotations
 
 import math
+from itertools import islice
+
+import numpy as np
 
 __all__ = ["CompensatedSum", "compensated_prefix_sums"]
+
+_SCAN_CHUNK = 1 << 14  # bounds the scan's arrays beside the input and output
+
+
+def _two_sum_scan(x: np.ndarray, total: float = 0.0,
+                  carry: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Running totals s and carries err of adding x in order to (total,
+    carry), bit for bit as add() would.  np.cumsum adds in order, so TwoSum
+    recovers each step's error from s (Knuth; Ogita, Rump and Oishi, SIAM J.
+    Sci. Comput. 26, 2005).  Where s is not finite, callers mask err."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = np.cumsum(np.concatenate(([total], x)))
+        prev, s = s[:-1], s[1:]
+        bb = s - prev
+        e = np.subtract(s, bb)  # e = (prev - (s - bb)) + (x - bb), in place
+        np.subtract(prev, e, out=e)
+        np.subtract(x, bb, out=bb)
+        e += bb
+        e[0] += carry
+        return s, np.cumsum(e, out=e)
 
 
 class CompensatedSum:
@@ -37,13 +60,19 @@ class CompensatedSum:
             self.carry = 0.0
         self.total = t
 
+    def add_array(self, x: np.ndarray) -> None:
+        """add() each element of the float array x, through the TwoSum scan."""
+        if len(x):
+            s, err = _two_sum_scan(x, self.total, self.carry)
+            self.total = float(s[-1])
+            self.carry = float(err[-1]) if math.isfinite(self.total) else 0.0
+
     @property
     def value(self) -> float:
         return self.total + self.carry
 
     def copy(self) -> "CompensatedSum":
-        out = CompensatedSum()
-        out.total = self.total
+        out = CompensatedSum(self.total)
         out.carry = self.carry
         return out
 
@@ -52,25 +81,15 @@ class CompensatedSum:
 
 
 def compensated_prefix_sums(values) -> list[float]:
-    """Return the running sums of ``values`` as a list of floats.
-
-    Each prefix is the compensated value accumulated so far, so the result is
-    accurate to a few ulps even for millions of terms.
-    """
-    out = []
-    append = out.append
-    total = 0.0
-    carry = 0.0
-    for x in values:
-        x = float(x)
-        t = total + x
-        if math.isfinite(t):
-            if abs(total) >= abs(x):
-                carry += (total - t) + x
-            else:
-                carry += (x - t) + total
-        else:
-            carry = 0.0
-        total = t
-        append(total + carry)
+    """Return the compensated running sums of ``values`` as a list of floats,
+    accurate to a few ulps even for millions of terms.  A running sum that is
+    no longer finite is returned as is, without its carry."""
+    out: list[float] = []
+    total = carry = 0.0
+    items = iter(values)
+    while len(x := np.fromiter(islice(items, _SCAN_CHUNK), dtype=np.float64)):
+        s, err = _two_sum_scan(x, total, carry)
+        with np.errstate(invalid="ignore"):
+            out += np.where(np.isfinite(s), s + err, s).tolist()
+        total, carry = s[-1], err[-1]
     return out

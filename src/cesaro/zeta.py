@@ -2,46 +2,45 @@
 
 The estimator is built on one identity: for alpha != -1,
 
-    zeta(-alpha)   = Cesaro-lim_{x->inf} ( sum_{n<=x} n^alpha      - F.p. int_0^x t^alpha dt )
-    -zeta'(-alpha) = Cesaro-lim_{x->inf} ( sum_{n<=x} n^alpha ln n - F.p. int_0^x t^alpha ln t dt )
+    zeta(-alpha)   = Cesaro-lim_{x->inf} ( sum_{m<=x} m^alpha      - F.p. int_0^x t^alpha dt )
+    -zeta'(-alpha) = Cesaro-lim_{x->inf} ( sum_{m<=x} m^alpha ln m - F.p. int_0^x t^alpha ln t dt )
 
 The staircase f(x) = (partial sum) - (finite-part integral) oscillates; its
 order-k Cesaro limit is evaluated as k! F_k(n) / n^k along integer
-boundaries n, where F_k is the k-fold iterated primitive of f.  Boundaries
-are where the within-interval polynomial layers vanish, so the samples are
-clean; k = 0 degenerates to ordinary convergence, which is the right tool
-for alpha < -1.
+boundaries n, F_k being the k-fold iterated primitive of f.  Boundaries are
+where the within-interval polynomial layers vanish, so the samples are
+clean; k = 0 degenerates to ordinary convergence, the right tool for
+alpha < -1.
 
-For integer alpha >= 0 without the log weight, every primitive at the
-boundaries is a polynomial in n with rational coefficients, and so is every
-primitive of a periodic layer in ``lemma_witness``.  Those paths step the
-recursion exactly over the first few boundaries only, which fix the
-polynomial, and evaluate it at the sample boundaries in Newton form; their
-cost does not depend on X.  The float recursion below and the ordinary
-k = 0 sums still run up to X, so they refuse X beyond MAX_STEPPED_N.
+At a boundary the sample is a Riesz mean of the weights w(m) = m^alpha
+[ln m] minus one finite-part integral (Hardy and Riesz, 1915):
 
-Primitives advance one unit interval at a time in closed form.  On [n, n+1)
-the staircase is (constant S_n) - P(t) with P the finite-part antiderivative
-of the weight, so each advance needs the iterated unit-interval integrals of
-P starting at n.  Evaluating those as differences of global antiderivatives
-cancels catastrophically for large n; instead they are expanded around n,
+    k! F_k(n) / n^k = sum_{m<=n} w(m) ((n-m)/n)^k - I_k(n),
+    I_k(n) = sum_{i=0..k} C(k,i) (-1)^i n^-i F.p. int_0^n t^(alpha+i) [ln t] dt,
 
-    int_0^1 (1-u)^(j-1)/(j-1)! (n+u)^beta du = n^beta * sum_i d_{j,i} n^-i,
-    d_{j,i} = C(beta, i) i! / (i+j)!,
+with the finite part ln n (or (ln n)^2 / 2) at alpha + i = -1, so the poles
+alpha = -2 .. -(k+1) need no other formula.  Both terms grow like
+n^(alpha+1) while the sample is O(1), and I_k's alternating sum cancels by
+1e3..1e4 more.  So I_k is computed in ``decimal`` at 40 digits, alpha + i
+too (in float it moves n^(alpha+i) by an ulp, magnified as much), and is
+taken off as a double-double before the sample is rounded.
 
-(log weights add a matching series from ln(n+u) = ln n + ln(1+u/n)), which
-is exact for integer beta and converges at machine precision for n >= 16;
-below that the plain antiderivative difference is harmless and used as is.
-All primitives are taken with the finite-part convention at the origin, so
-alpha < -2 with k >= 1 is well-defined too; shifting F_1 by a constant only
-perturbs k! F_k / x^k by O(1/x).
+The cost is the sum, walked in chunks of m that bound the memory.  Each
+weight is taken once, and every boundary folds its share of a chunk into its
+own compensated sum by the TwoSum scan of ``accumulate``: about 10 X terms
+at k >= 1 over the geometric boundaries, X at k = 0, where one running sum
+serves every boundary.  X is capped at MAX_SUMMED_TERMS.
+
+Integer alpha >= 0 without the log weight, and ``lemma_witness``, have
+polynomial primitives, evaluated exactly in Newton form at a cost free of X.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, replace
+from decimal import Decimal, localcontext
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
 from typing import Optional
 
@@ -51,7 +50,6 @@ from .accumulate import CompensatedSum
 from .evaluation import CesaroEvaluation, require_finite, tail_judgement
 from .exact import PeriodicPolynomial
 from .finite_part import fp_log_power_integral, fp_power_integral
-from .powerlog import PowerLogExpr
 
 __all__ = [
     "StaircaseSpec",
@@ -67,10 +65,9 @@ __all__ = [
 POLE_GUARD = 1e-6
 DEFAULT_TOL = 1e-3
 DEFAULT_XMAX = 1e4
-_SWITCH_N = 16
-_IMAX = 30
-_CHUNK = 1 << 20
-MAX_STEPPED_N = 10**9
+MAX_SUMMED_TERMS = 10**9
+_TERMS_PER_CHUNK = 1 << 14
+_FP_DIGITS = 40
 
 
 @dataclass(frozen=True)
@@ -108,23 +105,16 @@ class StaircaseSpec:
 
 @dataclass(frozen=True)
 class PrimitiveState:
-    """Snapshot at an integer boundary n.
-
-    values[j] is F_j(n) (F_0 = the staircase itself, finite-part convention
-    at the origin), and partial_sum accumulates sum_{j<=n} of the weight with
-    compensation.  States are immutable; advancing returns a fresh one.
-    """
+    """values[j] is F_j at the integer boundary; F_0 is the staircase."""
 
     boundary: int
     values: tuple[float, ...]
-    partial_sum: CompensatedSum
 
 
 def new_primitive_state(spec: StaircaseSpec, k: int) -> PrimitiveState:
     if k < 0:
         raise ValueError("order k must be >= 0")
-    return PrimitiveState(boundary=0, values=(0.0,) * (k + 1),
-                          partial_sum=CompensatedSum())
+    return PrimitiveState(boundary=0, values=(0.0,) * (k + 1))
 
 
 def staircase_value(spec: StaircaseSpec, x: float) -> float:
@@ -141,108 +131,73 @@ def staircase_value(spec: StaircaseSpec, x: float) -> float:
     return s - spec.fp_integral(x)
 
 
-# -- closed-form interval plan ----------------------------------------------
+# -- the Riesz-sum sampler --------------------------------------------------
 
-def _binom_series(beta: float, top: int) -> list[float]:
-    out = [1.0]
-    for i in range(1, top + 1):
-        out.append(out[-1] * (beta - (i - 1)) / i)
-    return out
-
-
-def _trim(arr: list[float]) -> list[float]:
-    scale = max(1.0, abs(arr[0]))
-    while len(arr) > 1 and abs(arr[-1]) * _SWITCH_N ** (-(len(arr) - 1)) < 1e-22 * scale:
-        arr.pop()
-    return arr
-
-
-@lru_cache(maxsize=64)
-def _interval_plan(alpha: float, log_weight: bool, k: int):
-    """Per-(weight, order) tables driving the unit-interval advance."""
-    beta = alpha + 1.0
-    if log_weight:
-        c_pow, c_log = -1.0 / beta ** 2, 1.0 / beta
-    else:
-        c_pow, c_log = 1.0 / beta, 0.0
-
-    inv_fact = [1.0 / math.factorial(i) for i in range(k + 2)]
-
-    binom = _binom_series(beta, _IMAX)
-    d_arrs = []
-    e_arrs = []
-    if log_weight:
-        b = [0.0] * (_IMAX + 1)
-        for m in range(1, _IMAX + 1):
-            b[m] = math.fsum(((-1.0) ** (l + 1) / l) * binom[m - l]
-                             for l in range(1, m + 1))
-    for j in range(1, k + 1):
-        d = [binom[i] * math.factorial(i) / math.factorial(i + j)
-             for i in range(_IMAX + 1)]
-        d_arrs.append(_trim(d))
-        if log_weight:
-            e = [b[m] * math.factorial(m) / math.factorial(m + j)
-                 for m in range(_IMAX + 1)]
-            e_arrs.append(_trim(e))
-
-    p_expr = PowerLogExpr({(beta, 1): c_log, (beta, 0): c_pow})
-    q_exprs = []
-    expr = p_expr
-    for _ in range(k):
-        expr = expr.antiderivative()
-        q_exprs.append(expr)
-
-    return beta, c_pow, c_log, inv_fact, d_arrs, e_arrs, q_exprs
+def _fp_subtrahend(spec: StaircaseSpec, k: int, n: int) -> tuple[float, float]:
+    """I_k(n) as a double-double (hi, lo).  Off the pole b = alpha+i+1 = 0,
+    n^-i F.p. int_0^n t^(alpha+i) dt is n^(alpha+1) / b for every i."""
+    with localcontext() as ctx:
+        ctx.prec = _FP_DIGITS
+        alpha, big_n = Decimal(spec.alpha), Decimal(n)
+        ln_n = big_n.ln()
+        power = ((alpha + 1) * ln_n).exp()
+        total = Decimal(0)
+        for i in range(k + 1):
+            b = alpha + (i + 1)
+            if b == 0:
+                term = (ln_n * ln_n / 2 if spec.log_weight else ln_n) / big_n ** i
+            elif spec.log_weight:
+                term = power * (ln_n / b - 1 / (b * b))
+            else:
+                term = power / b
+            total += (-1) ** i * math.comb(k, i) * term
+        hi = float(total)
+        return hi, float(total - Decimal(hi))
 
 
-def _advance_values(values, s_n: float, n: int, spec: StaircaseSpec, plan):
-    """One unit-interval step n -> n+1 of (F_0 .. F_k)."""
-    beta, c_pow, c_log, inv_fact, d_arrs, e_arrs, q_exprs = plan
-    k = len(values) - 1
-    new = [0.0] * (k + 1)
-    if n >= _SWITCH_N:
-        x = 1.0 / n
-        nb = n ** beta
-        front = c_pow + (c_log * math.log(n) if c_log else 0.0)
-        for j in range(1, k + 1):
-            acc = 0.0
-            for c in reversed(d_arrs[j - 1]):
-                acc = acc * x + c
-            r = nb * front * acc
-            if c_log:
-                acc_e = 0.0
-                for c in reversed(e_arrs[j - 1]):
-                    acc_e = acc_e * x + c
-                r += nb * c_log * acc_e
-            taylor = 0.0
-            for i in range(j):
-                taylor += values[j - i] * inv_fact[i]
-            new[j] = taylor + s_n * inv_fact[j] - r
-    else:
-        for j in range(1, k + 1):
-            q = q_exprs[j - 1]
-            r = q(n + 1.0) - math.fsum(
-                q_exprs[j - i - 1](float(n)) * inv_fact[i] for i in range(j))
-            taylor = 0.0
-            for i in range(j):
-                taylor += values[j - i] * inv_fact[i]
-            new[j] = taylor + s_n * inv_fact[j] - r
-    return new
+def _riesz_samples(spec: StaircaseSpec, k: int,
+                   boundaries: list[int]) -> list[float]:
+    """k! F_k(n) / n^k at each of the increasing boundaries n."""
+    sums = [CompensatedSum() for _ in boundaries]
+    running = CompensatedSum()  # k = 0: the prefix sum shared by every n
+    end = boundaries[-1] + 1
+    for lo in range(1, end, _TERMS_PER_CHUNK):
+        hi = min(lo + _TERMS_PER_CHUNK, end)  # the chunk is lo <= m < hi
+        m = np.arange(lo, hi, dtype=np.float64)
+        w = m ** spec.alpha
+        if spec.log_weight:
+            w *= np.log(m)
+        if k == 0:
+            start = 0
+            for i in range(bisect_left(boundaries, lo), bisect_left(boundaries, hi)):
+                stop = boundaries[i] + 1 - lo
+                running.add_array(w[start:stop])
+                sums[i], start = running.copy(), stop
+            running.add_array(w[start:])
+            continue
+        for i in range(bisect_left(boundaries, lo), len(boundaries)):
+            n = boundaries[i]
+            stop = min(n + 1, hi) - lo
+            terms = (n - m[:stop]) / n  # n - m is exact: one rounding
+            terms **= k
+            terms *= w[:stop]
+            sums[i].add_array(terms)
+    for n, acc in zip(boundaries, sums):
+        for part in _fp_subtrahend(spec, k, n):  # hi, then lo
+            acc.add(-part)
+    return [acc.value for acc in sums]
 
 
 def advance_primitives(state: PrimitiveState, spec: StaircaseSpec,
                        k: int) -> PrimitiveState:
-    """Advance all primitives from boundary n to n+1 in closed form."""
+    """F_0 .. F_k at boundary n + 1, each from its closed-form sample:
+    F_j(n+1) = (n+1)^j / j! times the order-j Riesz sample there."""
     if len(state.values) != k + 1:
         raise ValueError(f"state carries {len(state.values) - 1} primitives, expected k={k}")
-    plan = _interval_plan(spec.alpha, spec.log_weight, k)
-    n = state.boundary
-    s_n = state.partial_sum.value
-    new = _advance_values(state.values, s_n, n, spec, plan)
-    acc = state.partial_sum.copy()
-    acc.add(spec.summand(n + 1))
-    new[0] = acc.value - spec.fp_integral(n + 1.0)
-    return PrimitiveState(boundary=n + 1, values=tuple(new), partial_sum=acc)
+    n = state.boundary + 1
+    values = tuple(n ** j / math.factorial(j) * _riesz_samples(spec, j, [n])[0]
+                   for j in range(k + 1))
+    return PrimitiveState(boundary=n, values=values)
 
 
 # -- drivers ------------------------------------------------------------------
@@ -260,26 +215,6 @@ def _sample_boundaries(n_max: int, num: int = 48) -> list[int]:
 def default_order(alpha: float) -> int:
     """max(0, ceil(alpha) + 1): one averaging per polynomial degree."""
     return max(0, math.ceil(alpha) + 1)
-
-
-def _ordinary_samples(spec: StaircaseSpec, boundaries: list[int]) -> list[float]:
-    """k = 0: partial sums in vectorized chunks, sampled at the boundaries."""
-    acc = CompensatedSum()
-    samples = []
-    prev = 0
-    for b in boundaries:
-        start = prev + 1
-        while start <= b:
-            stop = min(b, start + _CHUNK - 1)
-            arr = np.arange(start, stop + 1, dtype=np.float64)
-            vals = arr ** spec.alpha
-            if spec.log_weight:
-                vals *= np.log(arr)
-            acc.add(float(np.sum(vals)))
-            start = stop + 1
-        samples.append(acc.value - spec.fp_integral(float(b)))
-        prev = b
-    return samples
 
 
 def _polynomial_at(step, values, deg: int, boundaries: list[int]) -> list:
@@ -310,20 +245,15 @@ def _cesaro_limit_samples_exact(spec: StaircaseSpec, k: int,
                                 boundaries: list[int]) -> list[float]:
     """Integer alpha >= 0: the advance in exact integer arithmetic.
 
-    The float recursion subtracts quantities of size ~n^(alpha+1) whose
-    difference is what matters, so for alpha >= 4 roundoff swamps the limit
-    by X ~ 1e4.  For integer alpha everything in sight is rational with a
-    tame denominator: w_j = F_j(n) * (beta+j)! stays integral (each update
-    coefficient below is an integer), so the recursion runs on Python ints
-    and the only rounding is in the final float(sample).
+    The float sum cancels quantities of size ~n^(alpha+1), so for alpha >= 4
+    roundoff swamps the limit by X ~ 1e4.  Here w_j = F_j(n) * (beta+j)! is
+    an integer (so is each update coefficient below), and the only rounding
+    is in the final float(sample).
 
-    w_k is moreover a polynomial in n of degree alpha + k.  S_n is
-    Faulhaber's polynomial of degree beta, whose leading n^beta/beta cancels
-    against Rint_j, so each forcing term has degree alpha; each order j then
-    sums once more in n.  So the recursion runs only over n = 0..alpha+k and
-    ``_polynomial_at`` evaluates w_k at the boundaries exactly: the samples
-    are those of the unit-step recursion up to X, and the cost does not
-    depend on X.
+    w_k is moreover a polynomial in n of degree alpha + k: S_n has degree
+    beta, but its leading n^beta/beta cancels against Rint_j, and each order
+    j sums once more in n.  So the recursion runs only over n = 0..alpha+k,
+    and ``_polynomial_at`` evaluates w_k at the boundaries exactly.
     """
     beta = int(spec.alpha) + 1
     # w'_j = sum_i C(beta+j, i) w_{j-i} + [(beta+j)!/j!] S_n - Rint_j(n)
@@ -363,35 +293,6 @@ def _cesaro_limit_samples_exact(spec: StaircaseSpec, k: int,
             for v, m in zip(w_k, boundaries)]
 
 
-def _cesaro_limit_samples(spec: StaircaseSpec, k: int,
-                          boundaries: list[int]) -> list[float]:
-    plan = _interval_plan(spec.alpha, spec.log_weight, k)
-    wanted = set(boundaries)
-    n_max = boundaries[-1]
-    kfact = math.factorial(k)
-    values = [0.0] * (k + 1)
-    s_total = 0.0
-    s_carry = 0.0
-    samples = []
-    alpha = spec.alpha
-    log_weight = spec.log_weight
-    for n in range(n_max):
-        values = _advance_values(values, s_total + s_carry, n, spec, plan)
-        m = n + 1
-        w = float(m) ** alpha
-        if log_weight:
-            w *= math.log(m)
-        t = s_total + w
-        if abs(s_total) >= abs(w):
-            s_carry += (s_total - t) + w
-        else:
-            s_carry += (w - t) + s_total
-        s_total = t
-        if m in wanted:
-            samples.append(kfact * values[k] / float(m) ** k)
-    return samples
-
-
 def _staircase_evaluation(spec: StaircaseSpec, k: Optional[int], X_max: float,
                           tol: float) -> CesaroEvaluation:
     require_finite(alpha=spec.alpha, k=k, X_max=X_max)
@@ -407,14 +308,11 @@ def _staircase_evaluation(spec: StaircaseSpec, k: Optional[int], X_max: float,
     if k > 0 and not spec.log_weight and spec.alpha >= 0 and spec.alpha.is_integer():
         samples = _cesaro_limit_samples_exact(spec, k, boundaries)
     else:
-        if n_max > MAX_STEPPED_N:  # hours of unit steps
+        if n_max > MAX_SUMMED_TERMS:  # minutes to hours of summing
             raise ValueError(
-                f"X_max={n_max:.3g} exceeds {MAX_STEPPED_N:.0e} unit steps; only "
-                "integer alpha >= 0 at order k >= 1 runs at any X_max")
-        if k == 0:
-            samples = _ordinary_samples(spec, boundaries)
-        else:
-            samples = _cesaro_limit_samples(spec, k, boundaries)
+                f"X_max={n_max:.3g} exceeds {MAX_SUMMED_TERMS:.0e} summed terms; "
+                "only integer alpha >= 0 at order k >= 1 runs at any X_max")
+        samples = _riesz_samples(spec, k, boundaries)
     return tail_judgement(samples, order=k, n_terms=n_max, tol=tol)
 
 

@@ -3,7 +3,9 @@
 Wildcard imports and tools that walk the public surface call ``getattr`` on
 each name in ``__all__``, so a stale entry breaks them at import time.
 """
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
@@ -21,3 +23,17 @@ def test_every_name_in_all_resolves(module):
     missing = [name for name in names if not hasattr(mod, name)]
     assert not missing, f"{module}.__all__ names {missing}"
     assert len(set(names)) == len(names), f"{module}.__all__ repeats a name"
+
+
+def test_names_the_benchmark_calls_resolve():
+    # bench/ reaches the package as ``api``; its tests run outside this
+    # suite, so a renamed or dropped export would only break it there
+    bench = pathlib.Path(__file__).resolve().parent.parent / "bench"
+    used = set()
+    for path in bench.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "api"):
+                used.add(node.attr)
+    assert {"advance_primitives", "zeta_via_cesaro"} <= used
+    assert not sorted(name for name in used if not hasattr(cesaro, name))

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -209,6 +210,20 @@ def test_zeta_prime_convergent_side_against_oracle():
     assert abs(ev3.value - ZETA_PRIME_3) < 1e-5
 
 
+@pytest.mark.parametrize("alpha,k", [(-2.0, 1), (-3.0, 1), (-3.0, 2),
+                                     (-4.0, 1), (-4.0, 2), (-4.0, 3)])
+def test_pole_orders_keep_the_finite_part_convention(alpha, k):
+    # alpha + i = -1 for one i <= k: that finite part is ln n, (ln n)^2 / 2
+    X = 1e4
+    bound = 10 * math.log(X) / X
+    ev = zeta.zeta_via_cesaro(alpha, k=k, X_max=X)
+    assert abs(ev.value - euler_maclaurin_zeta(-alpha)) < bound
+    prime = zeta.zeta_prime_via_cesaro(alpha, k=k, X_max=X).value
+    assert abs(prime - zeta_prime_by_summation(-alpha)) < bound
+    frozen = {-2.0: ZETA_PRIME_2, -3.0: ZETA_PRIME_3}.get(alpha)
+    assert frozen is None or abs(prime - frozen) < bound
+
+
 def test_zeta_prime_trace_negation_is_consistent():
     ev = zeta.zeta_prime_via_cesaro(0.0)
     assert ev.trace[-1] == ev.value
@@ -404,3 +419,25 @@ def test_stepped_paths_refuse_unreachable_domains(call):
 def test_ints_beyond_float_range_are_rejected_by_name(call):
     with pytest.raises(ValueError, match="^X_max "):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: zeta.zeta_via_cesaro(-0.5, k=0, X_max=4e6),
+    lambda: zeta.zeta_via_cesaro(0.5, X_max=1e6),
+], ids=["ordinary", "float"])
+def test_summed_paths_run_in_bounded_memory(call):
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
+
+
+def test_summed_paths_meet_their_time_budget():
+    start = time.perf_counter()
+    zeta.zeta_via_cesaro(3.5, X_max=1e5)
+    zeta.zeta_prime_via_cesaro(0.5, X_max=1e5)
+    zeta.zeta_via_cesaro(0.5, X_max=1e6)
+    assert time.perf_counter() - start < 1.5
