@@ -31,8 +31,10 @@ own compensated sum by the TwoSum scan of ``accumulate``: about 10 X terms
 at k >= 1 over the geometric boundaries, X at k = 0, where one running sum
 serves every boundary.  X is capped at MAX_SUMMED_TERMS.
 
-Integer alpha >= 0 without the log weight, and ``lemma_witness``, have
-polynomial primitives, evaluated exactly in Newton form at a cost free of X.
+Integer alpha >= 0 without the log weight takes the same identity in exact
+integers, with the Beta integral n^(alpha+k+1) alpha! k! / (alpha+k+1)! as
+its finite part; k! F_k(n) is then a polynomial in n, as in ``lemma_witness``,
+summed at n = 0..degree only and read at the boundaries in Newton form.
 """
 from __future__ import annotations
 
@@ -40,8 +42,6 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from decimal import Decimal, localcontext
-from fractions import Fraction
-from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -217,94 +217,75 @@ def default_order(alpha: float) -> int:
     return max(0, math.ceil(alpha) + 1)
 
 
-def _polynomial_at(step, values, deg: int, boundaries: list[int]) -> list:
-    """Exact values[-1] at each boundary m, without stepping up to m.
+def _exact_samples(head, scale, k: int, boundaries: list[int]) -> list[float]:
+    """head(m) / (scale m^k) at each boundary m, correctly rounded.
 
-    values is the state at n = 0 and step(values, n) the state at n + 1;
-    values[-1] must be a polynomial in n of degree <= deg with exact (int or
-    Fraction) coefficients.  Its first deg + 1 values fix it, so only those
-    are stepped, and Newton's forward-difference form
-
-        values[-1](m) = sum_d Delta^d(0) * C(m, d)
-
-    gives every boundary in O(deg) exact operations, whatever its size.
+    head holds the exact (int or Fraction) values at n = 0..deg of a
+    polynomial of degree <= deg, and Newton's form head(m) = sum_i
+    Delta^i head(0) C(m, i) reads it at any m in O(deg) exact operations.  A
+    quotient beyond the float range (a mean that diverges below order
+    alpha + 1) rounds to an infinity of its sign.
     """
-    head = [values[-1]]
-    for n in range(deg):
-        values = step(values, n)
-        head.append(values[-1])
     diffs = []
     while head:
         diffs.append(head[0])
         head = [b - a for a, b in zip(head, head[1:])]
-    return [sum(d * math.comb(m, i) for i, d in enumerate(diffs))
-            for m in boundaries]
+    samples = []
+    for m in boundaries:
+        v, c = 0, 1
+        for i, d in enumerate(diffs):
+            v += d * c
+            c = c * (m - i) // (i + 1)  # C(m, i + 1), exactly
+        try:
+            samples.append(float(v / (scale * m ** k)))
+        except OverflowError:  # float(v) would overflow too: compare instead
+            samples.append(math.inf if v > 0 else -math.inf)
+    return samples
 
 
 def _cesaro_limit_samples_exact(spec: StaircaseSpec, k: int,
                                 boundaries: list[int]) -> list[float]:
-    """Integer alpha >= 0: the advance in exact integer arithmetic.
+    """Integer alpha >= 0: the Riesz identity in exact integers.
 
     The float sum cancels quantities of size ~n^(alpha+1), so for alpha >= 4
-    roundoff swamps the limit by X ~ 1e4.  Here w_j = F_j(n) * (beta+j)! is
-    an integer (so is each update coefficient below), and the only rounding
-    is in the final float(sample).
+    roundoff swamps the limit by X ~ 1e4.  For integer alpha the finite part
+    is a Beta integral, n^k I_k(n) = n^(alpha+k+1) alpha! k! / (alpha+k+1)!,
+    so with scale = (alpha+k+1)!
 
-    w_k is moreover a polynomial in n of degree alpha + k: S_n has degree
-    beta, but its leading n^beta/beta cancels against Rint_j, and each order
-    j sums once more in n.  So the recursion runs only over n = 0..alpha+k,
-    and ``_polynomial_at`` evaluates w_k at the boundaries exactly.
+        scale k! F_k(n) = scale sum_{m<=n} m^alpha (n-m)^k - alpha! k! n^(alpha+k+1)
+
+    is an integer polynomial in n of degree alpha + k (the n^(alpha+k+1)
+    terms cancel).  Its values at n = 0..alpha+k are summed directly, and
+    ``_exact_samples`` rounds it once at each boundary.
     """
-    beta = int(spec.alpha) + 1
-    # w'_j = sum_i C(beta+j, i) w_{j-i} + [(beta+j)!/j!] S_n - Rint_j(n)
-    # with Rint_j(n) = sum_i rint[j][i] n^(beta-i); integrality of
-    # rint[j][i] = C(beta,i) i! (beta+j)! / ((i+j)! beta) follows from
-    # rewriting it as [(beta-1)!/(beta-i)!] * (beta+j)!/(i+j)!.
-    taylor_mul = [[math.comb(beta + j, i) for i in range(j)]
-                  for j in range(k + 1)]
-    s_mul = [math.factorial(beta + j) // math.factorial(j)
-             for j in range(k + 1)]
-    rint = [[math.comb(beta, i) * math.factorial(i) * math.factorial(beta + j)
-             // (math.factorial(i + j) * beta) for i in range(beta + 1)]
-            for j in range(k + 1)]
-    alpha_int = beta - 1
-    deg = alpha_int + k
-    partial_sums = list(accumulate((m ** alpha_int for m in range(1, deg)),
-                                   initial=0))
+    alpha = int(spec.alpha)
+    deg = alpha + k
+    scale = math.factorial(deg + 1)
+    fp = math.factorial(alpha) * math.factorial(k)  # scale * B(alpha+1, k+1)
+    w = [m ** alpha for m in range(deg + 1)]
+    t = [j ** k for j in range(deg + 1)]
+    head = [scale * sum(w[m] * t[n - m] for m in range(1, n + 1))
+            - fp * n ** (deg + 1) for n in range(deg + 1)]
+    return _exact_samples(head, scale, k, boundaries)
 
-    def step(w, n):
-        s_n = partial_sums[n]
-        new = [0] * (k + 1)
-        for j in range(1, k + 1):
-            acc = 0
-            for c in rint[j]:
-                acc = acc * n + c
-            total = s_n * s_mul[j] - acc
-            mul = taylor_mul[j]
-            for i in range(j):
-                total += w[j - i] * mul[i]
-            new[j] = total
-        return new
 
-    w_k = _polynomial_at(step, [0] * (k + 1), deg, boundaries)
-    kfact = math.factorial(k)
-    scale = math.factorial(beta + k)
-    return [float(Fraction(v * kfact, scale * m ** k))
-            for v, m in zip(w_k, boundaries)]
+def _order_and_boundaries(k, X_max: float) -> tuple[int, int, list[int]]:
+    """The order and sample boundaries of a staircase limit up to X_max."""
+    require_finite(k=k, X_max=X_max)
+    if X_max < 64:
+        raise ValueError("X_max is too small to form a sample tail")
+    if k < 0 or k != int(k):
+        raise ValueError("order k must be a non-negative integer")
+    n_max = int(math.floor(X_max))
+    return int(k), n_max, _sample_boundaries(n_max)
 
 
 def _staircase_evaluation(spec: StaircaseSpec, k: Optional[int], X_max: float,
                           tol: float) -> CesaroEvaluation:
-    require_finite(alpha=spec.alpha, k=k, X_max=X_max)
-    if X_max < 64:
-        raise ValueError("X_max is too small to form a sample tail")
+    require_finite(alpha=spec.alpha)
     if k is None:
         k = default_order(spec.alpha)
-    if k < 0 or k != int(k):
-        raise ValueError("order k must be a non-negative integer")
-    k = int(k)
-    n_max = int(math.floor(X_max))
-    boundaries = _sample_boundaries(n_max)
+    k, n_max, boundaries = _order_and_boundaries(k, X_max)
     if k > 0 and not spec.log_weight and spec.alpha >= 0 and spec.alpha.is_integer():
         samples = _cesaro_limit_samples_exact(spec, k, boundaries)
     else:
@@ -357,42 +338,21 @@ def lemma_witness(p: PeriodicPolynomial, k: int = 1, X_max: float = DEFAULT_XMAX
     that such functions are Cesaro-negligible.  With nonzero mean the same
     evaluation converges to the mean instead, which makes a handy control.
 
-    At integer boundaries F_j advances by a Taylor step plus the constant
-    j-fold integral of p over one period, so F_k(n) is a polynomial in n of
-    degree <= k with Fraction coefficients.  It is stepped exactly for
-    n = 0..k only and evaluated at the boundaries in closed form; each
-    sample is the correctly rounded exact value, and the cost does not
-    depend on X_max.
+    At a boundary n, k! F_k(n) = k sum_{r=1..n} int_0^1 (r-s)^(k-1) p(s) ds,
+    a polynomial in n of degree <= k with Fraction coefficients.  Its values
+    at n = 0..k are summed exactly and ``_exact_samples`` rounds it once at
+    each boundary, so the cost does not depend on X_max.
     """
-    require_finite(k=k, X_max=X_max)
-    if k < 0:
-        raise ValueError("order k must be >= 0")
-    n_max = int(math.floor(X_max))
-    if n_max < 64:
-        raise ValueError("X_max is too small to form a sample tail")
-    boundaries = _sample_boundaries(n_max)
+    k, n_max, boundaries = _order_and_boundaries(k, X_max)
     if k == 0:
         samples = [p(0.0)] * len(boundaries)
         return tail_judgement(samples, order=0, n_terms=n_max, tol=tol)
 
-    # exact j-fold iterated integrals of p over one period, taken once
-    r_at_one = []
-    coeffs = list(p.coeffs)
-    for _ in range(k):
-        coeffs = [Fraction(0)] + [c / (i + 1) for i, c in enumerate(coeffs)]
-        r_at_one.append(sum(coeffs))
-    inv_fact = [Fraction(1, math.factorial(i)) for i in range(k + 1)]
-
-    def step(values, n):
-        new = [Fraction(0)] * (k + 1)
-        for j in range(1, k + 1):
-            taylor = Fraction(0)
-            for i in range(j):
-                taylor += values[j - i] * inv_fact[i]
-            new[j] = taylor + r_at_one[j - 1]
-        return new
-
-    f_k = _polynomial_at(step, [Fraction(0)] * (k + 1), k, boundaries)
-    kfact = math.factorial(k)
-    samples = [float(kfact * v / m ** k) for v, m in zip(f_k, boundaries)]
+    # mu[j] = int_0^1 s^j p(s) ds, so int_0^1 (r-s)^(k-1) p(s) ds is a
+    # polynomial g(r) of degree k - 1, and k! F_k(n) = k sum_{r<=n} g(r)
+    mu = [sum(c / (i + j + 1) for i, c in enumerate(p.coeffs)) for j in range(k)]
+    g = [sum(math.comb(k - 1, j) * (-1) ** j * r ** (k - 1 - j) * mu[j] for j in range(k))
+         for r in range(k + 1)]
+    head = [k * sum(g[1:n + 1]) for n in range(k + 1)]
+    samples = _exact_samples(head, 1, k, boundaries)
     return tail_judgement(samples, order=k, n_terms=n_max, tol=tol)

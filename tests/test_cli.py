@@ -94,6 +94,15 @@ def test_without_strict_nonconvergence_still_exits_zero(capsys):
     assert rec["diagnostics"]["converged"] is False
 
 
+@pytest.mark.parametrize("strict,want", [([], 0), (["--strict"], 2)])
+def test_divergent_estimate_is_a_record_not_an_error(capsys, strict, want):
+    code, pairs = run_text(capsys, ["zeta-estimate", "--alpha", "3", "--order", "1",
+                                    "--xmax", "1e300"] + strict)
+    assert code == want
+    assert pairs["result.float"] == "-inf"
+    assert pairs["diagnostics.converged"] == "false"
+
+
 def test_cesaro_sum_alt_sign(capsys):
     code, (rec,) = run_json(capsys, ["cesaro-sum", "alt-sign", "--order", "1",
                                      "--terms", "10000", "--tol", "1e-3"])

@@ -8,7 +8,8 @@ from scipy.integrate import quad
 
 from cesaro import exact, zeta
 from oracles import (ZETA_HALF, ZETA_PRIME_0, ZETA_PRIME_2, ZETA_PRIME_3,
-                     euler_maclaurin_zeta, zeta_prime_by_summation)
+                     bernoulli_table_akiyama_tanigawa, euler_maclaurin_zeta,
+                     zeta_prime_by_summation)
 
 
 def test_staircase_value_spot_checks():
@@ -397,6 +398,34 @@ def test_exact_paths_answer_beyond_the_int64_range():
     assert ev.converged and abs(ev.value) <= 1e-12  # zeta(-2) = 0
     assert witness.converged and abs(witness.value) <= 1e-12
     assert ev.n_terms == witness.n_terms == int(1e300)
+
+
+def test_the_theorem_through_the_cesaro_route_at_high_n():
+    # zeta(-n) = -B_{n+1}/(n+1) at default order, read at X = 1e300
+    bern = bernoulli_table_akiyama_tanigawa(21)
+    start = time.perf_counter()
+    for n in range(21):
+        want = -0.5 if n == 0 else float(-bern[n + 1] / (n + 1))
+        got = zeta.zeta_via_cesaro(float(n), X_max=1e300).value
+        assert abs(got - want) <= 1e-15 * max(1.0, abs(want)), (n, got, want)
+    assert time.perf_counter() - start < 1.5
+
+
+def test_divergence_beyond_the_float_range_is_a_result():
+    # below order alpha + 1 the mean grows like X^(alpha + 1 - k)
+    ev = zeta.zeta_via_cesaro(3.0, k=1, X_max=1e300)
+    assert ev.value == -math.inf
+    assert ev.converged is False
+
+
+@pytest.mark.parametrize("call", [
+    lambda k: zeta.zeta_via_cesaro(2.0, k=k),
+    lambda k: zeta.lemma_witness(exact.pm_polynomial(2, 1), k=k),
+], ids=["zeta", "lemma"])
+def test_both_drivers_check_the_order_alike(call):
+    assert call(2.0) == call(2)
+    with pytest.raises(ValueError, match="order k must be"):
+        call(1.5)
 
 
 @pytest.mark.parametrize("call", [
