@@ -49,6 +49,14 @@ def require_finite(**named) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def require_order(k) -> int:
+    """A Cesaro order as an int: finite, non-negative and integral (2.0 is 2)."""
+    require_finite(k=k)
+    if k < 0 or k != int(k):
+        raise ValueError("order k must be a non-negative integer")
+    return int(k)
+
+
 def tail_judgement(samples, order, n_terms, tol,
                    tail_count=None) -> CesaroEvaluation:
     """Build a CesaroEvaluation from a full sample sequence.

@@ -8,21 +8,21 @@ Two related quantities live here and are kept deliberately distinct:
       int_0^X (1 - t/X)^k f(t) dt,
 
   whose X -> inf limit is the Cesaro value of int_0^inf f.  Real k > -1 is
-  allowed; for integer k the weight expands binomially into moments and the
-  whole thing is evaluated in closed form whenever the integrand family
-  supports it.
+  allowed.  Integer k integrates by parts k times into the closed form
+  k! F_{k+1}(X)/X^k, read off the integrand's verified primitive chain
+  (Estrada and Kanwal, *A Distributional Approach to Asymptotics*, 2002);
+  fractional k, and integer k beyond the chain, go to quadrature.
 
 * ``primitive_limit`` evaluates k! F_k(X) / X^k where F_k is the k-fold
-  iterated primitive of f itself (F_1 = int_0^x f).  Its limit is the Cesaro
-  limit of the *function* f, not of its integral.  The two meet through one
-  integration by parts: the Riesz mean of f at integer order k equals
-  k! G_k(X)/X^k for the k-fold primitive G_k of int_0^x f, i.e. the
-  primitive-limit path applied to ``spec.primitive()``.
+  iterated primitive of f itself (F_0 = f, F_1 = int_0^x f).  Its limit is
+  the Cesaro limit of the *function* f, not of its integral.  The two meet
+  through that integration by parts: the Riesz mean of f at integer order k
+  is the primitive-limit sample of ``spec.primitive()`` at order k.
 
 Quadrature fallbacks target 1e-12 absolute per finite window; a window that
 cannot reach a usable error estimate raises QuadratureError rather than
-returning a silently bad number.  scipy is imported inside the two
-quadrature functions, not here: importing it takes most of a cold process's
+returning a silently bad number.  scipy is imported inside the one windowed
+quadrature helper, not here: importing it takes most of a cold process's
 start-up, and every closed-form path (and all of ``cesaro.exact``) runs
 without it.
 """
@@ -32,12 +32,12 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .accumulate import CompensatedSum
-from .evaluation import CesaroEvaluation, require_finite, tail_judgement
+from .evaluation import CesaroEvaluation, require_finite, require_order, tail_judgement
 from .exact import PeriodicPolynomial, periodic_mean
 from .powerlog import PowerLogExpr
 
@@ -74,13 +74,12 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegrandSpec:
-    """An integrand plus whatever closed-form structure it carries.
+    """An integrand plus the closed-form primitive chain it carries.
 
     func        the integrand itself
     primitives  iterated integrals from 0: primitives[j] is the (j+1)-fold
-                primitive of func (so primitives[0](x) = int_0^x f)
-    moments     optional exact (j, X) -> int_0^X t^j f(t) dt, used to turn
-                integer-order Riesz weights into closed form
+                primitive of func (so primitives[0](x) = int_0^x f); integer
+                Riesz orders k < len(primitives) are read off this chain
     label       human-readable tag for CLI output and reprs
 
     Closed-form chains are verified on construction: each consecutive pair is
@@ -92,7 +91,6 @@ class IntegrandSpec:
 
     func: Callable[[float], float]
     primitives: tuple = ()
-    moments: Optional[Callable[[int, float], float]] = None
     label: str = "f"
 
     def primitive(self) -> "IntegrandSpec":
@@ -104,7 +102,7 @@ class IntegrandSpec:
         if not self.primitives:
             raise ValueError(f"{self.label}: no antiderivative chain to shift")
         return IntegrandSpec(func=self.primitives[0], primitives=self.primitives[1:],
-                             moments=None, label=f"int({self.label})")
+                             label=f"int({self.label})")
 
     def __repr__(self):
         return f"IntegrandSpec({self.label})"
@@ -137,12 +135,12 @@ def _verified(spec: IntegrandSpec) -> IntegrandSpec:
 # -- factories ----------------------------------------------------------------
 
 def sin_wave(a: float = 1.0) -> IntegrandSpec:
-    """sin(a t), with the full iterated-primitive chain and moments."""
+    """sin(a t), with its iterated-primitive chain to depth MAX_CHAIN."""
     return _trig_wave(a, want_sin=True)
 
 
 def cos_wave(a: float = 1.0) -> IntegrandSpec:
-    """cos(a t), with the full iterated-primitive chain and moments."""
+    """cos(a t), with its iterated-primitive chain to depth MAX_CHAIN."""
     return _trig_wave(a, want_sin=False)
 
 
@@ -153,8 +151,7 @@ def _trig_wave(a: float, want_sin: bool) -> IntegrandSpec:
     a = float(a)
     chain = tuple(_trig_primitive(a, j, want_sin) for j in range(1, MAX_CHAIN + 1))
     return _verified(IntegrandSpec(
-        func=lambda t: wave(a * t), primitives=chain,
-        moments=_trig_moments(a, want_sin), label=f"{name}({a:g}t)"))
+        func=lambda t: wave(a * t), primitives=chain, label=f"{name}({a:g}t)"))
 
 
 def exp_decay() -> IntegrandSpec:
@@ -165,18 +162,10 @@ def exp_decay() -> IntegrandSpec:
             return (-1.0) ** j * (math.exp(-t) - head)
         return F
 
-    def moments(j, X):
-        # E_j = j E_{j-1} - X^j e^{-X}
-        ex = math.exp(-X)
-        e = 1.0 - ex
-        for i in range(1, j + 1):
-            e = i * e - X ** i * ex
-        return e
-
     return _verified(IntegrandSpec(
         func=lambda t: math.exp(-t),
         primitives=tuple(primitive(j) for j in range(1, MAX_CHAIN + 1)),
-        moments=moments, label="exp(-t)"))
+        label="exp(-t)"))
 
 
 def power_log(alpha: float, p: int = 0) -> IntegrandSpec:
@@ -205,13 +194,9 @@ def power_log(alpha: float, p: int = 0) -> IntegrandSpec:
         v = t ** alpha
         return v * math.log(t) ** p if p else v
 
-    def moments(j, X, alpha=alpha, p=p):
-        anti = PowerLogExpr({(alpha + j, p): 1.0}).antiderivative()
-        return anti(X)
-
     return _verified(IntegrandSpec(
         func=func, primitives=tuple(e.__call__ for e in chain),
-        moments=moments, label=f"t^{alpha:g}" + (f"*ln^{p}(t)" if p else "")))
+        label=f"t^{alpha:g}" + (f"*ln^{p}(t)" if p else "")))
 
 
 def constant(c: float = 1.0) -> IntegrandSpec:
@@ -221,7 +206,6 @@ def constant(c: float = 1.0) -> IntegrandSpec:
         primitives=tuple(
             (lambda j: lambda t: c * t ** j / math.factorial(j))(j)
             for j in range(1, MAX_CHAIN + 1)),
-        moments=lambda j, X: c * X ** (j + 1) / (j + 1),
         label=f"{c:g}"))
 
 
@@ -255,6 +239,7 @@ def sampled(func, label: str = "sampled") -> IntegrandSpec:
 
 def default_grid(lo: float = 1e2, hi: float = 1e5, num: int = 16) -> tuple[float, ...]:
     """Geometric evaluation grid, 16 points over [1e2, 1e5] by default."""
+    require_finite(lo=lo, hi=hi)
     if not (0 < lo < hi):
         raise ValueError("need 0 < lo < hi")
     if num < 8:
@@ -264,6 +249,8 @@ def default_grid(lo: float = 1e2, hi: float = 1e5, num: int = 16) -> tuple[float
 
 def _validate_grid(grid) -> tuple[float, ...]:
     g = tuple(float(x) for x in grid)
+    if not all(math.isfinite(x) for x in g):
+        raise ValueError("X grid must hold finite points only")
     if len(g) < 8:
         raise ValueError("X grid needs at least 8 points")
     if g[0] <= 0 or any(b <= a for a, b in zip(g, g[1:])):
@@ -278,30 +265,38 @@ def _validate_grid(grid) -> tuple[float, ...]:
 def riesz_mean(spec: IntegrandSpec, k: float, X: float) -> float:
     """int_0^X (1 - t/X)^k f(t) dt for real order k > -1.
 
-    Integer k uses the binomial moment expansion or the by-parts identity
-    k! F_{k+1}(X)/X^k when the spec carries the structure; everything else
-    falls back to windowed adaptive quadrature.
+    An integer k below the chain depth integrates by parts k times, with
+    vanishing boundary terms, into k! F_{k+1}(X)/X^k read off the verified
+    chain; every other order falls back to windowed adaptive quadrature.
     """
     require_finite(k=k, X=X)
     if X <= 0:
         raise ValueError("X must be positive")
     if k <= -1:
         raise ValueError(f"Riesz order must exceed -1, got {k}")
-    ki = int(round(k))
-    if k == ki and ki >= 0:
-        if spec.moments is not None:
-            terms = [math.comb(ki, j) * (-1.0 / X) ** j * spec.moments(j, X)
-                     for j in range(ki + 1)]
-            return math.fsum(terms)
-        if len(spec.primitives) >= ki + 1:
-            # one integration by parts per order: boundary terms vanish
-            return math.factorial(ki) * spec.primitives[ki](X) / X ** ki
+    if k == int(k) and k < len(spec.primitives):
+        k = int(k)
+        return math.factorial(k) * spec.primitives[k](X) / X ** k
     return _riesz_quadrature(spec, k, X)
 
 
-def _riesz_quadrature(spec: IntegrandSpec, k: float, X: float) -> float:
+def _quadrature_windows(f, a: float, b: float, max_windows: int) -> list[tuple]:
+    """(lo, hi, value, error estimate) of adaptive quadrature on each of the
+    ~50-wide windows that split [a, b], at most max_windows of them.  A list,
+    not a generator: the warnings filter must be restored before a caller
+    can raise out of its loop."""
     from scipy import integrate as _sciint  # see the module docstring
 
+    n_windows = int(min(max_windows, max(1, math.ceil((b - a) / 50.0))))
+    edges = np.linspace(a, b, n_windows + 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", _sciint.IntegrationWarning)
+        return [(lo, hi) + _sciint.quad(f, lo, hi, epsabs=1e-12, epsrel=1e-10,
+                                        limit=200)
+                for lo, hi in zip(edges[:-1], edges[1:])]
+
+
+def _riesz_quadrature(spec: IntegrandSpec, k: float, X: float) -> float:
     f = spec.func
 
     def weighted(t):
@@ -310,17 +305,11 @@ def _riesz_quadrature(spec: IntegrandSpec, k: float, X: float) -> float:
             return 0.0
         return w ** k * f(t)
 
-    n_windows = int(min(4096, max(1, math.ceil(X / 50.0))))
-    edges = np.linspace(0.0, X, n_windows + 1)
     acc = CompensatedSum()
     err_total = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", _sciint.IntegrationWarning)
-        for a, b in zip(edges[:-1], edges[1:]):
-            val, err = _sciint.quad(weighted, a, b, epsabs=1e-12, epsrel=1e-10,
-                                    limit=200)
-            err_total += err
-            acc.add(val)
+    for _, _, val, err in _quadrature_windows(weighted, 0.0, X, 4096):
+        err_total += err
+        acc.add(val)
     total = acc.value
     if err_total > 1e-8 * max(1.0, abs(total)):
         raise QuadratureError(
@@ -346,22 +335,18 @@ def primitive_limit(spec: IntegrandSpec, k: int, X_grid=None,
                     tol: float = DEFAULT_TOL) -> CesaroEvaluation:
     """Cesaro limit of the function f at integer order k: k! F_k(X) / X^k.
 
-    F_k is the k-fold iterated primitive of f (F_1 = int_0^x f); k = 0
-    samples f itself.  For the Cesaro value of the *integral* of f, pass
-    ``spec.primitive()`` so the chain starts one level up.
+    F_k is the k-fold iterated primitive of f (F_0 = f, F_1 = int_0^x f).
+    For the Cesaro value of the *integral* of f, pass ``spec.primitive()``
+    so the chain starts one level up.
 
     Needs the chain to depth k; a depth-1 fallback builds F_1 by cumulative
     quadrature for sampled integrands.
     """
-    if k < 0 or k != int(k):
-        raise ValueError("primitive_limit needs an integer order k >= 0")
-    k = int(k)
+    k = require_order(k)
     grid = _validate_grid(default_grid() if X_grid is None else X_grid)
-    if k == 0:
-        samples = [float(spec.func(X)) for X in grid]
-    elif len(spec.primitives) >= k:
-        Fk = spec.primitives[k - 1]
-        kfact = math.factorial(k)
+    layers = (spec.func,) + spec.primitives
+    if k < len(layers):
+        Fk, kfact = layers[k], math.factorial(k)
         samples = [kfact * Fk(X) / X ** k for X in grid]
     elif k == 1:
         samples = [s / X for s, X in zip(_cumulative_first_primitive(spec, grid), grid)]
@@ -374,26 +359,18 @@ def primitive_limit(spec: IntegrandSpec, k: int, X_grid=None,
 
 def _cumulative_first_primitive(spec: IntegrandSpec, grid) -> list[float]:
     """F_1 at each grid point by stitched adaptive quadrature."""
-    from scipy import integrate as _sciint  # see the module docstring
-
-    f = spec.func
     out = []
-    acc = 0.0
+    acc = CompensatedSum()
     prev = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", _sciint.IntegrationWarning)
-        for X in grid:
-            n_windows = int(min(2048, max(1, math.ceil((X - prev) / 50.0))))
-            edges = np.linspace(prev, X, n_windows + 1)
-            for a, b in zip(edges[:-1], edges[1:]):
-                val, err = _sciint.quad(f, a, b, epsabs=1e-12, epsrel=1e-10, limit=200)
-                if err > 1e-6:
-                    raise QuadratureError(
-                        f"cumulative primitive of {spec.label} stalled on "
-                        f"[{a:g}, {b:g}] (error estimate {err:.3e})", err)
-                acc += val
-            out.append(acc)
-            prev = X
+    for X in grid:
+        for a, b, val, err in _quadrature_windows(spec.func, prev, X, 2048):
+            if err > 1e-6:
+                raise QuadratureError(
+                    f"cumulative primitive of {spec.label} stalled on "
+                    f"[{a:g}, {b:g}] (error estimate {err:.3e})", err)
+            acc.add(val)
+        out.append(acc.value)
+        prev = X
     return out
 
 
@@ -418,21 +395,3 @@ def _trig_primitive(a: float, j: int, want_sin: bool):
         return val.imag if want_sin else val.real
 
     return F
-
-
-def _trig_moments(a: float, want_sin: bool):
-    """Moment recurrences S_j = int t^j sin(at), C_j = int t^j cos(at)."""
-
-    def moments(j, X, a=a, want_sin=want_sin):
-        sX = math.sin(a * X)
-        cX = math.cos(a * X)
-        s = (1.0 - cX) / a
-        c = sX / a
-        for i in range(1, j + 1):
-            s_new = -(X ** i) * cX / a + (i / a) * c
-            c_new = (X ** i) * sX / a - (i / a) * s
-            s, c = s_new, c_new
-        return s if want_sin else c
-
-    return moments
-

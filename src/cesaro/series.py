@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .accumulate import compensated_prefix_sums
-from .evaluation import CesaroEvaluation, tail_judgement
+from .evaluation import CesaroEvaluation, require_order, tail_judgement
 
 __all__ = [
     "SeriesSpec",
@@ -71,8 +71,7 @@ def iterated_partial_sums(spec: SeriesSpec, k: int, n_terms: int) -> list[float]
     k = 0 gives the plain partial sums.  Every pass is a compensated prefix
     sum, so iterating does not amplify rounding drift.
     """
-    if k < 0:
-        raise ValueError(f"Cesaro order k must be >= 0, got {k}")
+    k = require_order(k)
     if n_terms < 1:
         raise ValueError("need at least one term")
     sums = compensated_prefix_sums(spec.terms(n_terms))
@@ -88,6 +87,7 @@ def cesaro_sum(spec: SeriesSpec, k: int, n_terms: int,
     The dispersion window is the last max(8, n_terms // 10) normalized
     samples; the reported value is C^k at the final index.
     """
+    k = require_order(k)
     tail_count = max(8, n_terms // 10)
     if n_terms < tail_count or n_terms < 8:
         raise ValueError(f"n_terms={n_terms} leaves no tail window to judge convergence")
@@ -108,9 +108,7 @@ def detect_order(spec: SeriesSpec, k_max: int, n_terms: int,
     Returns None when no order up to k_max converges (for instance for
     geometric growth, where every A^k_n outruns the n^k normalization).
     """
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
-    for k in range(k_max + 1):
+    for k in range(require_order(k_max) + 1):
         ev = cesaro_sum(spec, k, n_terms, tol=tol)
         if ev.converged:
             return k, ev
@@ -123,6 +121,7 @@ def asymptotic_normalized(spec: SeriesSpec, k: int, n_terms: int) -> float:
     Agrees with the binomial normalization as N grows; exposed so the two
     normalizations can be compared, not for use as an estimator.
     """
+    k = require_order(k)
     sums = iterated_partial_sums(spec, k, n_terms)
     n = n_terms - 1
     if n == 0:

@@ -47,7 +47,7 @@ from typing import Optional
 import numpy as np
 
 from .accumulate import CompensatedSum
-from .evaluation import CesaroEvaluation, require_finite, tail_judgement
+from .evaluation import CesaroEvaluation, require_finite, require_order, tail_judgement
 from .exact import PeriodicPolynomial
 from .finite_part import fp_log_power_integral, fp_power_integral
 
@@ -112,8 +112,7 @@ class PrimitiveState:
 
 
 def new_primitive_state(spec: StaircaseSpec, k: int) -> PrimitiveState:
-    if k < 0:
-        raise ValueError("order k must be >= 0")
+    k = require_order(k)
     return PrimitiveState(boundary=0, values=(0.0,) * (k + 1))
 
 
@@ -192,6 +191,7 @@ def advance_primitives(state: PrimitiveState, spec: StaircaseSpec,
                        k: int) -> PrimitiveState:
     """F_0 .. F_k at boundary n + 1, each from its closed-form sample:
     F_j(n+1) = (n+1)^j / j! times the order-j Riesz sample there."""
+    k = require_order(k)
     if len(state.values) != k + 1:
         raise ValueError(f"state carries {len(state.values) - 1} primitives, expected k={k}")
     n = state.boundary + 1
@@ -271,13 +271,12 @@ def _cesaro_limit_samples_exact(spec: StaircaseSpec, k: int,
 
 def _order_and_boundaries(k, X_max: float) -> tuple[int, int, list[int]]:
     """The order and sample boundaries of a staircase limit up to X_max."""
-    require_finite(k=k, X_max=X_max)
+    k = require_order(k)
+    require_finite(X_max=X_max)
     if X_max < 64:
         raise ValueError("X_max is too small to form a sample tail")
-    if k < 0 or k != int(k):
-        raise ValueError("order k must be a non-negative integer")
     n_max = int(math.floor(X_max))
-    return int(k), n_max, _sample_boundaries(n_max)
+    return k, n_max, _sample_boundaries(n_max)
 
 
 def _staircase_evaluation(spec: StaircaseSpec, k: Optional[int], X_max: float,

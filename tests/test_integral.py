@@ -46,6 +46,8 @@ def test_riesz_mean_plain_exp_integral():
 
 
 def test_riesz_mean_at_k_zero_is_the_plain_integral():
+    # k = 0 is the plain integral; every order is the weighted integral,
+    # read off the chain for k <= 7 and by quadrature beyond it (k = 8)
     import scipy.integrate as sciint
 
     cases = [
@@ -56,9 +58,11 @@ def test_riesz_mean_at_k_zero_is_the_plain_integral():
         (integral.constant(3.0), 18.0),
     ]
     for spec, X in cases:
-        want, err = sciint.quad(spec.func, 0.0, X, epsabs=1e-12, limit=200)
-        got = integral.riesz_mean(spec, 0, X)
-        assert got == pytest.approx(want, abs=max(1e-9, 10 * err)), spec.label
+        for k in range(integral.MAX_CHAIN + 1):
+            want, err = sciint.quad(lambda t: (1.0 - t / X) ** k * spec.func(t),
+                                    0.0, X, epsabs=1e-12, limit=200)
+            got = integral.riesz_mean(spec, k, X)
+            assert got == pytest.approx(want, abs=max(1e-9, 10 * err)), (spec.label, k)
 
 
 def test_riesz_mean_fractional_order_goes_through_quadrature():
@@ -75,6 +79,15 @@ if "scipy" in sys.modules:
 import cesaro.cli
 if "scipy" in sys.modules:
     sys.exit("import cesaro.cli loaded scipy")
+I = cesaro.integral
+for spec in (I.sin_wave(1.0), I.cos_wave(1.0), I.exp_decay(), I.power_log(0.5, 1),
+             I.constant(2.0)):
+    for k in range(8):
+        I.riesz_mean(spec, k, 300.0)
+    for k in range(3):
+        I.primitive_limit(spec, k)
+if "scipy" in sys.modules:
+    sys.exit("a closed-form order ran quadrature")
 value = cesaro.integral.riesz_mean(cesaro.integral.sampled(math.sin), 0.5, 300.0)
 if "scipy" not in sys.modules:
     sys.exit("quadrature ran without scipy")
@@ -260,17 +273,12 @@ def test_grid_validation():
         # spans less than two decades
         integral.cesaro_integral(integral.sin_wave(1.0), 1,
                                  X_grid=tuple(10.0 + i for i in range(10)))
-
-
-def test_moment_path_and_primitive_path_agree():
-    # integer-order Riesz means have two closed routes; they must coincide
-    spec = integral.sin_wave(1.5)
-    for X in (37.0, 412.0):
-        via_moments = integral.riesz_mean(spec, 2, X)
-        shifted = integral.IntegrandSpec(
-            func=spec.func, primitives=spec.primitives, label="no-moments")
-        via_parts = integral.riesz_mean(shifted, 2, X)
-        assert via_moments == pytest.approx(via_parts, rel=1e-10)
+    unbounded = integral.default_grid(1e2, 1e5, 15) + (math.inf,)
+    for spec in (integral.sin_wave(1.0), integral.sampled(math.sin)):
+        with pytest.raises(ValueError, match="^X grid must hold finite"):
+            integral.primitive_limit(spec, 1, X_grid=unbounded)
+    with pytest.raises(ValueError, match="^hi must be finite"):
+        integral.default_grid(1e2, math.inf)
 
 
 def test_trig_chain_layers_vanish_at_zero():

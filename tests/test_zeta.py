@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from scipy.integrate import quad
 
-from cesaro import exact, zeta
+from cesaro import exact, integral, series, zeta
 from oracles import (ZETA_HALF, ZETA_PRIME_0, ZETA_PRIME_2, ZETA_PRIME_3,
                      bernoulli_table_akiyama_tanigawa, euler_maclaurin_zeta,
                      zeta_prime_by_summation)
@@ -418,14 +418,33 @@ def test_divergence_beyond_the_float_range_is_a_result():
     assert ev.converged is False
 
 
+_ALT_SIGN = series.SeriesSpec(lambda n: (-1.0) ** n)
+_HALF = zeta.StaircaseSpec(0.5)
+
+
 @pytest.mark.parametrize("call", [
     lambda k: zeta.zeta_via_cesaro(2.0, k=k),
     lambda k: zeta.lemma_witness(exact.pm_polynomial(2, 1), k=k),
-], ids=["zeta", "lemma"])
+    lambda k: zeta.new_primitive_state(_HALF, k),
+    lambda k: zeta.advance_primitives(zeta.new_primitive_state(_HALF, 2), _HALF, k),
+    lambda k: series.cesaro_sum(_ALT_SIGN, k, 64),
+    lambda k: series.iterated_partial_sums(_ALT_SIGN, k, 16),
+    lambda k: series.detect_order(_ALT_SIGN, k, 64),
+    lambda k: series.asymptotic_normalized(_ALT_SIGN, k, 16),
+    lambda k: integral.primitive_limit(integral.sin_wave(1.0), k),
+], ids=["zeta", "lemma", "new_primitive_state", "advance_primitives", "cesaro_sum",
+        "iterated_partial_sums", "detect_order", "asymptotic_normalized",
+        "primitive_limit"])
 def test_both_drivers_check_the_order_alike(call):
+    # every integer-order driver goes through evaluation.require_order
     assert call(2.0) == call(2)
     with pytest.raises(ValueError, match="order k must be"):
         call(1.5)
+    with pytest.raises(ValueError, match="order k must be"):
+        call(-1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="^k must be finite"):
+            call(bad)
 
 
 @pytest.mark.parametrize("call", [
