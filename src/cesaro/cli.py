@@ -20,6 +20,7 @@ from functools import partial
 from typing import Optional
 
 from . import exact, finite_part, integral, series, zeta
+from .evaluation import require_finite
 
 log = logging.getLogger("cesaro.cli")
 
@@ -161,6 +162,7 @@ def _build_integrand(args) -> integral.IntegrandSpec:
 
 
 def _grid_to(x_max: float):
+    require_finite(xmax=x_max)
     lo = max(1.0, x_max / 1000.0)
     return integral.default_grid(lo=lo, hi=x_max)
 

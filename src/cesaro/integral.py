@@ -19,20 +19,23 @@ Two related quantities live here and are kept deliberately distinct:
   through that integration by parts: the Riesz mean of f at integer order k
   is the primitive-limit sample of ``spec.primitive()`` at order k.
 
-Quadrature fallbacks target 1e-12 absolute per finite window; a window that
-cannot reach a usable error estimate raises QuadratureError rather than
-returning a silently bad number.  scipy is imported inside the one windowed
-quadrature helper, not here: importing it takes most of a cold process's
-start-up, and every closed-form path (and all of ``cesaro.exact``) runs
-without it.
+Both quadrature fallbacks split their range into ~50-wide windows and
+integrate every window in one numpy batch: a Gauss-Legendre rule on each
+piece, an error estimate from the same rule on its two halves, and each
+round a bisection of the worst piece of every window still short of its
+target, max(1e-12, 1e-10 |value|).  A result whose estimate fails its
+caller's check, or that is not finite, raises QuadratureError rather than
+returning a silently bad number.  The rule is built on first use, so
+``import cesaro`` and every closed-form path never build it, and no path
+needs scipy.
 """
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -62,6 +65,10 @@ MAX_CHAIN = 8
 DEFAULT_TOL = 1e-3
 _VERIFY_POINTS = 32
 _VERIFY_ALLOWED_MISSES = 2  # tolerate kinks/jumps hit by the random probes
+_GAUSS_POINTS = 32
+_MAX_PIECES = 200  # pieces per quadrature window (QUADPACK's limit)
+_STALL_LIMIT = 6  # roundoff-limited bisections per window (QAG's count)
+_EPS = math.ulp(1.0)
 
 
 class QuadratureError(RuntimeError):
@@ -280,37 +287,178 @@ def riesz_mean(spec: IntegrandSpec, k: float, X: float) -> float:
     return _riesz_quadrature(spec, k, X)
 
 
-def _quadrature_windows(f, a: float, b: float, max_windows: int) -> list[tuple]:
-    """(lo, hi, value, error estimate) of adaptive quadrature on each of the
-    ~50-wide windows that split [a, b], at most max_windows of them.  A list,
-    not a generator: the warnings filter must be restored before a caller
-    can raise out of its loop."""
-    from scipy import integrate as _sciint  # see the module docstring
-
+def _windows(a: float, b: float, max_windows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper ends of the ~50-wide windows that split [a, b], at most
+    max_windows of them."""
     n_windows = int(min(max_windows, max(1, math.ceil((b - a) / 50.0))))
     edges = np.linspace(a, b, n_windows + 1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", _sciint.IntegrationWarning)
-        return [(lo, hi) + _sciint.quad(f, lo, hi, epsabs=1e-12, epsrel=1e-10,
-                                        limit=200)
-                for lo, hi in zip(edges[:-1], edges[1:])]
+    return edges[:-1], edges[1:]
+
+
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Gauss-Legendre rule on [0, 1]: nodes, weights, and the matrix that
+    maps values at the nodes to the derivative there of their interpolating
+    polynomial.  Built on first use: closed forms never need it."""
+    from numpy.polynomial.legendre import leggauss
+
+    x, w = leggauss(_GAUSS_POINTS)
+    diff = x[:, None] - x[None, :]
+    np.fill_diagonal(diff, 1.0)
+    bary = 1.0 / diff.prod(axis=1)  # barycentric weights of the nodes
+    dmat = bary[None, :] / bary[:, None] / diff
+    np.fill_diagonal(dmat, 0.0)
+    np.fill_diagonal(dmat, -dmat.sum(axis=1))
+    rule = (0.5 * (1.0 + x), 0.5 * w, 2.0 * dmat)
+    for part in rule:
+        part.flags.writeable = False
+    return rule
+
+
+def _sample(f, t: np.ndarray) -> np.ndarray:
+    """f at each node, one scalar call per node."""
+    return np.fromiter(map(f, t.tolist()), np.float64, len(t))
+
+
+def _gauss(g, lo: np.ndarray, hi: np.ndarray):
+    """The rule on each piece [lo, hi] of the vectorized integrand g: the
+    node values (one row per piece), the rule's value and its value for |g|.
+
+    A node t = lo + (hi - lo) u is rounded to a double, by up to eps |t|,
+    which far from 0 is noise of that size in every value of g.  The TwoSum
+    residual r of that addition is exact, so the value adds the first-order
+    term sum w g'(t) r, with g' from the piece's interpolating polynomial.
+    """
+    u, w, dmat = _gauss_legendre()
+    width = hi - lo
+    q = width[:, None] * u
+    t = lo[:, None] + q
+    bb = t - lo[:, None]
+    r = (lo[:, None] - (t - bb)) + (q - bb)
+    vals = g(t.ravel()).reshape(t.shape)
+    value = (vals @ w) * width + ((vals @ dmat.T) * r) @ w
+    return vals, value, (np.abs(vals) @ w) * width
+
+
+class _Pieces(NamedTuple):
+    """The pieces of the open quadrature windows, one entry per piece."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    value: np.ndarray  # the rule on the two halves, summed
+    error: np.ndarray
+    left: np.ndarray  # the rule on each half: the whole-piece values
+    right: np.ndarray  # of the two pieces that bisecting this one makes
+
+
+def _bisected(g, lo: np.ndarray, hi: np.ndarray, whole: np.ndarray) -> _Pieces:
+    """The pieces [lo, hi], whose rule values are whole, with the rule on
+    both halves of each.
+
+    The estimate is the gap between whole and the halves' sum.  A node sits
+    an ulp or so off its ideal place, which can move a rule by about eps |t|
+    times the variation of g on the piece; a gap within twice that is
+    rounding, not truncation, and counts as zero.  Either way the estimate
+    is at least QUADPACK's rounding floor, 50 eps int |g|.
+    """
+    m = len(lo)
+    mid = 0.5 * (lo + hi)
+    vals, rule, abs_rule = _gauss(g, np.concatenate((lo, mid)), np.concatenate((mid, hi)))
+    left, right = rule[:m], rule[m:]
+    value = left + right
+    gap = np.abs(whole - value)
+    variation = np.abs(np.diff(np.hstack((vals[:m], vals[m:])), axis=1)).sum(axis=1)
+    noise = 2.0 * _EPS * np.maximum(np.abs(lo), np.abs(hi)) * variation
+    floor = 50.0 * _EPS * (abs_rule[:m] + abs_rule[m:])
+    error = np.maximum(np.where(gap > noise, gap, 0.0), floor)
+    return _Pieces(lo, hi, value, error, left, right)
+
+
+def _quadrature_windows(g, lo: np.ndarray, hi: np.ndarray,
+                        label: str) -> tuple[np.ndarray, np.ndarray]:
+    """Value and error estimate of int g over each window [lo[i], hi[i]], all
+    windows integrated in one batch by adaptive bisection.
+
+    g maps an array of nodes to the integrand's values there.  Every window
+    starts as one piece; each round bisects the worst piece of every window
+    still open.  A window closes when its summed estimate meets
+    max(1e-12, 1e-10 |value|) (as QUADPACK's QAG), when it holds
+    _MAX_PIECES pieces, or after _STALL_LIMIT bisections that neither moved
+    the piece's value by 1e-5 relative nor shrank its estimate (QAG's
+    roundoff test).  A window whose value or estimate is not finite raises
+    QuadratureError.
+    """
+    n_windows = len(lo)
+    out_value = np.empty(n_windows)
+    out_error = np.empty(n_windows)
+    is_open = np.ones(n_windows, dtype=bool)
+    count = np.ones(n_windows, dtype=np.int64)
+    stalls = np.zeros(n_windows, dtype=np.int64)
+    win = np.arange(n_windows)  # the window of each piece
+    pieces = _bisected(g, lo, hi, _gauss(g, lo, hi)[1])
+    est = np.bincount(win, pieces.error, n_windows)
+    while True:
+        total = np.bincount(win, pieces.value, n_windows)
+        # a NaN total or estimate closes its window, which then raises
+        meets = ~(est > np.maximum(1e-12, 1e-10 * np.abs(total)))
+        closing = is_open & (meets | (count >= _MAX_PIECES) | (stalls >= _STALL_LIMIT))
+        if closing.any():
+            bad = np.flatnonzero(closing & ~(np.isfinite(total) & np.isfinite(est)))
+            if len(bad):
+                raise QuadratureError(
+                    f"quadrature of {label} is not finite on "
+                    f"[{lo[bad[0]]:g}, {hi[bad[0]]:g}]", math.inf)
+            out_value[closing], out_error[closing] = total[closing], est[closing]
+            is_open &= ~closing
+            keep = is_open[win]
+            win = win[keep]
+            pieces = _Pieces(*(part[keep] for part in pieces))
+        if not len(win):
+            return out_value, out_error
+        order = np.lexsort((pieces.error, win))
+        worst = order[np.append(win[order][1:] != win[order][:-1], True)]
+        split = win[worst]
+        old = _Pieces(*(part[worst] for part in pieces))
+        mid = 0.5 * (old.lo + old.hi)
+        new = _bisected(g, np.concatenate((old.lo, mid)), np.concatenate((mid, old.hi)),
+                        np.concatenate((old.left, old.right)))
+        keep = np.ones(len(win), dtype=bool)
+        keep[worst] = False
+        win = np.concatenate((win[keep], split, split))
+        pieces = _Pieces(*(np.concatenate((part[keep], added))
+                           for part, added in zip(pieces, new)))
+        m = len(split)
+        value = new.value[:m] + new.value[m:]
+        error = new.error[:m] + new.error[m:]
+        stalls[split] += ((np.abs(old.value - value) <= 1e-5 * np.abs(value))
+                          & (error >= 0.99 * old.error))
+        count[split] += 1
+        est = np.bincount(win, pieces.error, n_windows)
 
 
 def _riesz_quadrature(spec: IntegrandSpec, k: float, X: float) -> float:
     f = spec.func
+    lo, hi = _windows(0.0, X, 4096)
+    start = lo[-1]
+    h = X - start
 
-    def weighted(t):
-        w = 1.0 - t / X
-        if w <= 0.0:
-            return 0.0
-        return w ** k * f(t)
+    def weighted(u):
+        if k >= 0:  # a bounded weight: bisection toward X is enough
+            return (1.0 - u / X) ** k * _sample(f, u)
+        # on the last window, t = X - h v^(1/(k+1)) with v = (X - u)/h turns
+        # (X - t)^k dt into the constant h^(k+1)/(k+1) dv; t is computed from
+        # its distance to start (0 when X <= 50), so it keeps its digits there
+        t, w = u.copy(), (1.0 - u / X) ** k
+        tail = u > start
+        t[tail] = start - h * np.expm1(np.log1p((start - u[tail]) / h) / (k + 1.0))
+        w[tail] = (h / X) ** k / (k + 1.0)
+        return w * _sample(f, t)
 
+    values, errors = _quadrature_windows(weighted, lo, hi, spec.label)
     acc = CompensatedSum()
-    err_total = 0.0
-    for _, _, val, err in _quadrature_windows(weighted, 0.0, X, 4096):
-        err_total += err
-        acc.add(val)
+    acc.add_array(values)
     total = acc.value
+    err_total = float(errors.sum())
     if err_total > 1e-8 * max(1.0, abs(total)):
         raise QuadratureError(
             f"quadrature for {spec.label} at X={X:g} did not converge "
@@ -359,16 +507,19 @@ def primitive_limit(spec: IntegrandSpec, k: int, X_grid=None,
 
 def _cumulative_first_primitive(spec: IntegrandSpec, grid) -> list[float]:
     """F_1 at each grid point by stitched adaptive quadrature."""
+    sample_f = functools.partial(_sample, spec.func)
     out = []
     acc = CompensatedSum()
     prev = 0.0
     for X in grid:
-        for a, b, val, err in _quadrature_windows(spec.func, prev, X, 2048):
-            if err > 1e-6:
-                raise QuadratureError(
-                    f"cumulative primitive of {spec.label} stalled on "
-                    f"[{a:g}, {b:g}] (error estimate {err:.3e})", err)
-            acc.add(val)
+        lo, hi = _windows(prev, X, 2048)
+        values, errors = _quadrature_windows(sample_f, lo, hi, spec.label)
+        if (errors > 1e-6).any():
+            i = int(np.argmax(errors > 1e-6))
+            raise QuadratureError(
+                f"cumulative primitive of {spec.label} stalled on "
+                f"[{lo[i]:g}, {hi[i]:g}] (error estimate {errors[i]:.3e})", errors[i])
+        acc.add_array(values)
         out.append(acc.value)
         prev = X
     return out

@@ -229,6 +229,13 @@ def test_estimator_pole_is_an_error_without_a_range(capsys):
     assert "pole" in captured.err
 
 
+@pytest.mark.parametrize("xmax", ["inf", "1e400", "nan"])
+def test_cesaro_int_names_a_non_finite_xmax(capsys, xmax):
+    code = cli.run(["cesaro-int", "sin", "--xmax", xmax])
+    assert code == 1
+    assert "error: xmax must be finite" in capsys.readouterr().err
+
+
 def test_env_var_sets_default_format(capsys, monkeypatch):
     monkeypatch.setenv(cli.FORMAT_ENV, "structured")
     code = cli.run(["bernoulli", "4"])

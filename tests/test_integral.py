@@ -71,32 +71,68 @@ def test_riesz_mean_fractional_order_goes_through_quadrature():
     assert abs(v - 1.0) < 0.05
 
 
+@pytest.mark.parametrize("X", [1.0, 7.3, 300.0])
+@pytest.mark.parametrize("k", [-0.9, -0.5, 0.5, 2.5, 8.0])
+def test_riesz_quadrature_against_the_algebraic_weight_rule(k, X):
+    # scipy's QAWS treats the endpoint weight (X - t)^k exactly
+    import scipy.integrate as sciint
+
+    want = sciint.quad(math.sin, 0.0, X, weight="alg", wvar=(0.0, k),
+                       limit=200)[0] / X ** k
+    got = integral.riesz_mean(integral.sampled(math.sin), k, X)
+    assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+
+def test_integer_order_quadrature_matches_the_closed_form():
+    # the rule corrects each node for its rounding to a double, which at
+    # X = 1e5 is worth two orders of magnitude here
+    for X in integral.default_grid():
+        got = integral.riesz_mean(integral.sampled(math.sin), 1, X)
+        assert abs(got - (X - math.sin(X)) / X) <= 1e-12, X
+
+
+def _nan_beyond_ten(t):
+    return math.nan if t > 10 else 1.0
+
+
+def test_riesz_quadrature_rejects_a_non_finite_integrand():
+    with pytest.raises(integral.QuadratureError, match="not finite"):
+        integral.riesz_mean(integral.sampled(_nan_beyond_ten), 0.5, 100.0)
+
+
+def test_cumulative_quadrature_rejects_a_non_finite_integrand():
+    with pytest.raises(integral.QuadratureError, match="not finite"):
+        integral.primitive_limit(integral.sampled(_nan_beyond_ten), 1)
+
+
 _IMPORT_PROBE = """
 import math, sys
-import cesaro
-if "scipy" in sys.modules:
-    sys.exit("import cesaro loaded scipy")
 import cesaro.cli
+I = cesaro.integral
 if "scipy" in sys.modules:
     sys.exit("import cesaro.cli loaded scipy")
-I = cesaro.integral
+if I._gauss_legendre.cache_info().currsize:
+    sys.exit("import cesaro.cli built the quadrature rule")
 for spec in (I.sin_wave(1.0), I.cos_wave(1.0), I.exp_decay(), I.power_log(0.5, 1),
              I.constant(2.0)):
     for k in range(8):
         I.riesz_mean(spec, k, 300.0)
     for k in range(3):
         I.primitive_limit(spec, k)
+if I._gauss_legendre.cache_info().currsize:
+    sys.exit("a closed-form order built the quadrature rule")
+value = I.riesz_mean(I.sampled(math.sin), 0.5, 300.0)
+if I._gauss_legendre.cache_info().currsize != 1:
+    sys.exit("quadrature ran without building its rule")
 if "scipy" in sys.modules:
-    sys.exit("a closed-form order ran quadrature")
-value = cesaro.integral.riesz_mean(cesaro.integral.sampled(math.sin), 0.5, 300.0)
-if "scipy" not in sys.modules:
-    sys.exit("quadrature ran without scipy")
+    sys.exit("quadrature loaded scipy")
 print(value)
 """
 
 
-def test_scipy_is_imported_only_when_quadrature_runs():
-    # scipy dominates a cold process's start-up; only quadrature needs it
+def test_quadrature_needs_no_scipy_and_builds_its_rule_on_first_use():
+    # closed forms and start-up never pay for the quadrature rule, and no
+    # path of the package loads scipy
     src = os.path.dirname(os.path.dirname(os.path.abspath(cesaro.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
