@@ -8,13 +8,10 @@ nothing until the carry itself underflows.
 from __future__ import annotations
 
 import math
-from itertools import islice
 
 import numpy as np
 
 __all__ = ["CompensatedSum", "compensated_prefix_sums"]
-
-_SCAN_CHUNK = 1 << 14  # bounds the scan's arrays beside the input and output
 
 
 def _two_sum_scan(x: np.ndarray, total: float = 0.0,
@@ -80,16 +77,15 @@ class CompensatedSum:
         return f"CompensatedSum({self.value!r})"
 
 
-def compensated_prefix_sums(values) -> list[float]:
-    """Return the compensated running sums of ``values`` as a list of floats,
-    accurate to a few ulps even for millions of terms.  A running sum that is
-    no longer finite is returned as is, without its carry."""
-    out: list[float] = []
-    total = carry = 0.0
-    items = iter(values)
-    while len(x := np.fromiter(islice(items, _SCAN_CHUNK), dtype=np.float64)):
-        s, err = _two_sum_scan(x, total, carry)
-        with np.errstate(invalid="ignore"):
-            out += np.where(np.isfinite(s), s + err, s).tolist()
-        total, carry = s[-1], err[-1]
-    return out
+def compensated_prefix_sums(values) -> np.ndarray:
+    """Return the compensated running sums of the float sequence ``values``
+    as an array, accurate to a few ulps even for millions of terms.  A
+    running sum that is no longer finite is returned as is, without its
+    carry."""
+    x = np.asarray(values, dtype=np.float64)
+    if not len(x):
+        return x
+    s, err = _two_sum_scan(x)
+    err[~np.isfinite(s)] = 0.0
+    s += err
+    return s

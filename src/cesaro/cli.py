@@ -42,7 +42,7 @@ OUTPUT_SCHEMA = {
             "type": "object",
             "properties": {
                 "exact": {"type": "string", "pattern": "^-?[0-9]+(/[0-9]+)?$"},
-                "float": {"type": "number"},
+                "float": {"type": ["number", "null"]},
             },
             "additionalProperties": True,
         },
@@ -73,6 +73,11 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _json_section(d: dict) -> dict:
+    return {key: None if isinstance(v, float) and not math.isfinite(v) else v
+            for key, v in d.items()}
+
+
 @dataclass
 class OutputRecord:
     """One reported result: the command, echoed inputs, values, diagnostics."""
@@ -94,10 +99,11 @@ class OutputRecord:
         return "\n".join(lines)
 
     def to_json_dict(self) -> dict:
-        out = {"command": self.command, "inputs": dict(self.inputs),
-               "result": dict(self.result)}
+        """The record as RFC 8259 JSON values, where a non-finite float is None."""
+        out = {"command": self.command, "inputs": _json_section(self.inputs),
+               "result": _json_section(self.result)}
         if self.diagnostics is not None:
-            out["diagnostics"] = dict(self.diagnostics)
+            out["diagnostics"] = _json_section(self.diagnostics)
         return out
 
     @classmethod
@@ -109,7 +115,7 @@ class OutputRecord:
 
 def _emit(record: OutputRecord, fmt: str) -> None:
     if fmt == "structured":
-        print(json.dumps(record.to_json_dict(), separators=(",", ":")))
+        print(json.dumps(record.to_json_dict(), separators=(",", ":"), allow_nan=False))
     else:
         print(record.to_text())
 

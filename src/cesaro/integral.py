@@ -23,11 +23,12 @@ Both quadrature fallbacks split their range into ~50-wide windows and
 integrate every window in one numpy batch: a Gauss-Legendre rule on each
 piece, an error estimate from the same rule on its two halves, and each
 round a bisection of the worst piece of every window still short of its
-target, max(1e-12, 1e-10 |value|).  A result whose estimate fails its
-caller's check, or that is not finite, raises QuadratureError rather than
-returning a silently bad number.  The rule is built on first use, so
-``import cesaro`` and every closed-form path never build it, and no path
-needs scipy.
+target, max(1e-10 |value|, 1e-13 int |g|).  Both accept a sum by one rule,
+summed estimate <= max(1e-8 |sum|, 1e-12 int |g|), and raise
+QuadratureError on a sum that fails it or is not finite.  No target has an
+absolute floor, so 2^m g gets exactly 2^m times the answer.  The rule is
+built on first use, so ``import cesaro`` and every closed-form path never
+build it, and no path needs scipy.
 """
 from __future__ import annotations
 
@@ -143,35 +144,27 @@ def _verified(spec: IntegrandSpec) -> IntegrandSpec:
 
 def sin_wave(a: float = 1.0) -> IntegrandSpec:
     """sin(a t), with its iterated-primitive chain to depth MAX_CHAIN."""
-    return _trig_wave(a, want_sin=True)
+    return _trig_wave(a, "sin", math.sin, "imag")
 
 
 def cos_wave(a: float = 1.0) -> IntegrandSpec:
     """cos(a t), with its iterated-primitive chain to depth MAX_CHAIN."""
-    return _trig_wave(a, want_sin=False)
+    return _trig_wave(a, "cos", math.cos, "real")
 
 
-def _trig_wave(a: float, want_sin: bool) -> IntegrandSpec:
-    name, wave = ("sin", math.sin) if want_sin else ("cos", math.cos)
+def _trig_wave(a: float, name: str, wave, part: str) -> IntegrandSpec:
     if a == 0:
         raise ValueError(f"{name}_wave needs a nonzero frequency")
     a = float(a)
-    chain = tuple(_trig_primitive(a, j, want_sin) for j in range(1, MAX_CHAIN + 1))
     return _verified(IntegrandSpec(
-        func=lambda t: wave(a * t), primitives=chain, label=f"{name}({a:g}t)"))
+        func=lambda t: wave(a * t), primitives=_exp_chain(1j * a, part),
+        label=f"{name}({a:g}t)"))
 
 
 def exp_decay() -> IntegrandSpec:
-    """exp(-t); the j-fold primitive is (-1)^j (e^-t - its Taylor head)."""
-    def primitive(j):
-        def F(t, j=j):
-            head = sum((-t) ** m / math.factorial(m) for m in range(j))
-            return (-1.0) ** j * (math.exp(-t) - head)
-        return F
-
+    """exp(-t), with its iterated-primitive chain to depth MAX_CHAIN."""
     return _verified(IntegrandSpec(
-        func=lambda t: math.exp(-t),
-        primitives=tuple(primitive(j) for j in range(1, MAX_CHAIN + 1)),
+        func=lambda t: math.exp(-t), primitives=_exp_chain(-1.0, "real"),
         label="exp(-t)"))
 
 
@@ -188,12 +181,6 @@ def power_log(alpha: float, p: int = 0) -> IntegrandSpec:
             "use finite_part.fp_power_integral / fp_log_power_integral instead")
     if p < 0:
         raise ValueError("log power p must be >= 0")
-    base = PowerLogExpr({(alpha, p): 1.0})
-    chain = []
-    expr = base
-    for _ in range(MAX_CHAIN):
-        expr = expr.antiderivative()
-        chain.append(expr)
 
     def func(t, alpha=alpha, p=p):
         if t == 0.0:
@@ -202,18 +189,14 @@ def power_log(alpha: float, p: int = 0) -> IntegrandSpec:
         return v * math.log(t) ** p if p else v
 
     return _verified(IntegrandSpec(
-        func=func, primitives=tuple(e.__call__ for e in chain),
+        func=func, primitives=_power_log_chain(alpha, p, 1.0),
         label=f"t^{alpha:g}" + (f"*ln^{p}(t)" if p else "")))
 
 
 def constant(c: float = 1.0) -> IntegrandSpec:
     c = float(c)
     return _verified(IntegrandSpec(
-        func=lambda t: c,
-        primitives=tuple(
-            (lambda j: lambda t: c * t ** j / math.factorial(j))(j)
-            for j in range(1, MAX_CHAIN + 1)),
-        label=f"{c:g}"))
+        func=lambda t: c, primitives=_power_log_chain(0.0, 0, c), label=f"{c:g}"))
 
 
 def periodic_poly(p: PeriodicPolynomial) -> IntegrandSpec:
@@ -347,6 +330,7 @@ class _Pieces(NamedTuple):
     hi: np.ndarray
     value: np.ndarray  # the rule on the two halves, summed
     error: np.ndarray
+    absval: np.ndarray  # the rule for |g| on the two halves, summed
     left: np.ndarray  # the rule on each half: the whole-piece values
     right: np.ndarray  # of the two pieces that bisecting this one makes
 
@@ -369,38 +353,37 @@ def _bisected(g, lo: np.ndarray, hi: np.ndarray, whole: np.ndarray) -> _Pieces:
     gap = np.abs(whole - value)
     variation = np.abs(np.diff(np.hstack((vals[:m], vals[m:])), axis=1)).sum(axis=1)
     noise = 2.0 * _EPS * np.maximum(np.abs(lo), np.abs(hi)) * variation
-    floor = 50.0 * _EPS * (abs_rule[:m] + abs_rule[m:])
-    error = np.maximum(np.where(gap > noise, gap, 0.0), floor)
-    return _Pieces(lo, hi, value, error, left, right)
+    absval = abs_rule[:m] + abs_rule[m:]
+    error = np.maximum(np.where(gap > noise, gap, 0.0), 50.0 * _EPS * absval)
+    return _Pieces(lo, hi, value, error, absval, left, right)
 
 
-def _quadrature_windows(g, lo: np.ndarray, hi: np.ndarray,
-                        label: str) -> tuple[np.ndarray, np.ndarray]:
-    """Value and error estimate of int g over each window [lo[i], hi[i]], all
-    windows integrated in one batch by adaptive bisection.
+def _quadrature_windows(g, lo: np.ndarray, hi: np.ndarray, label: str) -> np.ndarray:
+    """Value, error estimate and int |g| (the three rows) over each window
+    [lo[i], hi[i]], all windows integrated in one batch by adaptive bisection.
 
     g maps an array of nodes to the integrand's values there.  Every window
     starts as one piece; each round bisects the worst piece of every window
     still open.  A window closes when its summed estimate meets
-    max(1e-12, 1e-10 |value|) (as QUADPACK's QAG), when it holds
-    _MAX_PIECES pieces, or after _STALL_LIMIT bisections that neither moved
-    the piece's value by 1e-5 relative nor shrank its estimate (QAG's
+    max(1e-10 |value|, 1e-13 int |g|), a target that scales with g; when it
+    holds _MAX_PIECES pieces; or after _STALL_LIMIT bisections that neither
+    moved the piece's value by 1e-5 relative nor shrank its estimate (QAG's
     roundoff test).  A window whose value or estimate is not finite raises
     QuadratureError.
     """
     n_windows = len(lo)
-    out_value = np.empty(n_windows)
-    out_error = np.empty(n_windows)
+    out = np.empty((3, n_windows))
     is_open = np.ones(n_windows, dtype=bool)
     count = np.ones(n_windows, dtype=np.int64)
     stalls = np.zeros(n_windows, dtype=np.int64)
     win = np.arange(n_windows)  # the window of each piece
     pieces = _bisected(g, lo, hi, _gauss(g, lo, hi)[1])
-    est = np.bincount(win, pieces.error, n_windows)
     while True:
-        total = np.bincount(win, pieces.value, n_windows)
+        sums = np.array([np.bincount(win, part, n_windows)
+                         for part in (pieces.value, pieces.error, pieces.absval)])
+        total, est, absval = sums
         # a NaN total or estimate closes its window, which then raises
-        meets = ~(est > np.maximum(1e-12, 1e-10 * np.abs(total)))
+        meets = ~(est > np.maximum(1e-10 * np.abs(total), 1e-13 * absval))
         closing = is_open & (meets | (count >= _MAX_PIECES) | (stalls >= _STALL_LIMIT))
         if closing.any():
             bad = np.flatnonzero(closing & ~(np.isfinite(total) & np.isfinite(est)))
@@ -408,13 +391,13 @@ def _quadrature_windows(g, lo: np.ndarray, hi: np.ndarray,
                 raise QuadratureError(
                     f"quadrature of {label} is not finite on "
                     f"[{lo[bad[0]]:g}, {hi[bad[0]]:g}]", math.inf)
-            out_value[closing], out_error[closing] = total[closing], est[closing]
+            out[:, closing] = sums[:, closing]
             is_open &= ~closing
             keep = is_open[win]
             win = win[keep]
             pieces = _Pieces(*(part[keep] for part in pieces))
         if not len(win):
-            return out_value, out_error
+            return out
         order = np.lexsort((pieces.error, win))
         worst = order[np.append(win[order][1:] != win[order][:-1], True)]
         split = win[worst]
@@ -433,7 +416,6 @@ def _quadrature_windows(g, lo: np.ndarray, hi: np.ndarray,
         stalls[split] += ((np.abs(old.value - value) <= 1e-5 * np.abs(value))
                           & (error >= 0.99 * old.error))
         count[split] += 1
-        est = np.bincount(win, pieces.error, n_windows)
 
 
 def _riesz_quadrature(spec: IntegrandSpec, k: float, X: float) -> float:
@@ -454,16 +436,22 @@ def _riesz_quadrature(spec: IntegrandSpec, k: float, X: float) -> float:
         w[tail] = (h / X) ** k / (k + 1.0)
         return w * _sample(f, t)
 
-    values, errors = _quadrature_windows(weighted, lo, hi, spec.label)
-    acc = CompensatedSum()
-    acc.add_array(values)
-    total = acc.value
-    err_total = float(errors.sum())
-    if err_total > 1e-8 * max(1.0, abs(total)):
+    return _certified_sum(weighted, lo, hi, spec.label, CompensatedSum())
+
+
+def _certified_sum(g, lo: np.ndarray, hi: np.ndarray, label: str,
+                   acc: CompensatedSum) -> float:
+    """Add int g over the windows [lo, hi] to acc and return acc's value,
+    once the summed window estimates meet max(1e-8 |sum|, 1e-12 int |g|);
+    otherwise raise QuadratureError."""
+    values, errors, absvals = _quadrature_windows(g, lo, hi, label)
+    error = float(errors.sum())
+    if error > max(1e-8 * abs(float(values.sum())), 1e-12 * float(absvals.sum())):
         raise QuadratureError(
-            f"quadrature for {spec.label} at X={X:g} did not converge "
-            f"(error estimate {err_total:.3e})", err_total)
-    return total
+            f"quadrature of {label} on [{lo[0]:g}, {hi[-1]:g}] did not converge "
+            f"(error estimate {error:.3e})", error)
+    acc.add_array(values)
+    return acc.value
 
 
 def cesaro_integral(spec: IntegrandSpec, k: float, X_grid=None,
@@ -496,8 +484,10 @@ def primitive_limit(spec: IntegrandSpec, k: int, X_grid=None,
     if k < len(layers):
         Fk, kfact = layers[k], math.factorial(k)
         samples = [kfact * Fk(X) / X ** k for X in grid]
-    elif k == 1:
-        samples = [s / X for s, X in zip(_cumulative_first_primitive(spec, grid), grid)]
+    elif k == 1:  # F_1 by stitched quadrature, one grid segment per call
+        acc, sample_f = CompensatedSum(), functools.partial(_sample, spec.func)
+        samples = [_certified_sum(sample_f, *_windows(a, X, 2048), spec.label, acc) / X
+                   for a, X in zip((0.0,) + grid, grid)]
     else:
         raise ValueError(
             f"{spec.label}: antiderivative chain of depth {k} required "
@@ -505,44 +495,51 @@ def primitive_limit(spec: IntegrandSpec, k: int, X_grid=None,
     return tail_judgement(samples, order=k, n_terms=len(grid), tol=tol)
 
 
-def _cumulative_first_primitive(spec: IntegrandSpec, grid) -> list[float]:
-    """F_1 at each grid point by stitched adaptive quadrature."""
-    sample_f = functools.partial(_sample, spec.func)
-    out = []
-    acc = CompensatedSum()
-    prev = 0.0
-    for X in grid:
-        lo, hi = _windows(prev, X, 2048)
-        values, errors = _quadrature_windows(sample_f, lo, hi, spec.label)
-        if (errors > 1e-6).any():
-            i = int(np.argmax(errors > 1e-6))
-            raise QuadratureError(
-                f"cumulative primitive of {spec.label} stalled on "
-                f"[{lo[i]:g}, {hi[i]:g}] (error estimate {errors[i]:.3e})", errors[i])
-        acc.add_array(values)
-        out.append(acc.value)
-        prev = X
-    return out
+# -- closed-form chains ---------------------------------------------------------
+
+def _power_log_chain(alpha: float, p: int, coeff: float) -> tuple:
+    """The 1..MAX_CHAIN-fold primitives of coeff t^alpha ln^p t."""
+    chain = [PowerLogExpr({(alpha, p): coeff})]
+    for _ in range(MAX_CHAIN):
+        chain.append(chain[-1].antiderivative())
+    return tuple(expr.__call__ for expr in chain[1:])
 
 
-# -- closed-form trig chains -------------------------------------------------
+def _exp_chain(c, part: str) -> tuple:
+    """The 1..MAX_CHAIN-fold primitives of e^{ct} (c real or imaginary) that
+    vanish at 0, each reduced to the ``part`` ("real" or "imag") of
 
-def _trig_primitive(a: float, j: int, want_sin: bool):
-    """j-fold iterated primitive of sin(at) or cos(at), all layers 0 at 0.
+        F_j(t) = (e^{ct} - sum_{m<j} (ct)^m / m!) / c^j = t^j sum_{e>=0} (ct)^e / (e+j)!.
 
-    Complex form: the j-fold primitive of e^{iat} with vanishing initial data
-    is (e^{iat} - Taylor head)/ (ia)^j; take Im for sin, Re for cos.
+    The first form cancels where |ct| is below about j, so where |ct| <= j + 1
+    the second is summed, until a term no longer moves the selected part;
+    (ct)^2 is real, so that part runs on real recurrences over even and odd e.
     """
-    ia = 1j * a
+    exp = math.exp if isinstance(c, float) else cmath.exp
 
-    def F(t, j=j, ia=ia, want_sin=want_sin):
-        z = ia * t
-        head = 0j
-        term = 1.0 + 0j
-        for m in range(j):
-            head += term
-            term *= z / (m + 1)
-        val = (cmath.exp(z) - head) / ia ** j
-        return val.imag if want_sin else val.real
+    def layer(j):
+        cj = c ** j
+        first = 1.0 / math.factorial(j)
+        even0 = first if part == "real" else 0.0  # the part of z^0 / j!
 
-    return F
+        def F(t):
+            z = c * t
+            if abs(z) <= j + 1:
+                w = (z * z).real
+                even, odd = even0, getattr(z, part) * first / (j + 1)
+                acc, m = even + odd, j + 1
+                while True:
+                    even *= w / (m * (m + 1))
+                    odd *= w / ((m + 1) * (m + 2))
+                    m += 2
+                    acc += even + odd
+                    if abs(even) + abs(odd) <= _EPS * abs(acc):
+                        return t ** j * acc
+            head, term = 0.0, 1.0
+            for m in range(j):
+                head += term
+                term *= z / (m + 1)
+            return getattr((exp(z) - head) / cj, part)
+        return F
+
+    return tuple(layer(j) for j in range(1, MAX_CHAIN + 1))

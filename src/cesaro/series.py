@@ -77,7 +77,7 @@ def iterated_partial_sums(spec: SeriesSpec, k: int, n_terms: int) -> list[float]
     sums = compensated_prefix_sums(spec.terms(n_terms))
     for _ in range(k):
         sums = compensated_prefix_sums(sums)
-    return sums
+    return sums.tolist()
 
 
 def cesaro_sum(spec: SeriesSpec, k: int, n_terms: int,

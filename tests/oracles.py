@@ -75,6 +75,33 @@ def zeta_prime_by_summation(s: float, M: int = 200_000) -> float:
     return head + tail + 0.5 * g_m + dg_m / 12.0
 
 
+def exp_primitive(c_re: Fraction, c_im: Fraction, j: int,
+                  t: Fraction) -> tuple[Fraction, Fraction]:
+    """The j-fold primitive of e^{ct} that vanishes at 0, c = c_re + i c_im,
+    as exact (real, imaginary) parts of t^j sum_{e>=0} (ct)^e / (e+j)!.
+
+    With ct = Z/D (Z a Gaussian integer), the partial sum through e is
+    N_e / (D^e (e+j)!), and the term Z^e / (D^e (e+j)!) shares that
+    denominator, so the sum runs in integers.  It stops once the terms halve
+    (e >= 2|ct|) and the last is below 2^-201 of the sum, so the rest is
+    below 2^-200 of it."""
+    z_re, z_im = c_re * t, c_im * t
+    d = math.lcm(z_re.denominator, z_im.denominator)
+    zr, zi = int(z_re * d), int(z_im * d)
+    pr, pi = 1, 0  # Z^e
+    nr, ni = 1, 0  # N_e
+    m = math.factorial(j)  # D^e (e+j)!
+    e = 0
+    while True:
+        e += 1
+        pr, pi = pr * zr - pi * zi, pr * zi + pi * zr
+        scale = d * (e + j)
+        nr, ni, m = nr * scale + pr, ni * scale + pi, m * scale
+        if (e * e * d * d >= 4 * (zr * zr + zi * zi)
+                and (pr * pr + pi * pi) << 402 <= nr * nr + ni * ni):
+            return t ** j * Fraction(nr, m), t ** j * Fraction(ni, m)
+
+
 def prefix_sums_naive(values, k: int):
     """k-times iterated prefix sums, plain float adds."""
     out = [float(v) for v in values]

@@ -284,3 +284,18 @@ def test_console_entry_point_runs():
     assert proc.returncode == 0
     rec = json.loads(proc.stdout)
     assert rec["result"]["exact"] == "0"
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
+def test_structured_record_of_a_divergent_estimate_is_strict_json(capsys):
+    # the text record says -inf; JSON has no such token, so it says null
+    code = cli.run(["zeta-estimate", "--alpha", "3", "--order", "1",
+                    "--xmax", "1e300", "--format", "structured"])
+    assert code == 0
+    rec = json.loads(capsys.readouterr().out, parse_constant=_no_constant)
+    jsonschema.validate(rec, cli.OUTPUT_SCHEMA)
+    assert rec["result"]["float"] is None
+    assert rec["diagnostics"]["converged"] is False

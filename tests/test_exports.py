@@ -7,6 +7,7 @@ import ast
 import importlib
 import pathlib
 import pkgutil
+import sys
 
 import pytest
 
@@ -37,3 +38,19 @@ def test_names_the_benchmark_calls_resolve():
                 used.add(node.attr)
     assert {"advance_primitives", "zeta_via_cesaro"} <= used
     assert not sorted(name for name in used if not hasattr(cesaro, name))
+
+
+def test_oracles_import_only_the_standard_library():
+    # the oracles stay independent of the code they check, and need nothing
+    # beyond the interpreter
+    path = pathlib.Path(__file__).resolve().parent / "oracles.py"
+    roots = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, "oracles.py imports relatively"
+            roots.add(node.module.split(".")[0])
+    assert roots, "no imports found"
+    assert not roots & {"cesaro", "numpy", "scipy", "bench"}
+    assert roots <= sys.stdlib_module_names, sorted(roots - sys.stdlib_module_names)

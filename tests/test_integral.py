@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import subprocess
@@ -8,6 +9,7 @@ import pytest
 
 import cesaro
 from cesaro import exact, integral
+from oracles import exp_primitive
 
 
 def test_riesz_mean_closed_form_matches_quadrature():
@@ -332,3 +334,40 @@ def test_trig_chain_layers_vanish_at_zero():
 def test_riesz_mean_rejects_non_finite_inputs(k, X, name):
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         integral.riesz_mean(integral.sin_wave(1.0), k, X)
+
+
+@pytest.mark.parametrize("name,a", [("sin", 0.01), ("sin", 1.0), ("sin", 2.5),
+                                    ("cos", 0.01), ("cos", 1.0), ("cos", 2.5),
+                                    ("exp", -1.0)])
+def test_exp_chains_match_the_exact_taylor_tail(name, a):
+    # riesz_mean at integer k is k! F_{k+1}(X) / X^k; the chain of e^{ct}
+    # must keep its digits down to |cX| = 1e-5, where subtracting the Taylor
+    # head from e^{cX} would cancel them all
+    if name == "exp":
+        spec, c, part = integral.exp_decay(), (Fraction(a), Fraction(0)), 0
+    else:
+        spec = (integral.sin_wave if name == "sin" else integral.cos_wave)(a)
+        c, part = (Fraction(0), Fraction(a)), 1 if name == "sin" else 0
+    for X in (1e-3, 0.01, 0.1, 1.0, 7.3, 30.0):
+        for k in range(integral.MAX_CHAIN):
+            F = exp_primitive(*c, k + 1, Fraction(X))[part]
+            want = float(math.factorial(k) * F / Fraction(X) ** k)
+            got = integral.riesz_mean(spec, k, X)
+            assert abs(got - want) <= 1e-14 * abs(want), (X, k, got, want)
+
+
+@functools.cache
+def _cos_quadrature(k, X):
+    return integral.riesz_mean(integral.sampled(math.cos), k, X)
+
+
+@pytest.mark.parametrize("scale", [2.0 ** -30, 2.0 ** 14])
+def test_quadrature_scales_exactly_with_the_integrand(scale):
+    # no target or acceptance rule has an absolute floor, so scale * cos
+    # takes the same bisections as cos and answers scale times its value
+    scaled = integral.sampled(lambda t: scale * math.cos(t))
+    for k in (-0.5, 0.5, 1, 2.5):
+        for X in (1e3, 1e4, 3e4):
+            assert integral.riesz_mean(scaled, k, X) == scale * _cos_quadrature(k, X), (k, X)
+    assert (integral.primitive_limit(scaled, 1).value
+            == scale * integral.primitive_limit(integral.sampled(math.cos), 1).value)
