@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = ["CesaroEvaluation", "tail_judgement"]
 
 TRACE_LEN = 8
@@ -59,27 +61,28 @@ def require_order(k) -> int:
 
 def tail_judgement(samples, order, n_terms, tol,
                    tail_count=None) -> CesaroEvaluation:
-    """Build a CesaroEvaluation from a full sample sequence.
+    """Build a CesaroEvaluation from a full sample sequence: a float array,
+    or a sequence of numbers, which is converted to one.
 
     ``tail_count`` samples from the end form the dispersion window; the
     default is the last quarter, and never fewer than 4.  The reported value
     is always the final sample, converged or not.
     """
-    samples = [float(s) for s in samples]
+    samples = np.asarray(samples, dtype=np.float64)
     if len(samples) < 2:
         raise ValueError("need at least two samples to judge convergence")
     if tail_count is None:
         tail_count = max(4, len(samples) // 4)
     tail_count = max(2, min(tail_count, len(samples)))
     tail = samples[-tail_count:]
-    if all(math.isfinite(s) for s in tail):
-        dispersion = max(tail) - min(tail)
+    if np.isfinite(tail).all():
+        dispersion = float(tail.max()) - float(tail.min())
     else:
         dispersion = math.inf
     converged = math.isfinite(dispersion) and dispersion <= tol
-    trace = tuple(samples[-min(len(samples), TRACE_LEN):])
+    trace = tuple(samples[-TRACE_LEN:].tolist())
     return CesaroEvaluation(
-        value=samples[-1],
+        value=trace[-1],
         order=order,
         n_terms=n_terms,
         trace=trace,

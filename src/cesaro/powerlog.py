@@ -22,10 +22,11 @@ __all__ = ["PowerLogExpr"]
 class PowerLogExpr:
     """Mapping (exponent, log power) -> coefficient, immutable in spirit."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_has_log")
 
     def __init__(self, terms: dict[tuple[float, int], float] | None = None):
         self.terms = {k: float(v) for k, v in (terms or {}).items() if v != 0.0}
+        self._has_log = any(p for _, p in self.terms)
 
     def antiderivative(self) -> "PowerLogExpr":
         out: dict[tuple[float, int], float] = {}
@@ -53,7 +54,7 @@ class PowerLogExpr:
             return self.terms.get((0.0, 0), 0.0)
         if t < 0.0:
             raise ValueError("PowerLogExpr is defined on t >= 0")
-        lt = math.log(t)
+        lt = math.log(t) if self._has_log else 0.0
         acc = 0.0
         for (g, p), c in self.terms.items():
             v = c * t ** g

@@ -15,12 +15,18 @@ asymptotic form is available separately as a cross-check diagnostic.
 A series that fails to settle is reported through the ``converged`` flag of
 the returned evaluation; divergence is a result, never an exception.
 Overflow in the terms propagates as inf through the partial sums.
+
+The terms, every prefix pass and the normalized tail window are float64
+arrays; only ``iterated_partial_sums`` hands back a list.  A series longer
+than MAX_SERIES_TERMS is refused before any term is called.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
+
+import numpy as np
 
 from .accumulate import compensated_prefix_sums
 from .evaluation import CesaroEvaluation, require_order, tail_judgement
@@ -34,6 +40,8 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-6
+MAX_SERIES_TERMS = 10**8  # about 0.8 GB per float64 pass
+_TERMS_PER_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -50,19 +58,51 @@ class SeriesSpec:
     start: int = 0
     label: str = ""
 
-    def terms(self, n_terms: int) -> list[float]:
-        out = []
-        term = self.term
-        start = self.start
-        for n in range(n_terms):
-            if n < start:
-                out.append(0.0)
-                continue
-            try:
-                out.append(float(term(n)))
-            except OverflowError:
-                out.append(math.inf)
+    def terms(self, n_terms: int) -> np.ndarray:
+        """a_0 .. a_{n_terms-1} as a float64 array: float(term(n)), inf where
+        the term or its conversion overflows.  Each term is called once."""
+        if n_terms > MAX_SERIES_TERMS:
+            raise ValueError(f"n_terms={n_terms} exceeds MAX_SERIES_TERMS = "
+                             f"{MAX_SERIES_TERMS:.0e}")
+        out = np.zeros(n_terms)
+        # list.extend keeps the values read before an OverflowError, and the
+        # map resumes after the index that raised; np.fromiter would lose them
+        for lo in range(max(self.start, 0), n_terms, _TERMS_PER_CHUNK):
+            hi = min(lo + _TERMS_PER_CHUNK, n_terms)
+            values = map(float, map(self.term, range(lo, hi)))
+            chunk: list[float] = []
+            while True:
+                try:
+                    chunk.extend(values)
+                    break
+                except OverflowError:
+                    chunk.append(math.inf)
+            out[lo:hi] = chunk
         return out
+
+
+def _iterated_sums(spec: SeriesSpec, k: int, n_terms: int) -> np.ndarray:
+    """A^k_0 .. A^k_{n_terms-1} as a float64 array: k + 1 compensated
+    prefix passes over the terms."""
+    if n_terms < 1:
+        raise ValueError("need at least one term")
+    sums = spec.terms(n_terms)
+    for _ in range(k + 1):
+        sums = compensated_prefix_sums(sums)
+    return sums
+
+
+def _binomials(k: int, lo: int, hi: int) -> np.ndarray:
+    """float(C(n + k, k)) for n = lo .. hi - 1, each correctly rounded, as
+    Python's float / int rounds its divisor.  The products are exact: int64
+    while k C(hi - 1 + k, k) fits in it, Python ints beyond."""
+    exact = np.int64 if k * math.comb(hi - 1 + k, k) < 2**63 else object
+    n = np.arange(lo, hi).astype(exact)
+    c = np.ones(hi - lo, dtype=exact)
+    for i in range(1, k + 1):
+        c *= n + i  # i C(n + i, i)
+        c //= i
+    return c.astype(np.float64)
 
 
 def iterated_partial_sums(spec: SeriesSpec, k: int, n_terms: int) -> list[float]:
@@ -71,13 +111,7 @@ def iterated_partial_sums(spec: SeriesSpec, k: int, n_terms: int) -> list[float]
     k = 0 gives the plain partial sums.  Every pass is a compensated prefix
     sum, so iterating does not amplify rounding drift.
     """
-    k = require_order(k)
-    if n_terms < 1:
-        raise ValueError("need at least one term")
-    sums = compensated_prefix_sums(spec.terms(n_terms))
-    for _ in range(k):
-        sums = compensated_prefix_sums(sums)
-    return sums.tolist()
+    return _iterated_sums(spec, require_order(k), n_terms).tolist()
 
 
 def cesaro_sum(spec: SeriesSpec, k: int, n_terms: int,
@@ -91,12 +125,9 @@ def cesaro_sum(spec: SeriesSpec, k: int, n_terms: int,
     tail_count = max(8, n_terms // 10)
     if n_terms < tail_count or n_terms < 8:
         raise ValueError(f"n_terms={n_terms} leaves no tail window to judge convergence")
-    sums = iterated_partial_sums(spec, k, n_terms)
+    sums = _iterated_sums(spec, k, n_terms)
     lo = n_terms - tail_count
-    samples = []
-    for n in range(lo, n_terms):
-        denom = math.comb(n + k, k)
-        samples.append(sums[n] / denom)
+    samples = sums[lo:] / _binomials(k, lo, n_terms)
     return tail_judgement(samples, order=k, n_terms=n_terms, tol=tol,
                           tail_count=tail_count)
 
@@ -122,8 +153,8 @@ def asymptotic_normalized(spec: SeriesSpec, k: int, n_terms: int) -> float:
     normalizations can be compared, not for use as an estimator.
     """
     k = require_order(k)
-    sums = iterated_partial_sums(spec, k, n_terms)
+    last = float(_iterated_sums(spec, k, n_terms)[-1])
     n = n_terms - 1
     if n == 0:
-        return sums[0]
-    return math.factorial(k) * sums[n] / float(n) ** k
+        return last
+    return math.factorial(k) * last / float(n) ** k

@@ -85,6 +85,34 @@ def test_riesz_quadrature_against_the_algebraic_weight_rule(k, X):
     assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
 
+@pytest.mark.parametrize("X", [7.0, 300.0, 1e4])
+@pytest.mark.parametrize("k", [0.5, -0.5, 8])
+@pytest.mark.parametrize("name,wave", [("sin_wave", math.sin), ("cos_wave", math.cos)])
+@pytest.mark.parametrize("a", [1.0, 2.5])
+def test_trig_array_form_quadrature_equals_the_scalar_one(a, name, wave, k, X):
+    # np.sin and np.cos round as math.sin and math.cos do at these nodes, so
+    # one array call must give the per-node quadrature bit for bit
+    got = integral.riesz_mean(getattr(integral, name)(a), k, X)
+    assert got == integral.riesz_mean(integral.sampled(lambda t: wave(a * t)), k, X)
+
+
+@pytest.mark.parametrize("X", [7.0, 300.0, 1e4])
+@pytest.mark.parametrize("k", [0.5, -0.5, 8])
+def test_exp_array_form_quadrature_matches_the_scalar_one(k, X):
+    # np.exp is an ulp off math.exp at some nodes
+    got = integral.riesz_mean(integral.exp_decay(), k, X)
+    want = integral.riesz_mean(integral.sampled(lambda t: math.exp(-t)), k, X)
+    assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+
+def test_primitive_spec_samples_the_primitive():
+    # primitive() changes func, so the array form of sin must not follow it
+    spec = integral.sin_wave(1.0).primitive()
+    for k, X in ((0.5, 300.0), (-0.5, 40.0)):
+        assert (integral.riesz_mean(spec, k, X)
+                == integral.riesz_mean(integral.sampled(spec.func), k, X))
+
+
 def test_integer_order_quadrature_matches_the_closed_form():
     # the rule corrects each node for its rounding to a double, which at
     # X = 1e5 is worth two orders of magnitude here

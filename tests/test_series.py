@@ -1,9 +1,12 @@
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cesaro import series
+from cesaro.evaluation import tail_judgement
 from oracles import prefix_sums_naive
 
 
@@ -166,3 +169,77 @@ def test_evaluation_trace_is_bounded():
     assert 0 < len(ev.trace) <= 8
     assert ev.n_terms == 10_000
     assert ev.order == 1
+
+
+@pytest.mark.parametrize("term,n_terms", [
+    (lambda n: 2.0 ** n, 2000),
+    (lambda n: 10.0 ** (n % 400), 70_000),
+])
+def test_each_term_is_called_once_and_overflow_reads_inf(term, n_terms):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return term(n)
+
+    got = series.SeriesSpec(counted).terms(n_terms)
+    assert calls == list(range(n_terms))
+    want = []
+    for n in range(n_terms):
+        try:
+            want.append(term(n))
+        except OverflowError:
+            want.append(math.inf)
+    assert got.tolist() == want  # 2.0 ** n reads inf from n = 1024 on
+
+
+@pytest.mark.parametrize("exact,twin", [
+    (lambda n: Fraction((-1) ** n, n + 1), lambda n: (-1.0) ** n / (n + 1)),
+    (lambda n: (-1) ** n * n * n, lambda n: (-1.0) ** n * n * n),
+])
+def test_exact_valued_terms_sum_as_their_float_twins(exact, twin):
+    for k in (0, 2):
+        assert (series.iterated_partial_sums(series.SeriesSpec(exact), k, 500)
+                == series.iterated_partial_sums(series.SeriesSpec(twin), k, 500)), k
+
+
+@pytest.mark.parametrize("k,n_terms", [
+    (0, 1000), (1, 10_000), (3, 400_000), (6, 10_000), (12, 5000),
+])
+def test_normalized_tail_matches_the_scalar_loop(k, n_terms):
+    # C(n + k, k) passes 2^53 at (3, 400_000), (6, 10_000) and (12, 5000),
+    # and k C(n + k, k) passes 2^63 at the last two: every divisor must
+    # still round as Python's float / int does
+    spec = alt_sign_n()
+    sums = series.iterated_partial_sums(spec, k, n_terms)
+    tail_count = max(8, n_terms // 10)
+    want = [sums[n] / math.comb(n + k, k)
+            for n in range(n_terms - tail_count, n_terms)]
+    ev = series.cesaro_sum(spec, k, n_terms)
+    assert ev.trace == tuple(want[-8:])
+    assert ev.error_estimate == max(want) - min(want)
+
+
+def test_tail_judgement_of_an_array_with_a_nan():
+    samples = np.linspace(0.0, 1e-9, 40)
+    samples[-3] = math.nan
+    ev = tail_judgement(samples, order=1, n_terms=40, tol=1e-3)
+    assert not ev.converged
+    assert ev.error_estimate == math.inf
+    assert ev.value == samples[-1] and type(ev.value) is float
+
+
+@pytest.mark.parametrize("n_terms", [series.MAX_SERIES_TERMS + 1, 10**12])
+def test_absurd_series_sizes_fail_before_any_work(n_terms):
+    def term(n):
+        raise AssertionError(f"term {n} was called")
+
+    spec = series.SeriesSpec(term)
+    calls = (lambda: spec.terms(n_terms),
+             lambda: series.iterated_partial_sums(spec, 1, n_terms),
+             lambda: series.cesaro_sum(spec, 1, n_terms),
+             lambda: series.detect_order(spec, 3, n_terms),
+             lambda: series.asymptotic_normalized(spec, 1, n_terms))
+    for call in calls:
+        with pytest.raises(ValueError, match="MAX_SERIES_TERMS"):
+            call()
