@@ -5,7 +5,7 @@ parts of divergent integrals; exact Bernoulli/Faulhaber algebra; and zeta
 special values recovered both exactly (zeta(-n) = -B_{n+1}/(n+1)) and
 numerically as Cesaro limits of power-sum staircases.
 """
-from .accumulate import CompensatedSum, compensated_prefix_sums
+from .accumulate import compensated_prefix_sums
 from .evaluation import CesaroEvaluation
 from .exact import (
     BernoulliTable,
@@ -62,7 +62,6 @@ from .zeta import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CompensatedSum",
     "compensated_prefix_sums",
     "CesaroEvaluation",
     "BernoulliTable",

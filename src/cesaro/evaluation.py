@@ -59,20 +59,25 @@ def require_order(k) -> int:
     return int(k)
 
 
+def tail_window(n_samples: int) -> int:
+    """The default dispersion window: the last quarter, never fewer than 4."""
+    return max(4, n_samples // 4)
+
+
 def tail_judgement(samples, order, n_terms, tol,
                    tail_count=None) -> CesaroEvaluation:
     """Build a CesaroEvaluation from a full sample sequence: a float array,
     or a sequence of numbers, which is converted to one.
 
     ``tail_count`` samples from the end form the dispersion window; the
-    default is the last quarter, and never fewer than 4.  The reported value
+    default is ``tail_window(len(samples))``.  The reported value
     is always the final sample, converged or not.
     """
     samples = np.asarray(samples, dtype=np.float64)
     if len(samples) < 2:
         raise ValueError("need at least two samples to judge convergence")
     if tail_count is None:
-        tail_count = max(4, len(samples) // 4)
+        tail_count = tail_window(len(samples))
     tail_count = max(2, min(tail_count, len(samples)))
     tail = samples[-tail_count:]
     if np.isfinite(tail).all():

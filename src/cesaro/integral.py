@@ -24,11 +24,12 @@ integrate every window in one numpy batch: a Gauss-Legendre rule on each
 piece, an error estimate from the same rule on its two halves, and each
 round a bisection of the worst piece of every window still short of its
 target, max(1e-10 |value|, 1e-13 int |g|).  Both accept a sum by one rule,
-summed estimate <= max(1e-8 |sum|, 1e-12 int |g|), and raise
-QuadratureError on a sum that fails it or is not finite.  No target has an
-absolute floor, so 2^m g gets exactly 2^m times the answer.  The rule is
-built on first use, so ``import cesaro`` and every closed-form path never
-build it, and no path needs scipy.
+summed estimate <= max(1e-8 |sum|, 1e-12 int |g|), raise QuadratureError
+on a sum that fails it or is not finite, and add the windows by
+``compensated_prefix_sums``.  No target has an absolute floor, so 2^m g
+gets exactly 2^m times the answer.  The rule is built on first use, so
+``import cesaro`` and every closed-form path never build it, and no path
+needs scipy.
 
 The quadrature nodes of one call reach the integrand as one array.
 ``sin_wave``, ``cos_wave`` and ``exp_decay`` evaluate it in numpy, through
@@ -46,7 +47,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .accumulate import CompensatedSum
+from .accumulate import compensated_prefix_sums
 from .evaluation import CesaroEvaluation, require_finite, require_order, tail_judgement
 from .exact import PeriodicPolynomial, periodic_mean
 from .powerlog import PowerLogExpr
@@ -377,8 +378,8 @@ def _bisected(g, lo: np.ndarray, hi: np.ndarray, whole: np.ndarray) -> _Pieces:
 
 
 def _quadrature_windows(g, lo: np.ndarray, hi: np.ndarray, label: str) -> np.ndarray:
-    """Value, error estimate and int |g| (the three rows) over each window
-    [lo[i], hi[i]], all windows integrated in one batch by adaptive bisection.
+    """int g over each window [lo[i], hi[i]], all windows integrated in one
+    batch by adaptive bisection.
 
     g maps an array of nodes to the integrand's values there.  Every window
     starts as one piece; each round bisects the worst piece of every window
@@ -387,7 +388,8 @@ def _quadrature_windows(g, lo: np.ndarray, hi: np.ndarray, label: str) -> np.nda
     holds _MAX_PIECES pieces; or after _STALL_LIMIT bisections that neither
     moved the piece's value by 1e-5 relative nor shrank its estimate (QAG's
     roundoff test).  A window whose value or estimate is not finite raises
-    QuadratureError.
+    QuadratureError, and so does a summed estimate above the acceptance
+    rule, max(1e-8 |sum|, 1e-12 int |g|).
     """
     n_windows = len(lo)
     out = np.empty((3, n_windows))
@@ -415,7 +417,7 @@ def _quadrature_windows(g, lo: np.ndarray, hi: np.ndarray, label: str) -> np.nda
             win = win[keep]
             pieces = _Pieces(*(part[keep] for part in pieces))
         if not len(win):
-            return out
+            break
         order = np.lexsort((pieces.error, win))
         worst = order[np.append(win[order][1:] != win[order][:-1], True)]
         split = win[worst]
@@ -434,6 +436,13 @@ def _quadrature_windows(g, lo: np.ndarray, hi: np.ndarray, label: str) -> np.nda
         stalls[split] += ((np.abs(old.value - value) <= 1e-5 * np.abs(value))
                           & (error >= 0.99 * old.error))
         count[split] += 1
+    values, errors, absvals = out
+    error = float(errors.sum())
+    if error > max(1e-8 * abs(float(values.sum())), 1e-12 * float(absvals.sum())):
+        raise QuadratureError(
+            f"quadrature of {label} on [{lo[0]:g}, {hi[-1]:g}] did not converge "
+            f"(error estimate {error:.3e})", error)
+    return values
 
 
 def _riesz_quadrature(spec: IntegrandSpec, k: float, X: float) -> float:
@@ -453,22 +462,7 @@ def _riesz_quadrature(spec: IntegrandSpec, k: float, X: float) -> float:
         w[tail] = (h / X) ** k / (k + 1.0)
         return w * _sample(spec, t)
 
-    return _certified_sum(weighted, lo, hi, spec.label, CompensatedSum())
-
-
-def _certified_sum(g, lo: np.ndarray, hi: np.ndarray, label: str,
-                   acc: CompensatedSum) -> float:
-    """Add int g over the windows [lo, hi] to acc and return acc's value,
-    once the summed window estimates meet max(1e-8 |sum|, 1e-12 int |g|);
-    otherwise raise QuadratureError."""
-    values, errors, absvals = _quadrature_windows(g, lo, hi, label)
-    error = float(errors.sum())
-    if error > max(1e-8 * abs(float(values.sum())), 1e-12 * float(absvals.sum())):
-        raise QuadratureError(
-            f"quadrature of {label} on [{lo[0]:g}, {hi[-1]:g}] did not converge "
-            f"(error estimate {error:.3e})", error)
-    acc.add_array(values)
-    return acc.value
+    return float(compensated_prefix_sums(_quadrature_windows(weighted, lo, hi, spec.label))[-1])
 
 
 def cesaro_integral(spec: IntegrandSpec, k: float, X_grid=None,
@@ -502,9 +496,10 @@ def primitive_limit(spec: IntegrandSpec, k: int, X_grid=None,
         Fk, kfact = layers[k], math.factorial(k)
         samples = [kfact * Fk(X) / X ** k for X in grid]
     elif k == 1:  # F_1 by stitched quadrature, one grid segment per call
-        acc, sample_f = CompensatedSum(), functools.partial(_sample, spec)
-        samples = [_certified_sum(sample_f, *_windows(a, X, 2048), spec.label, acc) / X
-                   for a, X in zip((0.0,) + grid, grid)]
+        windows = [_quadrature_windows(functools.partial(_sample, spec), *_windows(a, X, 2048),
+                                       spec.label) for a, X in zip((0.0,) + grid, grid)]
+        ends = np.cumsum([len(v) for v in windows]) - 1  # each X's last window
+        samples = compensated_prefix_sums(np.concatenate(windows))[ends] / grid
     else:
         raise ValueError(
             f"{spec.label}: antiderivative chain of depth {k} required "

@@ -16,9 +16,10 @@ A series that fails to settle is reported through the ``converged`` flag of
 the returned evaluation; divergence is a result, never an exception.
 Overflow in the terms propagates as inf through the partial sums.
 
-The terms, every prefix pass and the normalized tail window are float64
-arrays; only ``iterated_partial_sums`` hands back a list.  A series longer
-than MAX_SERIES_TERMS is refused before any term is called.
+The terms, every prefix pass and the normalized tail are float64 arrays;
+only ``iterated_partial_sums`` returns a list.  More than MAX_SERIES_TERMS
+terms, or an order whose normalization leaves the float range, is refused
+before any term is called.
 """
 from __future__ import annotations
 
@@ -42,6 +43,7 @@ __all__ = [
 DEFAULT_TOL = 1e-6
 MAX_SERIES_TERMS = 10**8  # about 0.8 GB per float64 pass
 _TERMS_PER_CHUNK = 1 << 16
+_BEYOND_FLOAT = "order k={} with n_terms={} needs a normalization beyond the float range"
 
 
 @dataclass(frozen=True)
@@ -125,6 +127,10 @@ def cesaro_sum(spec: SeriesSpec, k: int, n_terms: int,
     tail_count = max(8, n_terms // 10)
     if n_terms < tail_count or n_terms < 8:
         raise ValueError(f"n_terms={n_terms} leaves no tail window to judge convergence")
+    try:
+        float(math.comb(n_terms - 1 + k, k))  # the largest divisor
+    except OverflowError:
+        raise ValueError(_BEYOND_FLOAT.format(k, n_terms)) from None
     sums = _iterated_sums(spec, k, n_terms)
     lo = n_terms - tail_count
     samples = sums[lo:] / _binomials(k, lo, n_terms)
@@ -153,8 +159,12 @@ def asymptotic_normalized(spec: SeriesSpec, k: int, n_terms: int) -> float:
     normalizations can be compared, not for use as an estimator.
     """
     k = require_order(k)
-    last = float(_iterated_sums(spec, k, n_terms)[-1])
     n = n_terms - 1
+    try:
+        factorial, power = float(math.factorial(k)), float(n) ** k
+    except OverflowError:
+        raise ValueError(_BEYOND_FLOAT.format(k, n_terms)) from None
+    last = float(_iterated_sums(spec, k, n_terms)[-1])
     if n == 0:
         return last
-    return math.factorial(k) * last / float(n) ** k
+    return factorial * last / power

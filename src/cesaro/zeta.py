@@ -25,11 +25,11 @@ n^(alpha+1) while the sample is O(1), and I_k's alternating sum cancels by
 too (in float it moves n^(alpha+i) by an ulp, magnified as much), and is
 taken off as a double-double before the sample is rounded.
 
-The cost is the sum, walked in chunks of m that bound the memory.  Each
-weight is taken once, and every boundary folds its share of a chunk into its
-own compensated sum by the TwoSum scan of ``accumulate``: about 10 X terms
-at k >= 1 over the geometric boundaries, X at k = 0, where one running sum
-serves every boundary.  X is capped at MAX_SUMMED_TERMS.
+The cost is the sum, walked in chunks of m that bound the memory, at the
+tail boundaries the verdict reads.  Each weight is taken once, and every
+boundary resumes its (total, carry) through the TwoSum scan of
+``accumulate``: about 7 X terms at k >= 1, X at k = 0, where one scan per
+chunk serves every boundary.  X is capped at MAX_SUMMED_TERMS.
 
 Integer alpha >= 0 without the log weight takes the same identity in exact
 integers, with the Beta integral n^(alpha+k+1) alpha! k! / (alpha+k+1)! as
@@ -46,8 +46,8 @@ from typing import Optional
 
 import numpy as np
 
-from .accumulate import CompensatedSum
-from .evaluation import CesaroEvaluation, require_finite, require_order, tail_judgement
+from .accumulate import _two_sum_scan
+from .evaluation import CesaroEvaluation, require_finite, require_order, tail_judgement, tail_window
 from .exact import PeriodicPolynomial
 from .finite_part import fp_log_power_integral, fp_power_integral
 
@@ -67,6 +67,7 @@ DEFAULT_TOL = 1e-3
 DEFAULT_XMAX = 1e4
 MAX_SUMMED_TERMS = 10**9
 _TERMS_PER_CHUNK = 1 << 14
+_BOUNDARY_GRID = 48  # geometric boundaries up to X_max; the tail is sampled
 _FP_DIGITS = 40
 
 
@@ -157,8 +158,8 @@ def _fp_subtrahend(spec: StaircaseSpec, k: int, n: int) -> tuple[float, float]:
 def _riesz_samples(spec: StaircaseSpec, k: int,
                    boundaries: list[int]) -> list[float]:
     """k! F_k(n) / n^k at each of the increasing boundaries n."""
-    sums = [CompensatedSum() for _ in boundaries]
-    running = CompensatedSum()  # k = 0: the prefix sum shared by every n
+    sums = [(0.0, 0.0)] * len(boundaries)  # each boundary's (total, carry)
+    running = (0.0, 0.0)  # k = 0: the prefix sum shared by every n
     end = boundaries[-1] + 1
     for lo in range(1, end, _TERMS_PER_CHUNK):
         hi = min(lo + _TERMS_PER_CHUNK, end)  # the chunk is lo <= m < hi
@@ -167,12 +168,11 @@ def _riesz_samples(spec: StaircaseSpec, k: int,
         if spec.log_weight:
             w *= np.log(m)
         if k == 0:
-            start = 0
+            s, err = _two_sum_scan(w, *running)
+            running = s[-1], err[-1]
             for i in range(bisect_left(boundaries, lo), bisect_left(boundaries, hi)):
-                stop = boundaries[i] + 1 - lo
-                running.add_array(w[start:stop])
-                sums[i], start = running.copy(), stop
-            running.add_array(w[start:])
+                sums[i] = s[boundaries[i] - lo], err[boundaries[i] - lo]
+            del s, err  # two chunk-sized arrays, freed before the next chunk
             continue
         for i in range(bisect_left(boundaries, lo), len(boundaries)):
             n = boundaries[i]
@@ -180,11 +180,10 @@ def _riesz_samples(spec: StaircaseSpec, k: int,
             terms = (n - m[:stop]) / n  # n - m is exact: one rounding
             terms **= k
             terms *= w[:stop]
-            sums[i].add_array(terms)
-    for n, acc in zip(boundaries, sums):
-        for part in _fp_subtrahend(spec, k, n):  # hi, then lo
-            acc.add(-part)
-    return [acc.value for acc in sums]
+            sums[i] = tuple(a[-1] for a in _two_sum_scan(terms, *sums[i]))  # (total, carry)
+    folded = [_two_sum_scan(np.negative(_fp_subtrahend(spec, k, n)), *acc)
+              for n, acc in zip(boundaries, sums)]  # minus I_k(n): hi, then lo
+    return [float(s[-1] + err[-1]) for s, err in folded]
 
 
 def advance_primitives(state: PrimitiveState, spec: StaircaseSpec,
@@ -202,13 +201,11 @@ def advance_primitives(state: PrimitiveState, spec: StaircaseSpec,
 
 # -- drivers ------------------------------------------------------------------
 
-def _sample_boundaries(n_max: int, num: int = 48) -> list[int]:
+def _sample_boundaries(n_max: int) -> list[int]:
     # geomspace in float, rounded to Python ints: int64 would overflow
     # above about 9.2e18, and the exact paths answer at any X
-    lo = max(8, int(round(math.sqrt(n_max))))
-    if n_max <= lo:
-        lo = max(2, n_max // 4)
-    raw = np.geomspace(float(lo), float(n_max), num)
+    lo = round(math.sqrt(n_max))  # n_max >= 64, so 8 <= lo < n_max
+    raw = np.geomspace(float(lo), float(n_max), _BOUNDARY_GRID)
     return sorted({int(round(v)) for v in raw})
 
 
@@ -270,13 +267,15 @@ def _cesaro_limit_samples_exact(spec: StaircaseSpec, k: int,
 
 
 def _order_and_boundaries(k, X_max: float) -> tuple[int, int, list[int]]:
-    """The order and sample boundaries of a staircase limit up to X_max."""
+    """The order of a staircase limit up to X_max, and the boundaries that
+    the verdict reads: at least TRACE_LEN for every X_max >= 64."""
     k = require_order(k)
     require_finite(X_max=X_max)
     if X_max < 64:
         raise ValueError("X_max is too small to form a sample tail")
     n_max = int(math.floor(X_max))
-    return k, n_max, _sample_boundaries(n_max)
+    grid = _sample_boundaries(n_max)
+    return k, n_max, grid[-tail_window(len(grid)):]
 
 
 def _staircase_evaluation(spec: StaircaseSpec, k: Optional[int], X_max: float,
@@ -293,7 +292,7 @@ def _staircase_evaluation(spec: StaircaseSpec, k: Optional[int], X_max: float,
                 f"X_max={n_max:.3g} exceeds {MAX_SUMMED_TERMS:.0e} summed terms; "
                 "only integer alpha >= 0 at order k >= 1 runs at any X_max")
         samples = _riesz_samples(spec, k, boundaries)
-    return tail_judgement(samples, order=k, n_terms=n_max, tol=tol)
+    return tail_judgement(samples, order=k, n_terms=n_max, tol=tol, tail_count=len(samples))
 
 
 def zeta_via_cesaro(alpha: float, k: Optional[int] = None,
@@ -345,13 +344,12 @@ def lemma_witness(p: PeriodicPolynomial, k: int = 1, X_max: float = DEFAULT_XMAX
     k, n_max, boundaries = _order_and_boundaries(k, X_max)
     if k == 0:
         samples = [p(0.0)] * len(boundaries)
-        return tail_judgement(samples, order=0, n_terms=n_max, tol=tol)
-
-    # mu[j] = int_0^1 s^j p(s) ds, so int_0^1 (r-s)^(k-1) p(s) ds is a
-    # polynomial g(r) of degree k - 1, and k! F_k(n) = k sum_{r<=n} g(r)
-    mu = [sum(c / (i + j + 1) for i, c in enumerate(p.coeffs)) for j in range(k)]
-    g = [sum(math.comb(k - 1, j) * (-1) ** j * r ** (k - 1 - j) * mu[j] for j in range(k))
-         for r in range(k + 1)]
-    head = [k * sum(g[1:n + 1]) for n in range(k + 1)]
-    samples = _exact_samples(head, 1, k, boundaries)
-    return tail_judgement(samples, order=k, n_terms=n_max, tol=tol)
+    else:
+        # mu[j] = int_0^1 s^j p(s) ds, so int_0^1 (r-s)^(k-1) p(s) ds is a
+        # polynomial g(r) of degree k - 1, and k! F_k(n) = k sum_{r<=n} g(r)
+        mu = [sum(c / (i + j + 1) for i, c in enumerate(p.coeffs)) for j in range(k)]
+        g = [sum(math.comb(k - 1, j) * (-1) ** j * r ** (k - 1 - j) * mu[j] for j in range(k))
+             for r in range(k + 1)]
+        head = [k * sum(g[1:n + 1]) for n in range(k + 1)]
+        samples = _exact_samples(head, 1, k, boundaries)
+    return tail_judgement(samples, order=k, n_terms=n_max, tol=tol, tail_count=len(samples))

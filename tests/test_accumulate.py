@@ -4,10 +4,9 @@ import random
 import struct
 import warnings
 
-import numpy as np
 import pytest
 
-from cesaro.accumulate import CompensatedSum, compensated_prefix_sums
+from cesaro.accumulate import compensated_prefix_sums
 
 
 def _neumaier_prefix_sums(values):
@@ -56,16 +55,3 @@ def test_prefix_sums_equal_the_neumaier_loop_bit_for_bit(label):
             want = _neumaier_prefix_sums(want)
             assert _bits(got) == _bits(want), npass
 
-
-def test_add_array_is_add_on_each_element():
-    arrays = [[1.0], _CASES["random 1e-20..1e20"], [], [0.1, -7.0],
-              [1e308, 1e308, 3.0], [-1.0]]
-    acc, ref = CompensatedSum(), CompensatedSum()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for values in arrays:
-            acc.add_array(np.array(values))
-            for v in values:
-                ref.add(v)
-            assert _bits([acc.total, acc.carry]) == _bits([ref.total, ref.carry])
-    assert acc.value == math.inf

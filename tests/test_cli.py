@@ -111,6 +111,12 @@ def test_cesaro_sum_alt_sign(capsys):
     assert rec["diagnostics"]["converged"] is True
 
 
+def test_cesaro_sum_beyond_the_float_range_exits_one(capsys):
+    assert cli.run(["cesaro-sum", "alt-sign", "--order", "150"]) == 1
+    err = capsys.readouterr().err
+    assert "order k=150 with n_terms=10000 needs a normalization beyond" in err
+
+
 def test_cesaro_int_sin(capsys):
     code, (rec,) = run_json(capsys, ["cesaro-int", "sin", "--freq", "2",
                                      "--order", "1"])

@@ -243,3 +243,27 @@ def test_absurd_series_sizes_fail_before_any_work(n_terms):
     for call in calls:
         with pytest.raises(ValueError, match="MAX_SERIES_TERMS"):
             call()
+
+
+@pytest.mark.parametrize("call,k,n_terms", [
+    (series.cesaro_sum, 150, 10**4),  # C(n + k, k) beyond the float range
+    (series.cesaro_sum, 80, 10**6),
+    (series.asymptotic_normalized, 150, 1000),  # k!
+    (series.asymptotic_normalized, 110, 1000),  # n^k
+])
+def test_a_normalization_beyond_the_float_range_fails_before_any_term(call, k, n_terms):
+    calls = []
+    spec = series.SeriesSpec(lambda n: calls.append(n) or (-1.0) ** n)
+    with pytest.raises(ValueError, match=f"order k={k} with n_terms={n_terms} "):
+        call(spec, k, n_terms)
+    assert calls == []
+
+
+def test_orders_inside_the_float_range_are_unchanged():
+    ev = series.cesaro_sum(alt_sign(), 130, 10**4)
+    assert ev.value == 0.5032291728697251
+    assert not ev.converged
+    # detect_order settles before it reaches an order beyond the float range
+    k, ev = series.detect_order(alt_sign(), 150, 10**4, tol=1e-4)
+    assert k == 1 and ev.converged
+    assert ev == series.cesaro_sum(alt_sign(), 1, 10**4, tol=1e-4)

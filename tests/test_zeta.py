@@ -225,6 +225,21 @@ def test_pole_orders_keep_the_finite_part_convention(alpha, k):
     assert frozen is None or abs(prime - frozen) < bound
 
 
+@pytest.mark.parametrize("k", [0, 1, 3])
+@pytest.mark.parametrize("alpha", [-1.5, 0.5])
+def test_riesz_samples_do_not_depend_on_the_chunk_size(monkeypatch, alpha, k):
+    # each boundary's compensated sum resumes across chunk edges, and at
+    # k = 0 every boundary reads the one running scan: 7-term chunks
+    # change no bit
+    def both():
+        return (zeta.zeta_via_cesaro(alpha, k=k, X_max=300),
+                zeta.zeta_prime_via_cesaro(alpha, k=k, X_max=300))
+
+    want = both()
+    monkeypatch.setattr(zeta, "_TERMS_PER_CHUNK", 7)
+    assert both() == want
+
+
 def test_zeta_prime_trace_negation_is_consistent():
     ev = zeta.zeta_prime_via_cesaro(0.0)
     assert ev.trace[-1] == ev.value
