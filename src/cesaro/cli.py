@@ -106,22 +106,12 @@ class OutputRecord:
             out["diagnostics"] = _json_section(self.diagnostics)
         return out
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "OutputRecord":
-        return cls(command=d["command"], inputs=dict(d["inputs"]),
-                   result=dict(d["result"]),
-                   diagnostics=dict(d["diagnostics"]) if "diagnostics" in d else None)
-
 
 def _emit(record: OutputRecord, fmt: str) -> None:
     if fmt == "structured":
         print(json.dumps(record.to_json_dict(), separators=(",", ":"), allow_nan=False))
     else:
         print(record.to_text())
-
-
-def _exact_result(value: Fraction) -> dict:
-    return {"exact": str(value), "float": float(value)}
 
 
 def _emit_estimate(command: str, inputs: dict, ev, args, fmt: str) -> int:
@@ -134,37 +124,35 @@ def _emit_estimate(command: str, inputs: dict, ev, args, fmt: str) -> int:
 
 # -- builders for the named inputs -------------------------------------------
 
-def _build_sequence(args) -> series.SeriesSpec:
-    name = args.sequence
-    if name == "alt-sign":
-        return series.SeriesSpec(lambda n: (-1.0) ** n, label="alt-sign")
-    if name == "alt-sign-n":
-        return series.SeriesSpec(lambda n: (-1.0) ** n * n, label="alt-sign-n")
-    if name == "geometric":
-        if args.ratio is None:
-            raise ValueError("sequence 'geometric' needs --ratio")
-        r = args.ratio
-        return series.SeriesSpec(lambda n: r ** n, label=f"geometric({r:g})")
-    if name == "power":
-        if args.power is None:
-            raise ValueError("sequence 'power' needs --power")
-        p = args.power
-        return series.SeriesSpec(lambda n: float(n) ** p, start=1,
-                                 label=f"power({p:g})")
-    raise ValueError(f"unknown sequence {name!r}")
+def _geometric(args) -> series.SeriesSpec:
+    if args.ratio is None:
+        raise ValueError("sequence 'geometric' needs --ratio")
+    r = args.ratio
+    return series.SeriesSpec(lambda n: r ** n, label=f"geometric({r:g})")
 
 
-def _build_integrand(args) -> integral.IntegrandSpec:
-    name = args.integrand
-    if name == "sin":
-        return integral.sin_wave(args.freq)
-    if name == "cos":
-        return integral.cos_wave(args.freq)
-    if name == "exp-decay":
-        return integral.exp_decay()
-    if name == "power-log":
-        return integral.power_log(args.alpha, args.logpow)
-    raise ValueError(f"unknown integrand {name!r}")
+def _power(args) -> series.SeriesSpec:
+    if args.power is None:
+        raise ValueError("sequence 'power' needs --power")
+    p = args.power
+    return series.SeriesSpec(lambda n: float(n) ** p, start=1, label=f"power({p:g})")
+
+
+# name -> builder from the parsed arguments; the parser offers these names
+_SEQUENCES = {
+    "alt-sign": lambda args: series.SeriesSpec(lambda n: (-1.0) ** n, label="alt-sign"),
+    "alt-sign-n": lambda args: series.SeriesSpec(lambda n: (-1.0) ** n * n,
+                                                 label="alt-sign-n"),
+    "geometric": _geometric,
+    "power": _power,
+}
+
+_INTEGRANDS = {
+    "sin": lambda args: integral.sin_wave(args.freq),
+    "cos": lambda args: integral.cos_wave(args.freq),
+    "exp-decay": lambda args: integral.exp_decay(),
+    "power-log": lambda args: integral.power_log(args.alpha, args.logpow),
+}
 
 
 def _grid_to(x_max: float):
@@ -175,24 +163,17 @@ def _grid_to(x_max: float):
 
 # -- subcommand handlers -------------------------------------------------------
 
-def _cmd_bernoulli(args, fmt: str) -> int:
-    b = exact.bernoulli(args.n)
-    _emit(OutputRecord("bernoulli", {"n": args.n}, _exact_result(b)), fmt)
-    return EXIT_OK
-
-
-def _cmd_faulhaber(args, fmt: str) -> int:
-    s = exact.faulhaber_sum(args.n, args.m)
-    _emit(OutputRecord("faulhaber", {"n": args.n, "m": args.m},
-                       _exact_result(s)), fmt)
-    return EXIT_OK
-
-
-def _cmd_zeta(args, fmt: str) -> int:
-    if args.s > 0:
+def _zeta_at(s: int) -> Fraction:
+    if s > 0:
         raise ValueError("the exact path covers zeta(s) for integer s <= 0 only")
-    z = exact.zeta_neg_int(-args.s)
-    _emit(OutputRecord("zeta", {"s": args.s}, _exact_result(z)), fmt)
+    return exact.zeta_neg_int(-s)
+
+
+def _cmd_exact(args, fmt: str, fn, params) -> int:
+    """bernoulli / faulhaber / zeta: one exact value of the integer params."""
+    inputs = {name: getattr(args, name) for name in params}
+    value = fn(*inputs.values())
+    _emit(OutputRecord(args.cmd, inputs, {"exact": str(value), "float": float(value)}), fmt)
     return EXIT_OK
 
 
@@ -239,7 +220,7 @@ def _run_estimates(args, fmt: str, estimator, command: str) -> int:
 
 
 def _cmd_cesaro_sum(args, fmt: str) -> int:
-    spec = _build_sequence(args)
+    spec = _SEQUENCES[args.sequence](args)
     ev = series.cesaro_sum(spec, k=args.order, n_terms=args.terms, tol=args.tol)
     inputs = {"sequence": args.sequence, "order": args.order,
               "terms": args.terms, "tol": args.tol}
@@ -251,7 +232,7 @@ def _cmd_cesaro_sum(args, fmt: str) -> int:
 
 
 def _cmd_cesaro_int(args, fmt: str) -> int:
-    spec = _build_integrand(args)
+    spec = _INTEGRANDS[args.integrand](args)
     ev = integral.cesaro_integral(spec, k=args.order,
                                   X_grid=_grid_to(args.xmax), tol=args.tol)
     inputs = {"integrand": args.integrand, "order": args.order,
@@ -296,21 +277,15 @@ def _build_parser() -> argparse.ArgumentParser:
                     "Bernoulli algebra, zeta special values.")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    p = sub.add_parser("bernoulli", parents=[common],
-                       help="exact Bernoulli number B_n")
-    p.add_argument("n", type=int)
-    p.set_defaults(handler=_cmd_bernoulli)
-
-    p = sub.add_parser("faulhaber", parents=[common],
-                       help="exact power sum 1^n + ... + (m-1)^n")
-    p.add_argument("n", type=int)
-    p.add_argument("m", type=int)
-    p.set_defaults(handler=_cmd_faulhaber)
-
-    p = sub.add_parser("zeta", parents=[common],
-                       help="exact zeta(s) at integer s <= 0")
-    p.add_argument("s", type=int)
-    p.set_defaults(handler=_cmd_zeta)
+    for name, fn, params, help_text in (
+            ("bernoulli", exact.bernoulli, ("n",), "exact Bernoulli number B_n"),
+            ("faulhaber", exact.faulhaber_sum, ("n", "m"),
+             "exact power sum 1^n + ... + (m-1)^n"),
+            ("zeta", _zeta_at, ("s",), "exact zeta(s) at integer s <= 0")):
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        for param in params:
+            p.add_argument(param, type=int)
+        p.set_defaults(handler=partial(_cmd_exact, fn=fn, params=params))
 
     p = sub.add_parser("pm-poly", parents=[common],
                        help="periodic layer polynomial P_m for the staircase "
@@ -337,8 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cesaro-sum", parents=[common],
                        help="Cesaro (C,k) sum of a built-in sequence")
-    p.add_argument("sequence", choices=("alt-sign", "alt-sign-n", "geometric",
-                                        "power"))
+    p.add_argument("sequence", choices=tuple(_SEQUENCES))
     p.add_argument("--ratio", type=float, default=None,
                    help="ratio for the geometric sequence")
     p.add_argument("--power", type=float, default=None,
@@ -350,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cesaro-int", parents=[common],
                        help="Cesaro (C,k) mean of a built-in integrand")
-    p.add_argument("integrand", choices=("sin", "cos", "exp-decay", "power-log"))
+    p.add_argument("integrand", choices=tuple(_INTEGRANDS))
     p.add_argument("--freq", type=float, default=1.0,
                    help="angular frequency for sin/cos")
     p.add_argument("--alpha", type=float, default=0.0,

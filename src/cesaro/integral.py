@@ -1,31 +1,30 @@
 """Cesaro / Riesz means of integrals over [0, inf), and Cesaro limits of
 functions via iterated primitives.
 
-Two related quantities live here and are kept deliberately distinct:
-
-* ``riesz_mean``/``cesaro_integral`` evaluate the order-k weighted integral
+``riesz_mean`` and ``cesaro_integral`` evaluate, for real order k > -1,
 
       int_0^X (1 - t/X)^k f(t) dt,
 
-  whose X -> inf limit is the Cesaro value of int_0^inf f.  Real k > -1 is
-  allowed.  Integer k integrates by parts k times into the closed form
-  k! F_{k+1}(X)/X^k, read off the integrand's verified primitive chain
-  (Estrada and Kanwal, *A Distributional Approach to Asymptotics*, 2002);
-  fractional k, and integer k beyond the chain, go to quadrature.
+whose X -> inf limit is the Cesaro value of int_0^inf f.  ``primitive_limit``
+evaluates k! F_k(X) / X^k, F_k the k-fold primitive of f (F_0 = f), whose
+limit is the Cesaro limit of the *function* f.  By Cauchy's formula
+F_k(X) = int_0^X (X - t)^(k-1) f(t) dt / (k-1)!, that sample is k/X times
+the order k-1 Riesz mean, so all three read one reader, ``_riesz_means``,
+and no order of ``primitive_limit`` needs a chain that deep.
+The reader takes one of three paths.  An integer k below the chain depth
+integrates by parts k times into the closed form k! F_{k+1}(X)/X^k, read
+off the integrand's verified primitive chain (Estrada and Kanwal, *A
+Distributional Approach to Asymptotics*, 2002).  Order 0 off the chain
+integrates each segment of the X grid once and adds the segments by one
+prefix pass.  Every other order is quadrature over [0, X] at each X.
 
-* ``primitive_limit`` evaluates k! F_k(X) / X^k where F_k is the k-fold
-  iterated primitive of f itself (F_0 = f, F_1 = int_0^x f).  Its limit is
-  the Cesaro limit of the *function* f, not of its integral.  The two meet
-  through that integration by parts: the Riesz mean of f at integer order k
-  is the primitive-limit sample of ``spec.primitive()`` at order k.
-
-Both quadrature fallbacks split their range into ~50-wide windows and
-integrate every window in one numpy batch: a Gauss-Legendre rule on each
-piece, an error estimate from the same rule on its two halves, and each
-round a bisection of the worst piece of every window still short of its
-target, max(1e-10 |value|, 1e-13 int |g|).  Both accept a sum by one rule,
-summed estimate <= max(1e-8 |sum|, 1e-12 int |g|), raise QuadratureError
-on a sum that fails it or is not finite, and add the windows by
+Quadrature splits its range into ~50-wide windows and integrates every
+window in one numpy batch: a Gauss-Legendre rule on each piece, an error
+estimate from the same rule on its two halves, and each round a bisection
+of the worst piece of every window still short of its target,
+max(1e-10 |value|, 1e-13 int |g|).  It accepts a sum whose summed estimate
+is at most max(1e-8 |sum|, 1e-12 int |g|), raises QuadratureError on a sum
+that fails it or is not finite, and adds the windows by
 ``compensated_prefix_sums``.  No target has an absolute floor, so 2^m g
 gets exactly 2^m times the answer.  The rule is built on first use, so
 ``import cesaro`` and every closed-form path never build it, and no path
@@ -74,6 +73,7 @@ DEFAULT_TOL = 1e-3
 _VERIFY_POINTS = 32
 _VERIFY_ALLOWED_MISSES = 2  # tolerate kinks/jumps hit by the random probes
 _GAUSS_POINTS = 32
+_MAX_WINDOWS = 4096  # quadrature windows per integral
 _MAX_PIECES = 200  # pieces per quadrature window (QUADPACK's limit)
 _STALL_LIMIT = 6  # roundoff-limited bisections per window (QAG's count)
 _EPS = math.ulp(1.0)
@@ -268,27 +268,36 @@ def _validate_grid(grid) -> tuple[float, ...]:
 # -- Riesz means ------------------------------------------------------------
 
 def riesz_mean(spec: IntegrandSpec, k: float, X: float) -> float:
-    """int_0^X (1 - t/X)^k f(t) dt for real order k > -1.
-
-    An integer k below the chain depth integrates by parts k times, with
-    vanishing boundary terms, into k! F_{k+1}(X)/X^k read off the verified
-    chain; every other order falls back to windowed adaptive quadrature.
-    """
-    require_finite(k=k, X=X)
+    """int_0^X (1 - t/X)^k f(t) dt for real order k > -1: k! F_{k+1}(X)/X^k
+    at an integer k below the chain depth, quadrature at every other order."""
+    require_finite(X=X)
     if X <= 0:
         raise ValueError("X must be positive")
+    return float(_riesz_means(spec, k, (X,))[0])
+
+
+def _riesz_means(spec: IntegrandSpec, k: float, grid: tuple) -> np.ndarray:
+    """The order-k Riesz mean at each X of grid, a positive increasing tuple,
+    by the chain, by stitched segments (order 0) or by quadrature at each X."""
+    require_finite(k=k)
     if k <= -1:
         raise ValueError(f"Riesz order must exceed -1, got {k}")
     if k == int(k) and k < len(spec.primitives):
         k = int(k)
-        return math.factorial(k) * spec.primitives[k](X) / X ** k
-    return _riesz_quadrature(spec, k, X)
+        Fk, kfact = spec.primitives[k], math.factorial(k)
+        return np.array([kfact * Fk(X) / X ** k for X in grid])
+    if k == 0:
+        windows = [_quadrature_windows(functools.partial(_sample, spec), *_windows(a, X),
+                                       spec.label) for a, X in zip((0.0,) + grid, grid)]
+        ends = np.cumsum([len(v) for v in windows]) - 1  # each X's last window
+        return compensated_prefix_sums(np.concatenate(windows))[ends]
+    return np.array([_riesz_quadrature(spec, k, X) for X in grid])
 
 
-def _windows(a: float, b: float, max_windows: int) -> tuple[np.ndarray, np.ndarray]:
+def _windows(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     """Lower and upper ends of the ~50-wide windows that split [a, b], at most
-    max_windows of them."""
-    n_windows = int(min(max_windows, max(1, math.ceil((b - a) / 50.0))))
+    _MAX_WINDOWS of them."""
+    n_windows = int(min(_MAX_WINDOWS, max(1, math.ceil((b - a) / 50.0))))
     edges = np.linspace(a, b, n_windows + 1)
     return edges[:-1], edges[1:]
 
@@ -446,7 +455,7 @@ def _quadrature_windows(g, lo: np.ndarray, hi: np.ndarray, label: str) -> np.nda
 
 
 def _riesz_quadrature(spec: IntegrandSpec, k: float, X: float) -> float:
-    lo, hi = _windows(0.0, X, 4096)
+    lo, hi = _windows(0.0, X)
     start = lo[-1]
     h = X - start
 
@@ -474,7 +483,7 @@ def cesaro_integral(spec: IntegrandSpec, k: float, X_grid=None,
     of the tail samples (``tail_judgement``'s default window) against tol.
     """
     grid = _validate_grid(default_grid() if X_grid is None else X_grid)
-    samples = [riesz_mean(spec, k, X) for X in grid]
+    samples = _riesz_means(spec, k, grid)
     return tail_judgement(samples, order=float(k), n_terms=len(grid), tol=tol)
 
 
@@ -486,24 +495,15 @@ def primitive_limit(spec: IntegrandSpec, k: int, X_grid=None,
     For the Cesaro value of the *integral* of f, pass ``spec.primitive()``
     so the chain starts one level up.
 
-    Needs the chain to depth k; a depth-1 fallback builds F_1 by cumulative
-    quadrature for sampled integrands.
+    Order 0 samples f; by Cauchy's formula, every order k >= 1 is k/X times
+    the Riesz mean of order k - 1, read off the chain or by quadrature.
     """
     k = require_order(k)
     grid = _validate_grid(default_grid() if X_grid is None else X_grid)
-    layers = (spec.func,) + spec.primitives
-    if k < len(layers):
-        Fk, kfact = layers[k], math.factorial(k)
-        samples = [kfact * Fk(X) / X ** k for X in grid]
-    elif k == 1:  # F_1 by stitched quadrature, one grid segment per call
-        windows = [_quadrature_windows(functools.partial(_sample, spec), *_windows(a, X, 2048),
-                                       spec.label) for a, X in zip((0.0,) + grid, grid)]
-        ends = np.cumsum([len(v) for v in windows]) - 1  # each X's last window
-        samples = compensated_prefix_sums(np.concatenate(windows))[ends] / grid
+    if k == 0:
+        samples = [spec.func(X) for X in grid]
     else:
-        raise ValueError(
-            f"{spec.label}: antiderivative chain of depth {k} required "
-            f"(have {len(spec.primitives)}); cumulative quadrature only covers k = 1")
+        samples = k * _riesz_means(spec, k - 1, grid) / grid
     return tail_judgement(samples, order=k, n_terms=len(grid), tol=tol)
 
 

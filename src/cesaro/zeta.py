@@ -343,13 +343,12 @@ def lemma_witness(p: PeriodicPolynomial, k: int = 1, X_max: float = DEFAULT_XMAX
     """
     k, n_max, boundaries = _order_and_boundaries(k, X_max)
     if k == 0:
-        samples = [p(0.0)] * len(boundaries)
-    else:
-        # mu[j] = int_0^1 s^j p(s) ds, so int_0^1 (r-s)^(k-1) p(s) ds is a
-        # polynomial g(r) of degree k - 1, and k! F_k(n) = k sum_{r<=n} g(r)
-        mu = [sum(c / (i + j + 1) for i, c in enumerate(p.coeffs)) for j in range(k)]
-        g = [sum(math.comb(k - 1, j) * (-1) ** j * r ** (k - 1 - j) * mu[j] for j in range(k))
-             for r in range(k + 1)]
-        head = [k * sum(g[1:n + 1]) for n in range(k + 1)]
-        samples = _exact_samples(head, 1, k, boundaries)
+        raise ValueError("lemma_witness needs order k >= 1, got k=0")
+    # mu[j] = int_0^1 s^j p(s) ds, so int_0^1 (r-s)^(k-1) p(s) ds is a
+    # polynomial g(r) of degree k - 1, and k! F_k(n) = k sum_{r<=n} g(r)
+    mu = [sum(c / (i + j + 1) for i, c in enumerate(p.coeffs)) for j in range(k)]
+    g = [sum(math.comb(k - 1, j) * (-1) ** j * r ** (k - 1 - j) * mu[j] for j in range(k))
+         for r in range(k + 1)]
+    head = [k * sum(g[1:n + 1]) for n in range(k + 1)]
+    samples = _exact_samples(head, 1, k, boundaries)
     return tail_judgement(samples, order=k, n_terms=n_max, tol=tol, tail_count=len(samples))

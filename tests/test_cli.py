@@ -262,15 +262,6 @@ def test_bad_env_var_falls_back_to_text(capsys, monkeypatch):
     assert out.startswith("command: bernoulli")
 
 
-def test_output_record_round_trips():
-    rec = cli.OutputRecord("zeta-estimate", {"alpha": 1.0},
-                           {"float": -1.0 / 12.0},
-                           {"order": 2, "n_terms": 10_000,
-                            "error_estimate": 3.1e-7, "converged": True})
-    wire = json.dumps(rec.to_json_dict())
-    assert cli.OutputRecord.from_json_dict(json.loads(wire)) == rec
-
-
 def test_floats_are_printed_with_17_significant_digits(capsys):
     _, pairs = run_text(capsys, ["zeta", "-1"])
     assert pairs["result.float"] == format(-1.0 / 12.0, ".17g")

@@ -295,6 +295,45 @@ def test_cumulative_quadrature_reports_jumpy_integrand():
     assert exc.value.error_estimate > 0
 
 
+# eight points, so the trace of an evaluation holds every grid point
+_EIGHT = integral.default_grid(num=8)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_primitive_limit_of_a_sampled_integrand_answers_beyond_order_one(k):
+    ev = integral.primitive_limit(integral.sampled(math.sin), k, _EIGHT)
+    want = integral.primitive_limit(integral.sin_wave(1.0), k, _EIGHT)
+    assert len(ev.trace) == len(_EIGHT)
+    for got, closed in zip(ev.trace, want.trace):
+        assert abs(got - closed) <= 1e-12, (k, got, closed)
+
+
+@pytest.mark.parametrize("spec", [
+    integral.sin_wave(1.0), integral.exp_decay(), integral.power_log(0.5, 1),
+    integral.constant(2.0), integral.sampled(math.sin, label="sampled-sin"),
+    integral.sampled(math.cos, label="sampled-cos")],
+    ids=lambda spec: spec.label)
+def test_primitive_limit_is_k_over_x_times_the_riesz_mean_one_order_down(spec):
+    # Cauchy's formula: k! F_k(X) / X^k = (k/X) int_0^X (1 - t/X)^(k-1) f(t) dt;
+    # k = 1 on a sampled spec stitches grid segments, checked in the next test
+    for k in (1, 2, 3) if spec.primitives else (2, 3):
+        ev = integral.primitive_limit(spec, k, _EIGHT)
+        for X, got in zip(_EIGHT, ev.trace):
+            want = k * integral.riesz_mean(spec, k - 1, X) / X
+            assert got == pytest.approx(want, rel=1e-12), (k, X)
+
+
+def test_stitched_order_zero_matches_the_one_point_reader():
+    # cesaro_integral integrates each grid segment once; riesz_mean at one X
+    # integrates all of [0, X]
+    spec = integral.sampled(math.sin)
+    grid = integral.default_grid()
+    ev = integral.cesaro_integral(spec, 0, grid)
+    for X, got in zip(grid[-len(ev.trace):], ev.trace):
+        assert abs(got - integral.riesz_mean(spec, 0, X)) <= 1e-12, X
+        assert abs(got - (1.0 - math.cos(X))) <= 1e-9, X
+
+
 def test_primitive_limit_k_zero_is_plain_sampling():
     ev = integral.primitive_limit(integral.exp_decay(), 0)
     assert ev.converged

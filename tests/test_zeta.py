@@ -269,6 +269,13 @@ def test_lemma_witness_nonzero_mean_is_the_control():
     assert ev.value == pytest.approx(0.5, abs=1e-6)
 
 
+def test_lemma_witness_rejects_order_zero():
+    # an order-0 limit of p({x}) exists only for a constant p: P_0 for n = 3
+    # has mean 1/120, and sampling p(0) would call its limit 0
+    with pytest.raises(ValueError, match="order k >= 1, got k=0"):
+        zeta.lemma_witness(exact.pm_polynomial(3, 0), k=0)
+
+
 def test_estimator_rejects_tiny_domains():
     with pytest.raises(ValueError):
         zeta.zeta_via_cesaro(0.0, X_max=32)
