@@ -66,8 +66,6 @@ def _fmt(v) -> str:
         return format(v, ".17g")
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, Fraction):
-        return str(v)
     if isinstance(v, (list, tuple)):
         return " ".join(_fmt(x) for x in v)
     return str(v)

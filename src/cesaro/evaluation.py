@@ -41,8 +41,6 @@ def require_finite(**named) -> None:
     """Reject a NaN, infinite or float-overflowing argument by name, before
     any work starts."""
     for name, value in named.items():
-        if value is None:
-            continue
         try:
             finite = math.isfinite(value)
         except OverflowError:

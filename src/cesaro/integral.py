@@ -49,7 +49,6 @@ import numpy as np
 from .accumulate import compensated_prefix_sums
 from .evaluation import CesaroEvaluation, require_finite, require_order, tail_judgement
 from .exact import PeriodicPolynomial, periodic_mean
-from .powerlog import PowerLogExpr
 
 __all__ = [
     "IntegrandSpec",
@@ -168,6 +167,7 @@ def cos_wave(a: float = 1.0) -> IntegrandSpec:
 
 
 def _trig_wave(a: float, name: str, wave, array_wave, part: str) -> IntegrandSpec:
+    require_finite(a=a)
     if a == 0:
         raise ValueError(f"{name}_wave needs a nonzero frequency")
     a = float(a)
@@ -187,15 +187,18 @@ def power_log(alpha: float, p: int = 0) -> IntegrandSpec:
     """t^alpha * (ln t)^p with alpha > -1 (locally integrable at 0).
 
     Anything with alpha <= -1 is not an integral over [0, X] at all but a
-    finite part; use the finite_part module for those.
+    finite part; use the finite_part module for those.  p is a non-negative
+    integer (2.0 counts as 2).
     """
+    require_finite(alpha=alpha, p=p)
     alpha = float(alpha)
     if alpha <= -1.0:
         raise ValueError(
             f"alpha={alpha} is not locally integrable at 0; "
             "use finite_part.fp_power_integral / fp_log_power_integral instead")
-    if p < 0:
-        raise ValueError("log power p must be >= 0")
+    if p < 0 or p != int(p):
+        raise ValueError(f"log power p must be a non-negative integer, got {p!r}")
+    p = int(p)
 
     def func(t, alpha=alpha, p=p):
         if t == 0.0:
@@ -209,6 +212,7 @@ def power_log(alpha: float, p: int = 0) -> IntegrandSpec:
 
 
 def constant(c: float = 1.0) -> IntegrandSpec:
+    require_finite(c=c)
     c = float(c)
     return _verified(IntegrandSpec(
         func=lambda t: c, primitives=_power_log_chain(0.0, 0, c), label=f"{c:g}"))
@@ -510,11 +514,46 @@ def primitive_limit(spec: IntegrandSpec, k: int, X_grid=None,
 # -- closed-form chains ---------------------------------------------------------
 
 def _power_log_chain(alpha: float, p: int, coeff: float) -> tuple:
-    """The 1..MAX_CHAIN-fold primitives of coeff t^alpha ln^p t."""
-    chain = [PowerLogExpr({(alpha, p): coeff})]
+    """The 1..MAX_CHAIN-fold primitives of coeff t^alpha ln^p t, alpha > -1,
+    each vanishing at 0.
+
+    Layer j is t^g sum_q c[q] ln^q t with g = alpha + j.  Integrating
+    t^(g-1) ln^q t = t^g sum_i (-1)^i q!/(q-i)! ln^(q-i) t / g^(i+1) gives
+    the next layer's coefficients from this one's; exact zeros are dropped.
+    """
+    def layer(g, terms):  # terms: (q, c[q]) pairs, q descending
+        has_log = any(q for q, _ in terms)
+
+        def F(t):
+            t = float(t)
+            if t == 0.0:
+                return 0.0
+            if t < 0.0:
+                raise ValueError("the power_log primitives are defined on t >= 0")
+            lt = math.log(t) if has_log else 0.0
+            acc = 0.0
+            for q, c in terms:
+                v = c * t ** g
+                if q:
+                    v *= lt ** q
+                acc += v
+            return acc
+        return F
+
+    chain, g, terms = [], alpha, [(p, coeff)]
     for _ in range(MAX_CHAIN):
-        chain.append(chain[-1].antiderivative())
-    return tuple(expr.__call__ for expr in chain[1:])
+        g += 1.0
+        coeffs = [0.0] * (p + 1)
+        for q, c in terms:
+            fall, sign, denom = 1.0, 1.0, g  # q!/(q-i)!, (-1)^i, g^(i+1)
+            for i in range(q + 1):
+                coeffs[q - i] += sign * c * fall / denom
+                fall *= q - i
+                sign = -sign
+                denom *= g
+        terms = [(q, coeffs[q]) for q in range(p, -1, -1) if coeffs[q] != 0.0]
+        chain.append(layer(g, terms))
+    return tuple(chain)
 
 
 def _exp_chain(c, part: str) -> tuple:

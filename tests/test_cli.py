@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -240,6 +241,35 @@ def test_cesaro_int_names_a_non_finite_xmax(capsys, xmax):
     code = cli.run(["cesaro-int", "sin", "--xmax", xmax])
     assert code == 1
     assert "error: xmax must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha", ["inf", "nan"])
+def test_cesaro_int_names_a_non_finite_alpha(capsys, alpha):
+    # no record: an infinite alpha has no chain to read a mean from
+    code = cli.run(["cesaro-int", "power-log", "--alpha", alpha])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "error: alpha must be finite" in captured.err
+
+
+def test_cesaro_sum_power_is_zeta_of_the_negated_power(capsys):
+    code, (rec,) = run_json(capsys, ["cesaro-sum", "power", "--power", "-2",
+                                     "--order", "0", "--terms", "10000",
+                                     "--tol", "1e-3"])
+    assert code == 0
+    assert rec["inputs"]["power"] == -2.0
+    assert rec["result"]["float"] == pytest.approx(math.pi ** 2 / 6, abs=2e-4)
+    assert rec["diagnostics"]["converged"] is True
+
+
+@pytest.mark.parametrize("sequence,flag", [("power", "--power"), ("geometric", "--ratio")])
+def test_cesaro_sum_names_the_missing_parameter(capsys, sequence, flag):
+    code = cli.run(["cesaro-sum", sequence])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert f"needs {flag}" in captured.err
 
 
 def test_env_var_sets_default_format(capsys, monkeypatch):

@@ -57,6 +57,8 @@ def test_riesz_mean_at_k_zero_is_the_plain_integral():
         (integral.cos_wave(1.0), 55.0),
         (integral.exp_decay(), 25.0),
         (integral.power_log(0.5, 1), 12.0),
+        (integral.power_log(-0.5, 2), 9.0),
+        (integral.power_log(1.5, 3), 12.0),
         (integral.constant(3.0), 18.0),
     ]
     for spec, X in cases:
@@ -210,6 +212,37 @@ def test_power_log_rejects_nonintegrable_exponent():
         integral.power_log(-1.0)
     with pytest.raises(ValueError):
         integral.power_log(-2.5)
+
+
+@pytest.mark.parametrize("factory,value,name", [
+    (integral.power_log, math.inf, "alpha"),
+    (integral.power_log, math.nan, "alpha"),
+    (integral.constant, math.inf, "c"),
+    (integral.constant, math.nan, "c"),
+    (integral.sin_wave, math.inf, "a"),
+    (integral.sin_wave, math.nan, "a"),
+    (integral.cos_wave, -math.inf, "a"),
+])
+def test_factories_name_a_non_finite_parameter(factory, value, name):
+    # with alpha = inf every chain coefficient is 0 and the chain check's
+    # slack is infinite, so only an up-front check stops a converged 0
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        factory(value)
+
+
+@pytest.mark.parametrize("p", [1.5, -1, math.nan])
+def test_power_log_names_a_bad_log_power(p):
+    with pytest.raises(ValueError, match=r"\bp must be"):
+        integral.power_log(0.5, p)
+
+
+def test_power_log_takes_an_integral_float_log_power():
+    # 2.0 counts as 2, as it does for orders
+    spec, want = integral.power_log(0.5, 2.0), integral.power_log(0.5, 2)
+    assert spec.label == want.label == "t^0.5*ln^2(t)"
+    for X in (0.3, 7.3, 300.0):
+        assert spec.func(X) == want.func(X)
+        assert [F(X) for F in spec.primitives] == [F(X) for F in want.primitives]
 
 
 def test_primitive_limit_of_constant():
