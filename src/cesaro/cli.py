@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Every computation in the package is reachable from one subcommand, and every
-invocation prints exactly one OutputRecord per result: stable ``key: value``
-lines in text mode, one JSON object per line in structured mode.  stdout is
-reserved for records, stderr for logs; exit codes are 0 (success), 1 (usage
-or domain error), 2 (non-convergence under --strict).
+invocation prints exactly one record per result, through ``_emit``: stable
+``key: value`` lines in text mode, one JSON object per line in structured
+mode.  stdout is reserved for records, stderr for logs; exit codes are 0
+(success), 1 (usage or domain error), 2 (non-convergence under --strict).
 """
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from typing import Optional
@@ -32,7 +31,7 @@ EXIT_NOT_CONVERGED = 2
 
 OUTPUT_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "title": "cesaro OutputRecord",
+    "title": "cesaro record",
     "type": "object",
     "required": ["command", "inputs", "result"],
     "properties": {
@@ -71,92 +70,60 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _json_section(d: dict) -> dict:
-    return {key: None if isinstance(v, float) and not math.isfinite(v) else v
-            for key, v in d.items()}
-
-
-@dataclass
-class OutputRecord:
-    """One reported result: the command, echoed inputs, values, diagnostics."""
-
-    command: str
-    inputs: dict = field(default_factory=dict)
-    result: dict = field(default_factory=dict)
-    diagnostics: Optional[dict] = None
-
-    def to_text(self) -> str:
-        lines = [f"command: {self.command}"]
-        for key, val in self.inputs.items():
-            lines.append(f"inputs.{key}: {_fmt(val)}")
-        for key, val in self.result.items():
-            lines.append(f"result.{key}: {_fmt(val)}")
-        if self.diagnostics is not None:
-            for key, val in self.diagnostics.items():
-                lines.append(f"diagnostics.{key}: {_fmt(val)}")
-        return "\n".join(lines)
-
-    def to_json_dict(self) -> dict:
-        """The record as RFC 8259 JSON values, where a non-finite float is None."""
-        out = {"command": self.command, "inputs": _json_section(self.inputs),
-               "result": _json_section(self.result)}
-        if self.diagnostics is not None:
-            out["diagnostics"] = _json_section(self.diagnostics)
-        return out
-
-
-def _emit(record: OutputRecord, fmt: str) -> None:
+def _emit(fmt: str, command: str, inputs: dict, result: dict,
+          diagnostics: Optional[dict] = None) -> None:
+    """Print one record: ``key: value`` lines, or one compact JSON object in
+    which a non-finite float is null (RFC 8259 has no token for it)."""
+    sections = {"inputs": inputs, "result": result}
+    if diagnostics is not None:
+        sections["diagnostics"] = diagnostics
     if fmt == "structured":
-        print(json.dumps(record.to_json_dict(), separators=(",", ":"), allow_nan=False))
+        record = {"command": command}
+        for name, section in sections.items():
+            record[name] = {key: None if isinstance(v, float) and not math.isfinite(v)
+                            else v for key, v in section.items()}
+        print(json.dumps(record, separators=(",", ":"), allow_nan=False))
     else:
-        print(record.to_text())
+        print("\n".join([f"command: {command}"] + [
+            f"{name}.{key}: {_fmt(v)}"
+            for name, section in sections.items() for key, v in section.items()]))
 
 
-def _emit_estimate(command: str, inputs: dict, ev, args, fmt: str) -> int:
+def _emit_estimate(inputs: dict, ev, args, fmt: str) -> int:
     """Print one CesaroEvaluation's record; returns the exit code it earns."""
     diag = {"order": ev.order, "n_terms": ev.n_terms,
             "error_estimate": ev.error_estimate, "converged": ev.converged}
-    _emit(OutputRecord(command, inputs, {"float": ev.value}, diag), fmt)
+    _emit(fmt, args.cmd, inputs, {"float": ev.value}, diag)
     return EXIT_NOT_CONVERGED if args.strict and not ev.converged else EXIT_OK
 
 
-# -- builders for the named inputs -------------------------------------------
+# -- the named inputs ------------------------------------------------------------
 
-def _geometric(args) -> series.SeriesSpec:
-    if args.ratio is None:
-        raise ValueError("sequence 'geometric' needs --ratio")
-    r = args.ratio
-    return series.SeriesSpec(lambda n: r ** n, label=f"geometric({r:g})")
-
-
-def _power(args) -> series.SeriesSpec:
-    if args.power is None:
-        raise ValueError("sequence 'power' needs --power")
-    p = args.power
-    return series.SeriesSpec(lambda n: float(n) ** p, start=1, label=f"power({p:g})")
-
-
-# name -> builder from the parsed arguments; the parser offers these names
+# name -> (the options its builder reads, in order, and the builder); the
+# parser offers these names, and a record echoes exactly these options
 _SEQUENCES = {
-    "alt-sign": lambda args: series.SeriesSpec(lambda n: (-1.0) ** n, label="alt-sign"),
-    "alt-sign-n": lambda args: series.SeriesSpec(lambda n: (-1.0) ** n * n,
-                                                 label="alt-sign-n"),
-    "geometric": _geometric,
-    "power": _power,
+    "alt-sign": ((), lambda: series.SeriesSpec(lambda n: (-1.0) ** n, label="alt-sign")),
+    "alt-sign-n": ((), lambda: series.SeriesSpec(lambda n: (-1.0) ** n * n,
+                                                 label="alt-sign-n")),
+    "geometric": (("ratio",), lambda r: series.SeriesSpec(lambda n: r ** n,
+                                                          label=f"geometric({r:g})")),
+    "power": (("power",), lambda p: series.SeriesSpec(lambda n: float(n) ** p, start=1,
+                                                      label=f"power({p:g})")),
 }
 
 _INTEGRANDS = {
-    "sin": lambda args: integral.sin_wave(args.freq),
-    "cos": lambda args: integral.cos_wave(args.freq),
-    "exp-decay": lambda args: integral.exp_decay(),
-    "power-log": lambda args: integral.power_log(args.alpha, args.logpow),
+    "sin": (("freq",), integral.sin_wave),
+    "cos": (("freq",), integral.cos_wave),
+    "exp-decay": ((), integral.exp_decay),
+    "power-log": (("alpha", "logpow"), integral.power_log),
 }
 
 
-def _grid_to(x_max: float):
+def _cesaro_integral_to(spec, k: int, x_max: float, tol: float):
+    """cesaro_integral on a grid of three decades ending at x_max."""
     require_finite(xmax=x_max)
-    lo = max(1.0, x_max / 1000.0)
-    return integral.default_grid(lo=lo, hi=x_max)
+    grid = integral.default_grid(lo=max(1.0, x_max / 1000.0), hi=x_max)
+    return integral.cesaro_integral(spec, k, grid, tol)
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -171,7 +138,7 @@ def _cmd_exact(args, fmt: str, fn, params) -> int:
     """bernoulli / faulhaber / zeta: one exact value of the integer params."""
     inputs = {name: getattr(args, name) for name in params}
     value = fn(*inputs.values())
-    _emit(OutputRecord(args.cmd, inputs, {"exact": str(value), "float": float(value)}), fmt)
+    _emit(fmt, args.cmd, inputs, {"exact": str(value), "float": float(value)})
     return EXIT_OK
 
 
@@ -179,7 +146,7 @@ def _cmd_pm_poly(args, fmt: str) -> int:
     p = exact.pm_polynomial(args.n, args.m)
     result = {"coeffs": [str(c) for c in p.coeffs],
               "mean": str(exact.periodic_mean(p))}
-    _emit(OutputRecord("pm-poly", {"n": args.n, "m": args.m}, result), fmt)
+    _emit(fmt, "pm-poly", {"n": args.n, "m": args.m}, result)
     return EXIT_OK
 
 
@@ -197,7 +164,7 @@ def _alpha_sweep(args):
         raise ValueError("one of --alpha or --alpha-range is required")
 
 
-def _run_estimates(args, fmt: str, estimator, command: str) -> int:
+def _run_estimates(args, fmt: str, estimator) -> int:
     worst = EXIT_OK
     emitted = False
     for a in _alpha_sweep(args):
@@ -210,37 +177,26 @@ def _run_estimates(args, fmt: str, estimator, command: str) -> int:
             continue
         inputs = {"alpha": a, "order": ev.order, "xmax": args.xmax,
                   "tol": args.tol}
-        worst = max(worst, _emit_estimate(command, inputs, ev, args, fmt))
+        worst = max(worst, _emit_estimate(inputs, ev, args, fmt))
         emitted = True
     if not emitted:
         raise ValueError("no alpha in the requested range was usable")
     return worst
 
 
-def _cmd_cesaro_sum(args, fmt: str) -> int:
-    spec = _SEQUENCES[args.sequence](args)
-    ev = series.cesaro_sum(spec, k=args.order, n_terms=args.terms, tol=args.tol)
-    inputs = {"sequence": args.sequence, "order": args.order,
-              "terms": args.terms, "tol": args.tol}
-    if args.ratio is not None:
-        inputs["ratio"] = args.ratio
-    if args.power is not None:
-        inputs["power"] = args.power
-    return _emit_estimate("cesaro-sum", inputs, ev, args, fmt)
-
-
-def _cmd_cesaro_int(args, fmt: str) -> int:
-    spec = _INTEGRANDS[args.integrand](args)
-    ev = integral.cesaro_integral(spec, k=args.order,
-                                  X_grid=_grid_to(args.xmax), tol=args.tol)
-    inputs = {"integrand": args.integrand, "order": args.order,
-              "xmax": args.xmax, "tol": args.tol}
-    if args.integrand in ("sin", "cos"):
-        inputs["freq"] = args.freq
-    if args.integrand == "power-log":
-        inputs["alpha"] = args.alpha
-        inputs["logpow"] = args.logpow
-    return _emit_estimate("cesaro-int", inputs, ev, args, fmt)
+def _cmd_cesaro(args, fmt: str, kind: str, table: dict, span: str, evaluate) -> int:
+    """cesaro-sum / cesaro-int: the (C,k) mean of the named sequence or
+    integrand, built from exactly the options its table entry names."""
+    name = getattr(args, kind)
+    options, build = table[name]
+    inputs = {kind: name, "order": args.order, span: getattr(args, span), "tol": args.tol}
+    for option in options:
+        inputs[option] = getattr(args, option)
+        if inputs[option] is None:
+            raise ValueError(f"{kind} '{name}' needs --{option}")
+    ev = evaluate(build(*(inputs[option] for option in options)),
+                  args.order, inputs[span], args.tol)
+    return _emit_estimate(inputs, ev, args, fmt)
 
 
 def _cmd_finite_part(args, fmt: str, float_fn, exact_fn) -> int:
@@ -255,7 +211,7 @@ def _cmd_finite_part(args, fmt: str, float_fn, exact_fn) -> int:
         result["exact"] = str(exact_fn(alpha, upper))
     except ValueError:
         pass
-    _emit(OutputRecord(args.cmd, inputs, result), fmt)
+    _emit(fmt, args.cmd, inputs, result)
     return EXIT_OK
 
 
@@ -305,8 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="Cesaro order k (default: max(0, ceil(alpha)+1))")
         p.add_argument("--xmax", type=float, default=zeta.DEFAULT_XMAX)
         p.add_argument("--tol", type=float, default=zeta.DEFAULT_TOL)
-        p.set_defaults(handler=partial(_run_estimates, estimator=estimator,
-                                       command=name))
+        p.set_defaults(handler=partial(_run_estimates, estimator=estimator))
 
     p = sub.add_parser("cesaro-sum", parents=[common],
                        help="Cesaro (C,k) sum of a built-in sequence")
@@ -318,7 +273,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=1)
     p.add_argument("--terms", type=int, default=10_000)
     p.add_argument("--tol", type=float, default=series.DEFAULT_TOL)
-    p.set_defaults(handler=_cmd_cesaro_sum)
+    p.set_defaults(handler=partial(_cmd_cesaro, kind="sequence", table=_SEQUENCES,
+                                   span="terms", evaluate=series.cesaro_sum))
 
     p = sub.add_parser("cesaro-int", parents=[common],
                        help="Cesaro (C,k) mean of a built-in integrand")
@@ -332,7 +288,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=1)
     p.add_argument("--xmax", type=float, default=1e5)
     p.add_argument("--tol", type=float, default=integral.DEFAULT_TOL)
-    p.set_defaults(handler=_cmd_cesaro_int)
+    p.set_defaults(handler=partial(_cmd_cesaro, kind="integrand", table=_INTEGRANDS,
+                                   span="xmax", evaluate=_cesaro_integral_to))
 
     for name, integrand, float_fn, exact_fn in (
             ("fp-int", "t^alpha", finite_part.fp_power_integral,

@@ -171,9 +171,13 @@ def _trig_wave(a: float, name: str, wave, array_wave, part: str) -> IntegrandSpe
     if a == 0:
         raise ValueError(f"{name}_wave needs a nonzero frequency")
     a = float(a)
-    return _verified(IntegrandSpec(
-        func=lambda t: wave(a * t), primitives=_exp_chain(1j * a, part),
-        label=f"{name}({a:g}t)", array_func=lambda t: array_wave(a * t)))
+    try:
+        return _verified(IntegrandSpec(
+            func=lambda t: wave(a * t), primitives=_exp_chain(1j * a, part),
+            label=f"{name}({a:g}t)", array_func=lambda t: array_wave(a * t)))
+    except OverflowError:
+        raise ValueError(f"a={a:g} is too large: its primitive chain overflows "
+                         "a float") from None
 
 
 def exp_decay() -> IntegrandSpec:
@@ -206,9 +210,13 @@ def power_log(alpha: float, p: int = 0) -> IntegrandSpec:
         v = t ** alpha
         return v * math.log(t) ** p if p else v
 
-    return _verified(IntegrandSpec(
-        func=func, primitives=_power_log_chain(alpha, p, 1.0),
-        label=f"t^{alpha:g}" + (f"*ln^{p}(t)" if p else "")))
+    try:
+        return _verified(IntegrandSpec(
+            func=func, primitives=_power_log_chain(alpha, p, 1.0),
+            label=f"t^{alpha:g}" + (f"*ln^{p}(t)" if p else "")))
+    except OverflowError:
+        raise ValueError(f"alpha={alpha:g} is too large: its primitive chain "
+                         "overflows a float") from None
 
 
 def constant(c: float = 1.0) -> IntegrandSpec:

@@ -326,3 +326,65 @@ def test_structured_record_of_a_divergent_estimate_is_strict_json(capsys):
     jsonschema.validate(rec, cli.OUTPUT_SCHEMA)
     assert rec["result"]["float"] is None
     assert rec["diagnostics"]["converged"] is False
+
+
+def test_pm_poly_text_record_joins_the_coefficients(capsys):
+    code, pairs = run_text(capsys, ["pm-poly", "3", "1"])
+    assert code == 0
+    assert pairs["result.coeffs"] == "0 -1/2 3/2 -1"
+
+
+def test_cesaro_int_power_log_echoes_alpha_then_logpow(capsys):
+    code, (rec,) = run_json(capsys, ["cesaro-int", "power-log", "--alpha", "0.5",
+                                     "--logpow", "1"])
+    assert code == 0
+    assert list(rec["inputs"]) == ["integrand", "order", "xmax", "tol", "alpha", "logpow"]
+    assert rec["inputs"]["alpha"] == 0.5
+    assert rec["inputs"]["logpow"] == 1
+
+
+@pytest.mark.parametrize("argv,option", [
+    (["cesaro-sum", "alt-sign", "--ratio", "2"], "ratio"),
+    (["cesaro-sum", "geometric", "--ratio", "0.5", "--power", "3"], "power"),
+    (["cesaro-int", "sin", "--alpha", "3"], "alpha"),
+])
+def test_records_echo_only_the_options_the_named_input_reads(capsys, argv, option):
+    code, (rec,) = run_json(capsys, argv)
+    assert code == 0
+    assert option not in rec["inputs"]
+
+
+@pytest.mark.parametrize("argv,message,logged", [
+    (["zeta-estimate"], "one of --alpha or --alpha-range is required", ""),
+    (["zeta-estimate", "--alpha-range", "0", "1", "0"],
+     "--alpha-range step must be positive", ""),
+    (["zeta-estimate", "--alpha-range", "-1", "-1", "1"],
+     "no alpha in the requested range was usable", "skipping alpha=-1"),
+])
+def test_alpha_sweep_errors_exit_one(capsys, caplog, argv, message, logged):
+    code = cli.run(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert f"error: {message}" in captured.err
+    assert logged in caplog.text
+
+
+@pytest.mark.parametrize("command", ["bernoulli", "faulhaber", "zeta", "pm-poly",
+                                     "zeta-estimate", "zeta-prime-estimate",
+                                     "cesaro-sum", "cesaro-int", "fp-int", "fp-log-int"])
+def test_every_subcommand_has_help(capsys, command):
+    assert cli.run([command, "--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: cesaro {command}")
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["cesaro-int", "power-log", "--alpha", "400"], "alpha=400"),
+    (["cesaro-int", "sin", "--freq", "1e39"], "a=1e+39"),
+])
+def test_cesaro_int_names_a_parameter_whose_chain_overflows(capsys, argv, name):
+    code = cli.run(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert f"error: {name} is too large" in captured.err

@@ -245,6 +245,32 @@ def test_power_log_takes_an_integral_float_log_power():
         assert [F(X) for F in spec.primitives] == [F(X) for F in want.primitives]
 
 
+@pytest.mark.parametrize("factory,value,name", [
+    (integral.power_log, 400.0, "alpha"),
+    (integral.sin_wave, 1e39, "a"),
+    (integral.cos_wave, 1e39, "a"),
+    (integral.cos_wave, -1e39, "a"),
+])
+def test_factories_name_a_parameter_whose_chain_overflows(factory, value, name):
+    # finite, but t^(alpha+j) or (ia)^j leaves the float range while the
+    # chain is built or checked
+    with pytest.raises(ValueError, match=f"^{name}=.* is too large"):
+        factory(value)
+
+
+@pytest.mark.parametrize("alpha,p,want", [(-0.5, 0, math.inf), (0.0, 0, 1.0),
+                                          (0.0, 1, 0.0), (0.5, 0, 0.0)])
+def test_power_log_at_zero(alpha, p, want):
+    assert integral.power_log(alpha, p).func(0.0) == want
+
+
+def test_power_log_chain_is_zero_at_zero_and_undefined_below():
+    F1 = integral.power_log(0.5).primitives[0]
+    assert F1(0.0) == 0.0
+    with pytest.raises(ValueError, match="t >= 0"):
+        F1(-1.0)
+
+
 def test_primitive_limit_of_constant():
     ev = integral.primitive_limit(integral.constant(1.0), 2)
     assert ev.converged
