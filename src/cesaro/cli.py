@@ -120,8 +120,10 @@ _INTEGRANDS = {
 
 
 def _cesaro_integral_to(spec, k: int, x_max: float, tol: float):
-    """cesaro_integral on a grid of three decades ending at x_max."""
+    """cesaro_integral on a grid of two to three decades ending at x_max."""
     require_finite(xmax=x_max)
+    if x_max < 100:
+        raise ValueError(f"xmax must be at least 100, got {x_max:g}")
     grid = integral.default_grid(lo=max(1.0, x_max / 1000.0), hi=x_max)
     return integral.cesaro_integral(spec, k, grid, tol)
 
@@ -153,6 +155,8 @@ def _cmd_pm_poly(args, fmt: str) -> int:
 def _alpha_sweep(args):
     if args.alpha_range is not None:
         lo, hi, step = args.alpha_range
+        require_finite(**{"--alpha-range LO": lo, "--alpha-range HI": hi,
+                          "--alpha-range STEP": step})
         if step <= 0:
             raise ValueError("--alpha-range step must be positive")
         # indexed, not a running sum: ten `+= 0.1` steps end at 0.9999999999999999

@@ -13,8 +13,8 @@ the order k-1 Riesz mean, so all three read one reader, ``_riesz_means``,
 and no order of ``primitive_limit`` needs a chain that deep.
 The reader takes one of three paths.  An integer k below the chain depth
 integrates by parts k times into the closed form k! F_{k+1}(X)/X^k, read
-off the integrand's verified primitive chain (Estrada and Kanwal, *A
-Distributional Approach to Asymptotics*, 2002).  Order 0 off the chain
+off the integrand's primitive chain (Estrada and Kanwal, *A Distributional
+Approach to Asymptotics*, 2002).  Order 0 off the chain
 integrates each segment of the X grid once and adds the segments by one
 prefix pass.  Every other order is quadrature over [0, X] at each X.
 
@@ -69,8 +69,6 @@ __all__ = [
 
 MAX_CHAIN = 8
 DEFAULT_TOL = 1e-3
-_VERIFY_POINTS = 32
-_VERIFY_ALLOWED_MISSES = 2  # tolerate kinks/jumps hit by the random probes
 _GAUSS_POINTS = 32
 _MAX_WINDOWS = 4096  # quadrature windows per integral
 _MAX_PIECES = 200  # pieces per quadrature window (QUADPACK's limit)
@@ -99,11 +97,8 @@ class IntegrandSpec:
                 quadrature fallbacks use it in place of one func call per
                 node.  sin_wave, cos_wave and exp_decay set it.
 
-    Closed-form chains are verified on construction: each consecutive pair is
-    spot-checked by central differences at 32 deterministic pseudo-random
-    points.  A couple of misses are tolerated so that piecewise integrands
-    whose probe lands on a kink are not rejected, but a wrong chain fails
-    loudly.  Build instances through the factory functions below.
+    Build instances through the factory functions below; a user's chain is
+    checked by ``from_primitives``, a built-in one is exact by construction.
     """
 
     func: Callable[[float], float]
@@ -127,33 +122,6 @@ class IntegrandSpec:
         return f"IntegrandSpec({self.label})"
 
 
-def _verified(spec: IntegrandSpec) -> IntegrandSpec:
-    """Numeric-differentiation spot check of the whole chain; returns spec."""
-    if not spec.primitives:
-        return spec
-    rng = np.random.default_rng(20260815)
-    pts = np.exp(rng.uniform(math.log(0.5), math.log(20.0), size=_VERIFY_POINTS))
-    layers = (spec.func,) + spec.primitives
-    h = 1e-5
-    for lower, upper in zip(layers[:-1], layers[1:]):
-        misses = 0
-        for x in pts:
-            x = float(x)
-            above, below = upper(x + h), upper(x - h)
-            d = (above - below) / (2.0 * h)
-            want = lower(x)
-            # the slack scales with upper(x); the mean of the two differenced
-            # values is that to O(h^2 |lower'|), and costs no extra call
-            tol = 1e-4 * (1.0 + abs(want)) + 1e-10 * abs(0.5 * (above + below))
-            if not math.isfinite(d) or abs(d - want) > tol:
-                misses += 1
-        if misses > _VERIFY_ALLOWED_MISSES:
-            raise ValueError(
-                f"antiderivative chain of {spec.label} fails differentiation "
-                f"check ({misses}/{_VERIFY_POINTS} probe points off)")
-    return spec
-
-
 # -- factories ----------------------------------------------------------------
 
 def sin_wave(a: float = 1.0) -> IntegrandSpec:
@@ -172,19 +140,18 @@ def _trig_wave(a: float, name: str, wave, array_wave, part: str) -> IntegrandSpe
         raise ValueError(f"{name}_wave needs a nonzero frequency")
     a = float(a)
     try:
-        return _verified(IntegrandSpec(
-            func=lambda t: wave(a * t), primitives=_exp_chain(1j * a, part),
-            label=f"{name}({a:g}t)", array_func=lambda t: array_wave(a * t)))
-    except OverflowError:
+        chain = _exp_chain(1j * a, part)
+    except OverflowError:  # (ia)^j, for |a| past about 1.6e38
         raise ValueError(f"a={a:g} is too large: its primitive chain overflows "
                          "a float") from None
+    return IntegrandSpec(func=lambda t: wave(a * t), primitives=chain,
+                         label=f"{name}({a:g}t)", array_func=lambda t: array_wave(a * t))
 
 
 def exp_decay() -> IntegrandSpec:
     """exp(-t), with its iterated-primitive chain to depth MAX_CHAIN."""
-    return _verified(IntegrandSpec(
-        func=lambda t: math.exp(-t), primitives=_exp_chain(-1.0, "real"),
-        label="exp(-t)", array_func=lambda t: np.exp(-t)))
+    return IntegrandSpec(func=lambda t: math.exp(-t), primitives=_exp_chain(-1.0, "real"),
+                         label="exp(-t)", array_func=lambda t: np.exp(-t))
 
 
 def power_log(alpha: float, p: int = 0) -> IntegrandSpec:
@@ -204,26 +171,18 @@ def power_log(alpha: float, p: int = 0) -> IntegrandSpec:
         raise ValueError(f"log power p must be a non-negative integer, got {p!r}")
     p = int(p)
 
-    def func(t, alpha=alpha, p=p):
-        if t == 0.0:
-            return 0.0 if alpha > 0 or (alpha == 0 and p > 0) else (1.0 if alpha == 0 else math.inf)
-        v = t ** alpha
-        return v * math.log(t) ** p if p else v
-
-    try:
-        return _verified(IntegrandSpec(
-            func=func, primitives=_power_log_chain(alpha, p, 1.0),
-            label=f"t^{alpha:g}" + (f"*ln^{p}(t)" if p else "")))
-    except OverflowError:
-        raise ValueError(f"alpha={alpha:g} is too large: its primitive chain "
-                         "overflows a float") from None
+    body = _power_log_layer(alpha, [(p, 1.0)])
+    at_zero = 0.0 if alpha > 0 or (alpha == 0 and p > 0) else (1.0 if alpha == 0 else math.inf)
+    return IntegrandSpec(func=lambda t: at_zero if t == 0.0 else body(t),
+                         primitives=_power_log_chain(alpha, p, 1.0),
+                         label=f"t^{alpha:g}" + (f"*ln^{p}(t)" if p else ""))
 
 
 def constant(c: float = 1.0) -> IntegrandSpec:
     require_finite(c=c)
     c = float(c)
-    return _verified(IntegrandSpec(
-        func=lambda t: c, primitives=_power_log_chain(0.0, 0, c), label=f"{c:g}"))
+    return IntegrandSpec(func=lambda t: c, primitives=_power_log_chain(0.0, 0, c),
+                         label=f"{c:g}")
 
 
 def periodic_poly(p: PeriodicPolynomial) -> IntegrandSpec:
@@ -239,14 +198,35 @@ def periodic_poly(p: PeriodicPolynomial) -> IntegrandSpec:
             acc = acc * u + c
         return mean * fl + acc
 
-    return _verified(IntegrandSpec(func=lambda t: p(t), primitives=(f1,),
-                                   label=f"{p!r}@frac"))
+    return IntegrandSpec(func=lambda t: p(t), primitives=(f1,), label=f"{p!r}@frac")
 
 
 def from_primitives(func, primitives, label: str = "user") -> IntegrandSpec:
-    """User-supplied chain: primitives[0] must be int_0^x f, and so on."""
-    return _verified(IntegrandSpec(func=func, primitives=tuple(primitives),
-                                   label=label))
+    """User-supplied chain: primitives[0] must be int_0^x f, and so on.
+
+    Each consecutive pair is checked by central differences at 32 fixed
+    pseudo-random points in [0.5, 20]; a wrong chain raises ValueError.  Two
+    misses per pair are allowed, for a probe that lands on a kink or jump.
+    """
+    rng = np.random.default_rng(20260815)
+    pts = np.exp(rng.uniform(math.log(0.5), math.log(20.0), size=32)).tolist()
+    layers = (func, *primitives)
+    h = 1e-5
+    for lower, upper in zip(layers[:-1], layers[1:]):
+        misses = 0
+        for x in pts:
+            above, below = upper(x + h), upper(x - h)
+            d = (above - below) / (2.0 * h)
+            want = lower(x)
+            # the slack scales with upper(x); the mean of the two differenced
+            # values is that to O(h^2 |lower'|), and costs no extra call
+            tol = 1e-4 * (1.0 + abs(want)) + 1e-10 * abs(0.5 * (above + below))
+            if not math.isfinite(d) or abs(d - want) > tol:
+                misses += 1
+        if misses > 2:
+            raise ValueError(f"antiderivative chain of {label} fails differentiation "
+                             f"check ({misses}/{len(pts)} probe points off)")
+    return IntegrandSpec(func=func, primitives=layers[1:], label=label)
 
 
 def sampled(func, label: str = "sampled") -> IntegrandSpec:
@@ -527,27 +507,10 @@ def _power_log_chain(alpha: float, p: int, coeff: float) -> tuple:
 
     Layer j is t^g sum_q c[q] ln^q t with g = alpha + j.  Integrating
     t^(g-1) ln^q t = t^g sum_i (-1)^i q!/(q-i)! ln^(q-i) t / g^(i+1) gives
-    the next layer's coefficients from this one's; exact zeros are dropped.
+    the next layer's coefficients from this one's.  A coefficient that
+    underflows to 0 is kept, so that its layer still reads inf where t^g
+    overflows; only coeff = 0 gives layers with no terms.
     """
-    def layer(g, terms):  # terms: (q, c[q]) pairs, q descending
-        has_log = any(q for q, _ in terms)
-
-        def F(t):
-            t = float(t)
-            if t == 0.0:
-                return 0.0
-            if t < 0.0:
-                raise ValueError("the power_log primitives are defined on t >= 0")
-            lt = math.log(t) if has_log else 0.0
-            acc = 0.0
-            for q, c in terms:
-                v = c * t ** g
-                if q:
-                    v *= lt ** q
-                acc += v
-            return acc
-        return F
-
     chain, g, terms = [], alpha, [(p, coeff)]
     for _ in range(MAX_CHAIN):
         g += 1.0
@@ -559,9 +522,40 @@ def _power_log_chain(alpha: float, p: int, coeff: float) -> tuple:
                 fall *= q - i
                 sign = -sign
                 denom *= g
-        terms = [(q, coeffs[q]) for q in range(p, -1, -1) if coeffs[q] != 0.0]
-        chain.append(layer(g, terms))
+        terms = [(q, coeffs[q]) for q in range(p, -1, -1)] if coeff else []
+        chain.append(_power_log_layer(g, terms))
     return tuple(chain)
+
+
+def _power_log_layer(g: float, terms) -> Callable[[float], float]:
+    """t -> t^g sum_q c[q] ln^q t for t > 0, and 0 at t = 0; terms holds the
+    (q, c[q]) pairs, q descending.  A value past the float range reads +-inf."""
+    has_log = any(q for q, _ in terms)
+
+    def F(t):
+        t = float(t)
+        if t < 0.0:
+            raise ValueError("power_log and its primitives are defined on t >= 0")
+        if t == 0.0 or not terms:
+            return 0.0
+        lt = math.log(t) if has_log else 0.0
+        try:
+            tg = t ** g
+        except OverflowError:  # t^g leaves the float range; the layer may not
+            s = sum(c * lt ** q for q, c in terms)
+            try:
+                half = t ** (0.5 * g)
+            except OverflowError:
+                return math.copysign(math.inf, s)
+            return s * half * half
+        acc = 0.0
+        for q, c in terms:
+            v = c * tg
+            if q:
+                v *= lt ** q
+            acc += v
+        return acc
+    return F
 
 
 def _exp_chain(c, part: str) -> tuple:

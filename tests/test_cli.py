@@ -379,7 +379,7 @@ def test_every_subcommand_has_help(capsys, command):
 
 
 @pytest.mark.parametrize("argv,name", [
-    (["cesaro-int", "power-log", "--alpha", "400"], "alpha=400"),
+    (["cesaro-int", "cos", "--freq=-1e39"], "a=-1e+39"),
     (["cesaro-int", "sin", "--freq", "1e39"], "a=1e+39"),
 ])
 def test_cesaro_int_names_a_parameter_whose_chain_overflows(capsys, argv, name):
@@ -388,3 +388,45 @@ def test_cesaro_int_names_a_parameter_whose_chain_overflows(capsys, argv, name):
     assert code == 1
     assert captured.out == ""
     assert f"error: {name} is too large" in captured.err
+
+
+@pytest.mark.parametrize("alpha,logpow", [("100", "0"), ("100", "1"), ("400", "0"),
+                                          ("400", "3")])
+@pytest.mark.parametrize("strict", [[], ["--strict"]], ids=["lenient", "strict"])
+def test_cesaro_int_power_log_past_the_float_range_is_not_converged(capsys, strict,
+                                                                     alpha, logpow):
+    # t^(alpha+j) leaves the float range on the default grid: a record that
+    # reads inf, as cesaro-sum power --power 400 does, not an OverflowError
+    code, pairs = run_text(capsys, ["cesaro-int", "power-log", "--alpha", alpha,
+                                    "--logpow", logpow] + strict)
+    assert code == (2 if strict else 0)
+    assert pairs["result.float"] == "inf"
+    assert pairs["diagnostics.converged"] == "false"
+
+
+def test_cesaro_int_answers_a_fast_sine(capsys):
+    # a = 1e4: (C,1) mean 1/a - sin(aX)/(a^2 X) at X = 1e5
+    code, (rec,) = run_json(capsys, ["cesaro-int", "sin", "--freq", "1e4", "--order", "1"])
+    a, X = 1e4, 1e5
+    assert code == 0
+    assert rec["diagnostics"]["converged"] is True
+    assert abs(rec["result"]["float"] - (1 / a - math.sin(a * X) / (a * a * X))) <= 1e-9
+
+
+@pytest.mark.parametrize("xmax", ["50", "0.5"])
+def test_cesaro_int_names_an_xmax_below_its_grid(capsys, xmax):
+    code = cli.run(["cesaro-int", "sin", "--xmax", xmax])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert f"error: xmax must be at least 100, got {xmax}" in captured.err
+
+
+@pytest.mark.parametrize("bounds,name", [(["0", "inf", "1"], "HI"), (["nan", "1", "1"], "LO"),
+                                         (["0", "1", "inf"], "STEP")])
+def test_alpha_range_names_a_non_finite_bound(capsys, bounds, name):
+    code = cli.run(["zeta-estimate", "--alpha-range"] + bounds)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert f"error: --alpha-range {name} must be finite" in captured.err

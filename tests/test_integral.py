@@ -224,8 +224,8 @@ def test_power_log_rejects_nonintegrable_exponent():
     (integral.cos_wave, -math.inf, "a"),
 ])
 def test_factories_name_a_non_finite_parameter(factory, value, name):
-    # with alpha = inf every chain coefficient is 0 and the chain check's
-    # slack is infinite, so only an up-front check stops a converged 0
+    # with alpha = inf every chain coefficient is 0, so only an up-front
+    # check stops a converged 0
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         factory(value)
 
@@ -246,16 +246,40 @@ def test_power_log_takes_an_integral_float_log_power():
 
 
 @pytest.mark.parametrize("factory,value,name", [
-    (integral.power_log, 400.0, "alpha"),
     (integral.sin_wave, 1e39, "a"),
     (integral.cos_wave, 1e39, "a"),
     (integral.cos_wave, -1e39, "a"),
 ])
 def test_factories_name_a_parameter_whose_chain_overflows(factory, value, name):
-    # finite, but t^(alpha+j) or (ia)^j leaves the float range while the
-    # chain is built or checked
+    # finite, but (ia)^j leaves the float range while the chain is built
     with pytest.raises(ValueError, match=f"^{name}=.* is too large"):
         factory(value)
+
+
+@pytest.mark.parametrize("alpha,p", [(100.0, 0), (100.0, 1), (400.0, 0), (400.0, 3),
+                                     (1e300, 0)])
+def test_power_log_past_the_float_range_reads_inf(alpha, p):
+    # t^(alpha+j) overflows at the grid's end: the layer reads +inf, and the
+    # record is not converged rather than an exception; at alpha = 1e300 every
+    # coefficient past layer 1 underflows to 0, which must not read 0
+    spec = integral.power_log(alpha, p)
+    for k in (0, 3, integral.MAX_CHAIN - 1):
+        assert integral.riesz_mean(spec, k, 1e5) == math.inf, k
+        ev = integral.cesaro_integral(spec, k)
+        assert ev.value == math.inf and not ev.converged, k
+
+
+def test_zero_constant_has_zero_primitives_past_the_float_range():
+    # t^j overflows there, but a zero integrand's layers have no terms
+    spec = integral.constant(0.0)
+    for X in (75.0, 1e40, 1e100, 1e300):
+        assert [F(X) for F in spec.primitives] == [0.0] * integral.MAX_CHAIN
+    assert integral.riesz_mean(spec, integral.MAX_CHAIN - 1, 1e40) == 0.0
+
+
+def test_constant_past_the_float_range_reads_inf():
+    ev = integral.cesaro_integral(integral.constant(1e308), 1)
+    assert ev.value == math.inf and not ev.converged
 
 
 @pytest.mark.parametrize("alpha,p,want", [(-0.5, 0, math.inf), (0.0, 0, 1.0),
@@ -480,6 +504,98 @@ def test_exp_chains_match_the_exact_taylor_tail(name, a):
             want = float(math.factorial(k) * F / Fraction(X) ** k)
             got = integral.riesz_mean(spec, k, X)
             assert abs(got - want) <= 1e-14 * abs(want), (X, k, got, want)
+
+
+# -- every layer of every built-in chain, by a route of its own ----------------
+
+def _exp_layers(c, part):
+    """Layer j of e^{ct} at t, from the exact Taylor-tail oracle, at |ct| from
+    1e-3 (the tail is summed) to 40 (the Taylor head is subtracted)."""
+    def want(j, t):
+        return float(exp_primitive(*c, j, Fraction(t))[part])
+    scale = abs(complex(float(c[0]), float(c[1])))
+    return want, [z / scale for z in (1e-3, 0.5, 3.0, 9.7, 40.0)], 1e-13, 0.0
+
+
+def _power_layers(alpha, coeff):
+    """Layer j of coeff t^alpha: coeff t^(alpha+j) Gamma(alpha+1)/Gamma(alpha+j+1),
+    summed in logarithms, so that a layer past the float range reads inf."""
+    def want(j, t):
+        if t == 0.0:
+            return coeff * (math.inf if alpha + j < 0 else float(alpha + j == 0))
+        x = (math.log(abs(coeff)) + (alpha + j) * math.log(t)
+             + math.lgamma(alpha + 1) - math.lgamma(alpha + j + 1))
+        return math.copysign(math.exp(x) if x < math.log(sys.float_info.max) else math.inf,
+                             coeff)
+    return want, [0.0, 1e-6, 0.01, 0.5, 1.0, 2.5, 7.3, 100.0, 1e3, 1e5, 1e6], 1e-12, 0.0
+
+
+def _quad_layers(spec):
+    """Layer j >= 1 at t as scipy's quadrature of the chain's own layer j - 1
+    over [0, t]; layer 0 is the integrand itself."""
+    import scipy.integrate as sciint
+
+    layers = (spec.func,) + spec.primitives
+
+    def want(j, t):
+        if j == 0:
+            return spec.func(t)
+        return sciint.quad(layers[j - 1], 0.0, t, epsabs=0.0, epsrel=1e-10, limit=200)[0]
+    return want, [0.5, 1.0, 2.5, 7.3, 30.0], 1e-8, 0.0
+
+
+def _periodic_layers(p):
+    """p({x}) and its primitive, mean * floor(x) + int_0^{x} p, in Fractions."""
+    def want(j, x):
+        x = Fraction(x)
+        n = math.floor(x)
+        u = x - n
+        if j == 0:
+            return float(sum(c * u ** i for i, c in enumerate(p.coeffs)))
+        return float(sum(c * (n + u ** (i + 1)) / (i + 1) for i, c in enumerate(p.coeffs)))
+    # float rounding of x and of the coefficients is relative to the
+    # coefficients, not to a value near a zero of p
+    return want, [0.0, 0.3, 1.0, 2.5, 7.3, 100.25, 1e3 + 1 / 3, 1e6 - 0.1], 1e-13, 1.0
+
+
+_CHAIN_CASES = (
+    [(f"{name}({a:g})", functools.partial(getattr(integral, f"{name}_wave"), a),
+      functools.partial(_exp_layers, (Fraction(0), Fraction(a)), 1 if name == "sin" else 0))
+     for name in ("sin", "cos") for a in (0.3, 1.0, 2.5, 5e3, 1e4)]
+    + [("exp_decay", integral.exp_decay,
+        functools.partial(_exp_layers, (Fraction(-1), Fraction(0)), 0))]
+    + [(f"power_log({alpha:g})", functools.partial(integral.power_log, alpha),
+        functools.partial(_power_layers, alpha, 1.0))
+       for alpha in (-0.9, -0.5, 0.0, 0.3, 1.5, 3.7, 7.0, 100.0)]
+    + [(f"power_log({alpha:g}, {p})", functools.partial(integral.power_log, alpha, p),
+        None) for alpha in (-0.9, 0.0, 0.5, 3.7, 100.0) for p in (1, 2, 3)]
+    + [(f"constant({c:g})", functools.partial(integral.constant, c),
+        functools.partial(_power_layers, 0.0, c)) for c in (1.0, -0.3, 1e308)]
+    + [(f"periodic_poly({name})", functools.partial(integral.periodic_poly, p),
+        functools.partial(_periodic_layers, p))
+       for name, p in (("3, 1", exact.pm_polynomial(3, 1)), ("3, 0", exact.pm_polynomial(3, 0)),
+                       ("5, 2", exact.pm_polynomial(5, 2)),
+                       ("u^2 - u/3", exact.PeriodicPolynomial((0, Fraction(-1, 3), 1))))])
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("build,route", [case[1:] for case in _CHAIN_CASES],
+                         ids=[case[0] for case in _CHAIN_CASES])
+def test_builtin_chain_layers_match_an_independent_route(build, route):
+    # the built-in chains come from closed-form recurrences and are not probed
+    # when built; this checks every layer, the integrand included, so every
+    # consecutive pair.  a = 5e3 and 1e4 and c = 1e308 are correct chains
+    # that a fixed-step difference probe once rejected at build
+    spec = build()
+    want, points, rel, floor = route() if route else _quad_layers(spec)
+    for j, layer in enumerate((spec.func,) + spec.primitives):
+        for t in points:
+            expected, got = want(j, t), layer(t)
+            if math.isinf(expected):
+                assert got == expected, (j, t, got)
+            else:
+                assert abs(got - expected) <= rel * max(abs(expected), floor), (
+                    j, t, got, expected)
 
 
 @functools.cache
