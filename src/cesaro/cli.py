@@ -5,6 +5,10 @@ invocation prints exactly one record per result, through ``_emit``: stable
 ``key: value`` lines in text mode, one JSON object per line in structured
 mode.  stdout is reserved for records, stderr for logs; exit codes are 0
 (success), 1 (usage or domain error), 2 (non-convergence under --strict).
+
+Only the exact layer is imported up front, so the exact subcommands never
+load numpy; a numeric handler imports its module when it runs, and reads
+the defaults of --xmax and --tol from that module's constants then.
 """
 from __future__ import annotations
 
@@ -18,8 +22,8 @@ from fractions import Fraction
 from functools import partial
 from typing import Optional
 
-from . import exact, finite_part, integral, series, zeta
-from .evaluation import require_finite
+from . import exact, finite_part
+from .evaluation import QuadratureError, require_finite
 
 log = logging.getLogger("cesaro.cli")
 
@@ -28,6 +32,9 @@ FORMAT_ENV = "CESARO_FORMAT"
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NOT_CONVERGED = 2
+
+# the most steps an --alpha-range sweep may take
+ALPHA_RANGE_MAX_STEPS = 10_000
 
 OUTPUT_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -99,28 +106,31 @@ def _emit_estimate(inputs: dict, ev, args, fmt: str) -> int:
 
 # -- the named inputs ------------------------------------------------------------
 
-# name -> (the options its builder reads, in order, and the builder); the
-# parser offers these names, and a record echoes exactly these options
+# name -> (the options its builder reads, in order, and the builder, which
+# takes the module that evaluates it and then those options); the parser
+# offers these names, and a record echoes exactly these options
 _SEQUENCES = {
-    "alt-sign": ((), lambda: series.SeriesSpec(lambda n: (-1.0) ** n, label="alt-sign")),
-    "alt-sign-n": ((), lambda: series.SeriesSpec(lambda n: (-1.0) ** n * n,
-                                                 label="alt-sign-n")),
-    "geometric": (("ratio",), lambda r: series.SeriesSpec(lambda n: r ** n,
-                                                          label=f"geometric({r:g})")),
-    "power": (("power",), lambda p: series.SeriesSpec(lambda n: float(n) ** p, start=1,
-                                                      label=f"power({p:g})")),
+    "alt-sign": ((), lambda series: series.SeriesSpec(lambda n: (-1.0) ** n,
+                                                      label="alt-sign")),
+    "alt-sign-n": ((), lambda series: series.SeriesSpec(lambda n: (-1.0) ** n * n,
+                                                        label="alt-sign-n")),
+    "geometric": (("ratio",), lambda series, r: series.SeriesSpec(
+        lambda n: r ** n, label=f"geometric({r:g})")),
+    "power": (("power",), lambda series, p: series.SeriesSpec(
+        lambda n: float(n) ** p, start=1, label=f"power({p:g})")),
 }
 
 _INTEGRANDS = {
-    "sin": (("freq",), integral.sin_wave),
-    "cos": (("freq",), integral.cos_wave),
-    "exp-decay": ((), integral.exp_decay),
-    "power-log": (("alpha", "logpow"), integral.power_log),
+    "sin": (("freq",), lambda integral, a: integral.sin_wave(a)),
+    "cos": (("freq",), lambda integral, a: integral.cos_wave(a)),
+    "exp-decay": ((), lambda integral: integral.exp_decay()),
+    "power-log": (("alpha", "logpow"), lambda integral, a, p: integral.power_log(a, p)),
 }
 
 
 def _cesaro_integral_to(spec, k: int, x_max: float, tol: float):
     """cesaro_integral on a grid of two to three decades ending at x_max."""
+    from . import integral
     require_finite(xmax=x_max)
     if x_max < 100:
         raise ValueError(f"xmax must be at least 100, got {x_max:g}")
@@ -152,28 +162,39 @@ def _cmd_pm_poly(args, fmt: str) -> int:
     return EXIT_OK
 
 
-def _alpha_sweep(args):
+def _alphas(args) -> list:
+    """The alphas to estimate at: --alpha, or every step of --alpha-range."""
     if args.alpha_range is not None:
         lo, hi, step = args.alpha_range
         require_finite(**{"--alpha-range LO": lo, "--alpha-range HI": hi,
                           "--alpha-range STEP": step})
         if step <= 0:
             raise ValueError("--alpha-range step must be positive")
+        steps = (hi - lo) / step
+        if not steps <= ALPHA_RANGE_MAX_STEPS:  # inf too
+            raise ValueError(f"--alpha-range spans {steps:g} steps, more than "
+                             f"{ALPHA_RANGE_MAX_STEPS}")
         # indexed, not a running sum: ten `+= 0.1` steps end at 0.9999999999999999
-        for i in range(math.floor((hi - lo) / step + 1e-9) + 1):
-            yield lo + i * step
-    elif args.alpha is not None:
-        yield args.alpha
-    else:
-        raise ValueError("one of --alpha or --alpha-range is required")
+        return [lo + i * step for i in range(math.floor(steps + 1e-9) + 1)]
+    if args.alpha is not None:
+        return [args.alpha]
+    raise ValueError("one of --alpha or --alpha-range is required")
 
 
-def _run_estimates(args, fmt: str, estimator) -> int:
+def _run_estimates(args, fmt: str, estimator: str) -> int:
+    """zeta-estimate / zeta-prime-estimate: one record per alpha."""
+    alphas = _alphas(args)
+    from . import zeta
+    estimate = getattr(zeta, estimator)
+    if args.xmax is None:
+        args.xmax = zeta.DEFAULT_XMAX
+    if args.tol is None:
+        args.tol = zeta.DEFAULT_TOL
     worst = EXIT_OK
     emitted = False
-    for a in _alpha_sweep(args):
+    for a in alphas:
         try:
-            ev = estimator(a, k=args.order, X_max=args.xmax, tol=args.tol)
+            ev = estimate(a, k=args.order, X_max=args.xmax, tol=args.tol)
         except ValueError as exc:
             if args.alpha_range is None:
                 raise
@@ -188,17 +209,32 @@ def _run_estimates(args, fmt: str, estimator) -> int:
     return worst
 
 
-def _cmd_cesaro(args, fmt: str, kind: str, table: dict, span: str, evaluate) -> int:
+def _cmd_cesaro_sum(args, fmt: str) -> int:
+    from . import series
+    return _cesaro_mean(args, fmt, series, series.cesaro_sum, "sequence", _SEQUENCES,
+                        "terms")
+
+
+def _cmd_cesaro_int(args, fmt: str) -> int:
+    from . import integral
+    return _cesaro_mean(args, fmt, integral, _cesaro_integral_to, "integrand",
+                        _INTEGRANDS, "xmax")
+
+
+def _cesaro_mean(args, fmt: str, module, evaluate, kind: str, table: dict,
+                 span: str) -> int:
     """cesaro-sum / cesaro-int: the (C,k) mean of the named sequence or
     integrand, built from exactly the options its table entry names."""
     name = getattr(args, kind)
     options, build = table[name]
+    if args.tol is None:
+        args.tol = module.DEFAULT_TOL
     inputs = {kind: name, "order": args.order, span: getattr(args, span), "tol": args.tol}
     for option in options:
         inputs[option] = getattr(args, option)
         if inputs[option] is None:
             raise ValueError(f"{kind} '{name}' needs --{option}")
-    ev = evaluate(build(*(inputs[option] for option in options)),
+    ev = evaluate(build(module, *(inputs[option] for option in options)),
                   args.order, inputs[span], args.tol)
     return _emit_estimate(inputs, ev, args, fmt)
 
@@ -252,8 +288,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("m", type=int)
     p.set_defaults(handler=_cmd_pm_poly)
 
-    for name, estimator in (("zeta-estimate", zeta.zeta_via_cesaro),
-                            ("zeta-prime-estimate", zeta.zeta_prime_via_cesaro)):
+    for name, estimator in (("zeta-estimate", "zeta_via_cesaro"),
+                            ("zeta-prime-estimate", "zeta_prime_via_cesaro")):
         p = sub.add_parser(name, parents=[common],
                            help=f"{'zeta' if name == 'zeta-estimate' else 'zeta-prime'}"
                                 "(-alpha) from the staircase Cesaro limit")
@@ -263,8 +299,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="sweep alpha over an inclusive range")
         p.add_argument("--order", type=int, default=None,
                        help="Cesaro order k (default: max(0, ceil(alpha)+1))")
-        p.add_argument("--xmax", type=float, default=zeta.DEFAULT_XMAX)
-        p.add_argument("--tol", type=float, default=zeta.DEFAULT_TOL)
+        p.add_argument("--xmax", type=float, default=None)
+        p.add_argument("--tol", type=float, default=None)
         p.set_defaults(handler=partial(_run_estimates, estimator=estimator))
 
     p = sub.add_parser("cesaro-sum", parents=[common],
@@ -276,9 +312,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="exponent for the power sequence (terms start at n=1)")
     p.add_argument("--order", type=int, default=1)
     p.add_argument("--terms", type=int, default=10_000)
-    p.add_argument("--tol", type=float, default=series.DEFAULT_TOL)
-    p.set_defaults(handler=partial(_cmd_cesaro, kind="sequence", table=_SEQUENCES,
-                                   span="terms", evaluate=series.cesaro_sum))
+    p.add_argument("--tol", type=float, default=None)
+    p.set_defaults(handler=_cmd_cesaro_sum)
 
     p = sub.add_parser("cesaro-int", parents=[common],
                        help="Cesaro (C,k) mean of a built-in integrand")
@@ -291,9 +326,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="log power for power-log")
     p.add_argument("--order", type=int, default=1)
     p.add_argument("--xmax", type=float, default=1e5)
-    p.add_argument("--tol", type=float, default=integral.DEFAULT_TOL)
-    p.set_defaults(handler=partial(_cmd_cesaro, kind="integrand", table=_INTEGRANDS,
-                                   span="xmax", evaluate=_cesaro_integral_to))
+    p.add_argument("--tol", type=float, default=None)
+    p.set_defaults(handler=_cmd_cesaro_int)
 
     for name, integrand, float_fn, exact_fn in (
             ("fp-int", "t^alpha", finite_part.fp_power_integral,
@@ -332,7 +366,7 @@ def run(argv) -> int:
     try:
         return args.handler(args, fmt)
     except (ValueError, OverflowError, ZeroDivisionError,
-            integral.QuadratureError, finite_part.IllConditionedFitError) as exc:
+            QuadratureError, finite_part.IllConditionedFitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -4,13 +4,15 @@ Every estimator in this package (series, integrals, staircase limits) samples
 a normalized quantity along a tail of indices or grid points and judges
 convergence the same way: by the dispersion (max - min) of the tail samples
 against a tolerance.  Divergence is a result, never an exception.
+
+QuadratureError, which the integral layer re-exports, is defined here so the
+CLI can catch it without importing that layer; numpy is imported only when a
+judgement is made.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = ["CesaroEvaluation", "tail_judgement"]
 
@@ -35,6 +37,14 @@ class CesaroEvaluation:
     trace: tuple[float, ...]
     error_estimate: float
     converged: bool
+
+
+class QuadratureError(RuntimeError):
+    """Raised when adaptive quadrature cannot certify its own result."""
+
+    def __init__(self, message: str, error_estimate: float):
+        super().__init__(message)
+        self.error_estimate = error_estimate
 
 
 def require_finite(**named) -> None:
@@ -71,6 +81,8 @@ def tail_judgement(samples, order, n_terms, tol,
     default is ``tail_window(len(samples))``.  The reported value
     is always the final sample, converged or not.
     """
+    import numpy as np
+
     samples = np.asarray(samples, dtype=np.float64)
     if len(samples) < 2:
         raise ValueError("need at least two samples to judge convergence")

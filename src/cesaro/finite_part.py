@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
-import numpy as np
-
 __all__ = [
     "FinitePartDecomposition",
     "IllConditionedFitError",
@@ -139,6 +137,8 @@ def extract_finite_part(g, basis, eps_grid,
     the scaled design matrix raises IllConditionedFitError instead of
     returning a garbage constant.
     """
+    import numpy as np
+
     basis = [(float(a), int(b)) for a, b in basis]
     if len(set(basis)) != len(basis):
         raise ValueError("divergent basis pairs must be distinct")

@@ -47,7 +47,8 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .accumulate import compensated_prefix_sums
-from .evaluation import CesaroEvaluation, require_finite, require_order, tail_judgement
+from .evaluation import (CesaroEvaluation, QuadratureError, require_finite, require_order,
+                         tail_judgement)
 from .exact import PeriodicPolynomial, periodic_mean
 
 __all__ = [
@@ -74,14 +75,6 @@ _MAX_WINDOWS = 4096  # quadrature windows per integral
 _MAX_PIECES = 200  # pieces per quadrature window (QUADPACK's limit)
 _STALL_LIMIT = 6  # roundoff-limited bisections per window (QAG's count)
 _EPS = math.ulp(1.0)
-
-
-class QuadratureError(RuntimeError):
-    """Raised when adaptive quadrature cannot certify its own result."""
-
-    def __init__(self, message: str, error_estimate: float):
-        super().__init__(message)
-        self.error_estimate = error_estimate
 
 
 @dataclass(frozen=True)
@@ -277,7 +270,13 @@ def _riesz_means(spec: IntegrandSpec, k: float, grid: tuple) -> np.ndarray:
     if k == int(k) and k < len(spec.primitives):
         k = int(k)
         Fk, kfact = spec.primitives[k], math.factorial(k)
-        return np.array([kfact * Fk(X) / X ** k for X in grid])
+        means = []
+        for X in grid:
+            mean = Fk(X)
+            for _ in range(k):  # not / X ** k, which overflows where the mean need not
+                mean /= X
+            means.append(kfact * mean)
+        return np.array(means)
     if k == 0:
         windows = [_quadrature_windows(functools.partial(_sample, spec), *_windows(a, X),
                                        spec.label) for a, X in zip((0.0,) + grid, grid)]
@@ -509,7 +508,9 @@ def _power_log_chain(alpha: float, p: int, coeff: float) -> tuple:
     t^(g-1) ln^q t = t^g sum_i (-1)^i q!/(q-i)! ln^(q-i) t / g^(i+1) gives
     the next layer's coefficients from this one's.  A coefficient that
     underflows to 0 is kept, so that its layer still reads inf where t^g
-    overflows; only coeff = 0 gives layers with no terms.
+    overflows; only coeff = 0 gives layers with no terms.  A coefficient that
+    overflows (q!/(q-i)! past p = 170, or 1/g^(i+1) for alpha near -1) raises
+    ValueError.
     """
     chain, g, terms = [], alpha, [(p, coeff)]
     for _ in range(MAX_CHAIN):
@@ -522,6 +523,9 @@ def _power_log_chain(alpha: float, p: int, coeff: float) -> tuple:
                 fall *= q - i
                 sign = -sign
                 denom *= g
+        if not all(map(math.isfinite, coeffs)):
+            raise ValueError(f"alpha={alpha:g} with log power p={p} is out of range: "
+                             "its primitive chain's coefficients overflow a float")
         terms = [(q, coeffs[q]) for q in range(p, -1, -1)] if coeff else []
         chain.append(_power_log_layer(g, terms))
     return tuple(chain)

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -7,7 +8,7 @@ from fractions import Fraction
 import jsonschema
 import pytest
 
-from cesaro import cli, exact
+from cesaro import cli, exact, zeta
 
 
 def run_json(capsys, argv):
@@ -430,3 +431,58 @@ def test_alpha_range_names_a_non_finite_bound(capsys, bounds, name):
     assert code == 1
     assert captured.out == ""
     assert f"error: --alpha-range {name} must be finite" in captured.err
+
+
+@pytest.mark.parametrize("bounds,steps", [(["0", "1e308", "1e-300"], "inf"),
+                                          (["0", "1e9", "1"], "1e+09")])
+def test_alpha_range_refuses_too_many_steps(capsys, monkeypatch, bounds, steps):
+    # refused before any estimate runs: an estimate here would fail the test
+    # at once, where a sweep of 1e9 alphas would run without bound
+    def estimate(*args, **kwargs):
+        raise AssertionError("an estimate ran")
+
+    monkeypatch.setattr(zeta, "zeta_via_cesaro", estimate)
+    code = cli.run(["zeta-estimate", "--alpha-range"] + bounds)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert (f"error: --alpha-range spans {steps} steps, more than "
+            f"{cli.ALPHA_RANGE_MAX_STEPS}") in captured.err
+
+
+def test_cesaro_int_names_a_log_power_whose_coefficients_overflow(capsys):
+    code = cli.run(["cesaro-int", "power-log", "--alpha", "0.5", "--logpow", "200"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "error: alpha=0.5 with log power p=200 is out of range" in captured.err
+
+
+def test_cesaro_int_high_order_at_a_huge_xmax_is_not_converged(capsys):
+    # X^7 leaves the float range; sin's F_7 there reads nan, so the record
+    # does too, not an OverflowError
+    code, pairs = run_text(capsys, ["cesaro-int", "sin", "--order", "7", "--xmax", "1e60"])
+    assert code == 0
+    assert pairs["result.float"] == "nan"
+    assert pairs["diagnostics.converged"] == "false"
+
+
+_NO_NUMPY_PROBE = """
+import sys
+from cesaro.cli import run
+code = run(sys.argv[1:])
+sys.exit("the command loaded numpy" if "numpy" in sys.modules else code)
+"""
+
+
+@pytest.mark.parametrize("argv", [["zeta", "-7"], ["faulhaber", "10", "1000"],
+                                  ["pm-poly", "4", "1"], ["fp-int", "--alpha=-3/2"],
+                                  ["fp-log-int", "--alpha=-3/2"], ["bernoulli", "30"]],
+                         ids=lambda argv: argv[0])
+def test_exact_subcommands_load_no_numpy(argv):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _NO_NUMPY_PROBE, *argv],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(f"command: {argv[0]}\n")

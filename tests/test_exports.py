@@ -5,8 +5,10 @@ each name in ``__all__``, so a stale entry breaks them at import time.
 """
 import ast
 import importlib
+import os
 import pathlib
 import pkgutil
+import subprocess
 import sys
 
 import pytest
@@ -54,3 +56,62 @@ def test_oracles_import_only_the_standard_library():
     assert roots, "no imports found"
     assert not roots & {"cesaro", "numpy", "scipy", "bench"}
     assert roots <= sys.stdlib_module_names, sorted(roots - sys.stdlib_module_names)
+
+
+# the public surface, in order: CesaroEvaluation and __version__, then the
+# __all__ of accumulate, exact, finite_part, integral, series and zeta
+_PUBLIC = [
+    "CesaroEvaluation", "__version__",
+    "compensated_prefix_sums",
+    "BernoulliTable", "bernoulli", "faulhaber_sum", "zeta_neg_int", "PeriodicPolynomial",
+    "pm_polynomial", "periodic_mean",
+    "FinitePartDecomposition", "IllConditionedFitError", "fp_power_integral",
+    "fp_power_integral_exact", "fp_log_power_integral", "fp_log_power_integral_exact",
+    "extract_finite_part",
+    "IntegrandSpec", "QuadratureError", "default_grid", "riesz_mean", "cesaro_integral",
+    "primitive_limit", "sin_wave", "cos_wave", "exp_decay", "power_log", "constant",
+    "periodic_poly", "from_primitives", "sampled",
+    "SeriesSpec", "iterated_partial_sums", "cesaro_sum", "detect_order",
+    "asymptotic_normalized",
+    "StaircaseSpec", "PrimitiveState", "new_primitive_state", "staircase_value",
+    "advance_primitives", "zeta_via_cesaro", "zeta_prime_via_cesaro", "lemma_witness",
+]
+_SUBMODULES = ["accumulate", "evaluation", "exact", "finite_part", "integral", "series",
+               "zeta"]
+
+
+def test_the_public_surface_is_pinned():
+    assert cesaro.__all__ == _PUBLIC
+    assert set(dir(cesaro)) >= set(_PUBLIC) | set(_SUBMODULES)
+    assert cesaro.QuadratureError is cesaro.integral.QuadratureError
+    assert cesaro.CesaroEvaluation is cesaro.evaluation.CesaroEvaluation
+    star = {}
+    exec("from cesaro import *", star)
+    del star["__builtins__"]
+    assert star == {name: getattr(cesaro, name) for name in _PUBLIC}
+
+
+_LAZY_PROBE = """
+import sys
+import cesaro
+if "numpy" in sys.modules:
+    sys.exit("import cesaro loaded numpy")
+from cesaro import bernoulli, fp_power_integral
+if "numpy" in sys.modules:
+    sys.exit("an exact name loaded numpy")
+if vars(cesaro)["bernoulli"] is not cesaro.exact.bernoulli:
+    sys.exit("cesaro.bernoulli was not cached")
+print(dir(cesaro))  # which imports every module
+cesaro.integral, cesaro.evaluation  # submodules still resolve
+"""
+
+
+def test_import_cesaro_loads_no_numpy_and_lists_what_an_eager_import_did():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cesaro.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _LAZY_PROBE],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    module_dunders = ["__all__", "__builtins__", "__cached__", "__doc__", "__file__",
+                      "__loader__", "__name__", "__package__", "__path__", "__spec__"]
+    assert ast.literal_eval(proc.stdout) == sorted(module_dunders + _PUBLIC + _SUBMODULES)

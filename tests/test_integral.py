@@ -282,6 +282,37 @@ def test_constant_past_the_float_range_reads_inf():
     assert ev.value == math.inf and not ev.converged
 
 
+@pytest.mark.parametrize("spec,X,want", [
+    (integral.constant(0.0), 1e300, 0.0),
+    # c X / 8, with F_8 = c X^8 / 8! finite where X^7 is not
+    (integral.constant(1e-60), 1e45, 1e-60 * 1e45 / 8),
+], ids=["zero", "tiny"])
+def test_closed_form_mean_is_finite_where_x_to_the_k_overflows(spec, X, want):
+    assert integral.riesz_mean(spec, 7, X) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_closed_form_mean_of_a_non_finite_layer_is_not_converged():
+    # sin's F_7 at X = 1e60 is past the float range and reads nan
+    grid = integral.default_grid(lo=1e57, hi=1e60)
+    assert math.isnan(integral.riesz_mean(integral.sin_wave(1.0), 7, 1e60))
+    ev = integral.cesaro_integral(integral.sin_wave(1.0), 7, grid)
+    assert math.isnan(ev.value) and not ev.converged
+
+
+@pytest.mark.parametrize("alpha,p", [(0.5, 171), (0.5, 200), (-0.9, 120)])
+def test_power_log_names_a_log_power_whose_coefficients_overflow(alpha, p):
+    # q!/(q-i)! overflows past q = 170, and 1/g^(i+1) near alpha = -1; the
+    # coefficients would be inf and the layers nan
+    with pytest.raises(ValueError, match=rf"^alpha={alpha:g} with log power p={p} "
+                                         "is out of range"):
+        integral.power_log(alpha, p)
+
+
+def test_power_log_builds_at_the_largest_finite_factorial():
+    ev = integral.cesaro_integral(integral.power_log(0.5, 170), 1)
+    assert math.isfinite(ev.value)
+
+
 @pytest.mark.parametrize("alpha,p,want", [(-0.5, 0, math.inf), (0.0, 0, 1.0),
                                           (0.0, 1, 0.0), (0.5, 0, 0.0)])
 def test_power_log_at_zero(alpha, p, want):
