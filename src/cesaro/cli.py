@@ -234,6 +234,7 @@ def _cesaro_mean(args, fmt: str, module, evaluate, kind: str, table: dict,
         inputs[option] = getattr(args, option)
         if inputs[option] is None:
             raise ValueError(f"{kind} '{name}' needs --{option}")
+        require_finite(**{option: inputs[option]})
     ev = evaluate(build(module, *(inputs[option] for option in options)),
                   args.order, inputs[span], args.tol)
     return _emit_estimate(inputs, ev, args, fmt)
@@ -245,6 +246,7 @@ def _cmd_finite_part(args, fmt: str, float_fn, exact_fn) -> int:
     they do not)."""
     alpha = Fraction(args.alpha)
     upper = Fraction(args.upper)
+    require_finite(alpha=alpha, upper=upper)
     inputs = {"alpha": float(alpha), "upper": float(upper)}
     result = {"float": float_fn(inputs["alpha"], inputs["upper"])}
     try:

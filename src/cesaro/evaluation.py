@@ -67,6 +67,13 @@ def require_order(k) -> int:
     return int(k)
 
 
+def require_tol(tol) -> None:
+    """A convergence tolerance: finite and >= 0 (0 asks for an exact tail)."""
+    require_finite(tol=tol)
+    if tol < 0:
+        raise ValueError(f"tol must be >= 0, got {tol!r}")
+
+
 def tail_window(n_samples: int) -> int:
     """The default dispersion window: the last quarter, never fewer than 4."""
     return max(4, n_samples // 4)

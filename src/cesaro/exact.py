@@ -236,3 +236,18 @@ def pm_polynomial(n: int, m: int) -> PeriodicPolynomial:
 def periodic_mean(p: PeriodicPolynomial) -> Fraction:
     """Exact mean of p({x}) over one period: sum_j coeffs[j] / (j+1)."""
     return sum((c / (j + 1) for j, c in enumerate(p.coeffs)), Fraction(0))
+
+
+def _periodic_primitives(p: PeriodicPolynomial, depth: int) -> list:
+    """F_1..F_depth of x -> p({x}), each the primitive from 0 of the last, as
+    exact pairs (P, Q): F_j(x) = P(x) + Q({x}), P a polynomial in x (Fractions,
+    lowest power first) and Q a PeriodicPolynomial, Q(0) = 0.  With m the mean
+    of Q, F_{j+1}(x) = int_0^x (P + m) + R({x}), R(u) = int_0^u (Q - m), and
+    R(1) = 0 is the paper's lemma: the primitive of a zero-mean p is periodic."""
+    chain, P, Q = [], [Fraction(0)], list(p.coeffs) or [Fraction(0)]
+    for _ in range(depth):
+        m = periodic_mean(PeriodicPolynomial(Q))
+        P = [Fraction(0), P[0] + m] + [c / (i + 1) for i, c in enumerate(P) if i]
+        Q = [Fraction(0), Q[0] - m] + [c / (i + 1) for i, c in enumerate(Q) if i]
+        chain.append((tuple(P), PeriodicPolynomial(Q)))
+    return chain

@@ -33,8 +33,8 @@ needs scipy.
 The quadrature nodes of one call reach the integrand as one array.
 ``sin_wave``, ``cos_wave`` and ``exp_decay`` evaluate it in numpy, through
 their ``array_func``; every other integrand (``power_log``, ``constant``,
-``periodic_poly``, ``from_primitives``, ``sampled`` and any ``primitive()``)
-is called once per node with a Python float.
+``periodic_poly``, ``from_primitives`` and ``sampled``) is called once per
+node with a Python float.
 """
 from __future__ import annotations
 
@@ -48,8 +48,8 @@ import numpy as np
 
 from .accumulate import compensated_prefix_sums
 from .evaluation import (CesaroEvaluation, QuadratureError, require_finite, require_order,
-                         tail_judgement)
-from .exact import PeriodicPolynomial, periodic_mean
+                         require_tol, tail_judgement)
+from .exact import PeriodicPolynomial, _periodic_primitives
 
 __all__ = [
     "IntegrandSpec",
@@ -98,18 +98,6 @@ class IntegrandSpec:
     primitives: tuple = ()
     label: str = "f"
     array_func: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-    def primitive(self) -> "IntegrandSpec":
-        """The spec of int_0^x f, with the chain shifted down by one.
-
-        Feeding this to primitive_limit turns a function-limit evaluation
-        into an integral-value evaluation (one integration by parts).  The
-        new func is a primitive, so the array form is not carried over.
-        """
-        if not self.primitives:
-            raise ValueError(f"{self.label}: no antiderivative chain to shift")
-        return IntegrandSpec(func=self.primitives[0], primitives=self.primitives[1:],
-                             label=f"int({self.label})")
 
     def __repr__(self):
         return f"IntegrandSpec({self.label})"
@@ -179,19 +167,10 @@ def constant(c: float = 1.0) -> IntegrandSpec:
 
 
 def periodic_poly(p: PeriodicPolynomial) -> IntegrandSpec:
-    """x -> p({x}) with its first primitive mean*floor(x) + R({x})."""
-    mean = float(periodic_mean(p))
-    r_coeffs = [0.0] + [float(c) / (j + 1) for j, c in enumerate(p.coeffs)]
-
-    def f1(t):
-        fl = math.floor(t)
-        u = t - fl
-        acc = 0.0
-        for c in reversed(r_coeffs):
-            acc = acc * u + c
-        return mean * fl + acc
-
-    return IntegrandSpec(func=lambda t: p(t), primitives=(f1,), label=f"{p!r}@frac")
+    """x -> p({x}), with its primitive chain to depth MAX_CHAIN: the exact
+    layers P_j(x) + Q_j({x}) of ``exact._periodic_primitives``, read in float."""
+    chain = tuple(_periodic_layer(P, Q) for P, Q in _periodic_primitives(p, MAX_CHAIN))
+    return IntegrandSpec(func=lambda t: p(t), primitives=chain, label=f"{p!r}@frac")
 
 
 def from_primitives(func, primitives, label: str = "user") -> IntegrandSpec:
@@ -474,6 +453,7 @@ def cesaro_integral(spec: IntegrandSpec, k: float, X_grid=None,
     of the tail samples (``tail_judgement``'s default window) against tol.
     """
     grid = _validate_grid(default_grid() if X_grid is None else X_grid)
+    require_tol(tol)
     samples = _riesz_means(spec, k, grid)
     return tail_judgement(samples, order=float(k), n_terms=len(grid), tol=tol)
 
@@ -483,14 +463,14 @@ def primitive_limit(spec: IntegrandSpec, k: int, X_grid=None,
     """Cesaro limit of the function f at integer order k: k! F_k(X) / X^k.
 
     F_k is the k-fold iterated primitive of f (F_0 = f, F_1 = int_0^x f).
-    For the Cesaro value of the *integral* of f, pass ``spec.primitive()``
-    so the chain starts one level up.
+    For the Cesaro value of the *integral* of f, use ``cesaro_integral``.
 
     Order 0 samples f; by Cauchy's formula, every order k >= 1 is k/X times
     the Riesz mean of order k - 1, read off the chain or by quadrature.
     """
     k = require_order(k)
     grid = _validate_grid(default_grid() if X_grid is None else X_grid)
+    require_tol(tol)
     if k == 0:
         samples = [spec.func(X) for X in grid]
     else:
@@ -559,6 +539,18 @@ def _power_log_layer(g: float, terms) -> Callable[[float], float]:
                 v *= lt ** q
             acc += v
         return acc
+    return F
+
+
+def _periodic_layer(P, Q: PeriodicPolynomial) -> Callable[[float], float]:
+    """t -> P(t) + Q({t}) in float, P by Horner's rule."""
+    coeffs = [float(c) for c in reversed(P)]
+
+    def F(t):
+        acc = 0.0
+        for c in coeffs:
+            acc = acc * t + c
+        return acc + Q(t)
     return F
 
 

@@ -30,7 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .accumulate import compensated_prefix_sums
-from .evaluation import CesaroEvaluation, require_order, tail_judgement
+from .evaluation import CesaroEvaluation, require_order, require_tol, tail_judgement
 
 __all__ = [
     "SeriesSpec",
@@ -124,6 +124,7 @@ def cesaro_sum(spec: SeriesSpec, k: int, n_terms: int,
     samples; the reported value is C^k at the final index.
     """
     k = require_order(k)
+    require_tol(tol)
     tail_count = max(8, n_terms // 10)
     if n_terms < tail_count or n_terms < 8:
         raise ValueError(f"n_terms={n_terms} leaves no tail window to judge convergence")

@@ -47,8 +47,9 @@ from typing import Optional
 import numpy as np
 
 from .accumulate import _two_sum_scan
-from .evaluation import CesaroEvaluation, require_finite, require_order, tail_judgement, tail_window
-from .exact import PeriodicPolynomial
+from .evaluation import (CesaroEvaluation, require_finite, require_order, require_tol,
+                         tail_judgement, tail_window)
+from .exact import PeriodicPolynomial, _periodic_primitives
 from .finite_part import fp_log_power_integral, fp_power_integral
 
 __all__ = [
@@ -266,11 +267,13 @@ def _cesaro_limit_samples_exact(spec: StaircaseSpec, k: int,
     return _exact_samples(head, scale, k, boundaries)
 
 
-def _order_and_boundaries(k, X_max: float) -> tuple[int, int, list[int]]:
+def _order_and_boundaries(k, X_max: float, tol: float) -> tuple[int, int, list[int]]:
     """The order of a staircase limit up to X_max, and the boundaries that
-    the verdict reads: at least TRACE_LEN for every X_max >= 64."""
+    the verdict reads: at least TRACE_LEN for every X_max >= 64.  A bad
+    order, X_max or tol is refused here, before any sample is taken."""
     k = require_order(k)
     require_finite(X_max=X_max)
+    require_tol(tol)
     if X_max < 64:
         raise ValueError("X_max is too small to form a sample tail")
     n_max = int(math.floor(X_max))
@@ -283,7 +286,7 @@ def _staircase_evaluation(spec: StaircaseSpec, k: Optional[int], X_max: float,
     require_finite(alpha=spec.alpha)
     if k is None:
         k = default_order(spec.alpha)
-    k, n_max, boundaries = _order_and_boundaries(k, X_max)
+    k, n_max, boundaries = _order_and_boundaries(k, X_max, tol)
     if k > 0 and not spec.log_weight and spec.alpha >= 0 and spec.alpha.is_integer():
         samples = _cesaro_limit_samples_exact(spec, k, boundaries)
     else:
@@ -336,19 +339,14 @@ def lemma_witness(p: PeriodicPolynomial, k: int = 1, X_max: float = DEFAULT_XMAX
     that such functions are Cesaro-negligible.  With nonzero mean the same
     evaluation converges to the mean instead, which makes a handy control.
 
-    At a boundary n, k! F_k(n) = k sum_{r=1..n} int_0^1 (r-s)^(k-1) p(s) ds,
-    a polynomial in n of degree <= k with Fraction coefficients.  Its values
-    at n = 0..k are summed exactly and ``_exact_samples`` rounds it once at
-    each boundary, so the cost does not depend on X_max.
+    At an integer n, k! F_k(n) = k! P_k(n), P_k from ``_periodic_primitives``;
+    ``_exact_samples`` reads it at each boundary from its exact values at
+    n = 0..k, rounding once, so the cost does not depend on X_max.
     """
-    k, n_max, boundaries = _order_and_boundaries(k, X_max)
+    k, n_max, boundaries = _order_and_boundaries(k, X_max, tol)
     if k == 0:
         raise ValueError("lemma_witness needs order k >= 1, got k=0")
-    # mu[j] = int_0^1 s^j p(s) ds, so int_0^1 (r-s)^(k-1) p(s) ds is a
-    # polynomial g(r) of degree k - 1, and k! F_k(n) = k sum_{r<=n} g(r)
-    mu = [sum(c / (i + j + 1) for i, c in enumerate(p.coeffs)) for j in range(k)]
-    g = [sum(math.comb(k - 1, j) * (-1) ** j * r ** (k - 1 - j) * mu[j] for j in range(k))
-         for r in range(k + 1)]
-    head = [k * sum(g[1:n + 1]) for n in range(k + 1)]
+    P = _periodic_primitives(p, k)[-1][0]
+    head = [math.factorial(k) * sum(c * n ** i for i, c in enumerate(P)) for n in range(k + 1)]
     samples = _exact_samples(head, 1, k, boundaries)
     return tail_judgement(samples, order=k, n_terms=n_max, tol=tol, tail_count=len(samples))

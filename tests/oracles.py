@@ -102,6 +102,41 @@ def exp_primitive(c_re: Fraction, c_im: Fraction, j: int,
             return t ** j * Fraction(nr, m), t ** j * Fraction(ni, m)
 
 
+def periodic_primitive(coeffs, j: int, x) -> Fraction:
+    """The j-fold primitive from 0 of x -> p({x}), p(u) = sum_l coeffs[l] u^l,
+    exactly, by Cauchy's formula (j = 0 is p({x}) itself):
+
+        (j-1)! F_j(x) = int_0^x (x - t)^(j-1) p({t}) dt.
+
+    With x = n + u, period r of [0, x] gives int_0^1 (x - r - s)^(j-1) p(s) ds.
+    Expanding the power in s, period r contributes sum_i C(j-1, i) (-1)^i
+    mu_i (x - r)^e, mu_i = int_0^1 s^i p(s) ds and e = j-1-i.  Summed over the
+    n whole periods, x - r = u + w for w = 1..n, so the (x - r)^e expand in
+    the integer power sums S_l(n) = sum_w w^l; the partial period [n, x] is
+    the w = 0 term, with its moment taken over [0, u]."""
+    x = Fraction(x)
+    n = math.floor(x)
+    u = x - n
+    cs = [Fraction(c) for c in coeffs]
+    if j == 0:
+        return sum(c * u ** l for l, c in enumerate(cs))
+
+    def moment(i, a):  # int_0^a s^i p(s) ds
+        return sum(c * a ** (i + l + 1) / (i + l + 1) for l, c in enumerate(cs))
+
+    # (n + 1)^(l+1) - 1 telescopes to sum_{i<=l} C(l+1, i) S_i(n)
+    power_sums = []
+    for l in range(j):
+        rest = sum(math.comb(l + 1, i) * s for i, s in enumerate(power_sums))
+        power_sums.append(((n + 1) ** (l + 1) - 1 - rest) // (l + 1))
+    total = Fraction(0)
+    for i in range(j):
+        e = j - 1 - i
+        whole = sum(math.comb(e, l) * u ** (e - l) * power_sums[l] for l in range(e + 1))
+        total += math.comb(j - 1, i) * (-1) ** i * (moment(i, 1) * whole + u ** e * moment(i, u))
+    return total / math.factorial(j - 1)
+
+
 def prefix_sums_naive(values, k: int):
     """k-times iterated prefix sums, plain float adds."""
     out = [float(v) for v in values]

@@ -254,6 +254,24 @@ def test_cesaro_int_names_a_non_finite_alpha(capsys, alpha):
     assert "error: alpha must be finite" in captured.err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["zeta-estimate", "--alpha", "1", "--tol", "nan"], "tol must be finite"),
+    (["zeta-estimate", "--alpha", "1", "--tol", "-1"], "tol must be >= 0"),
+    (["cesaro-sum", "geometric", "--ratio", "nan"], "ratio must be finite"),
+    (["cesaro-sum", "power", "--power", "nan"], "power must be finite"),
+    (["cesaro-sum", "power", "--power=-inf"], "power must be finite"),
+    (["fp-int", "--alpha=1e400"], "alpha is too large"),
+    (["fp-int", "--alpha=-3/2", "--upper=1e400"], "upper is too large"),
+    (["fp-log-int", "--alpha=1e400"], "alpha is too large"),
+])
+def test_an_option_out_of_range_is_named(capsys, argv, message):
+    code = cli.run(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert f"error: {message}" in captured.err
+
+
 def test_cesaro_sum_power_is_zeta_of_the_negated_power(capsys):
     code, (rec,) = run_json(capsys, ["cesaro-sum", "power", "--power", "-2",
                                      "--order", "0", "--terms", "10000",

@@ -115,3 +115,29 @@ def test_import_cesaro_loads_no_numpy_and_lists_what_an_eager_import_did():
     module_dunders = ["__all__", "__builtins__", "__cached__", "__doc__", "__file__",
                       "__loader__", "__name__", "__package__", "__path__", "__spec__"]
     assert ast.literal_eval(proc.stdout) == sorted(module_dunders + _PUBLIC + _SUBMODULES)
+
+
+def _unused_imports(path: pathlib.Path) -> list:
+    """The names a module imports and never reads; a name in its __all__
+    counts as read, and __future__ imports are skipped."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in used)
+
+
+@pytest.mark.parametrize("path", sorted(pathlib.Path(cesaro.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_no_module_imports_a_name_it_never_uses(path):
+    assert not _unused_imports(path)

@@ -9,7 +9,7 @@ import pytest
 
 import cesaro
 from cesaro import exact, integral
-from oracles import exp_primitive
+from oracles import exp_primitive, periodic_primitive
 
 
 def test_riesz_mean_closed_form_matches_quadrature():
@@ -105,14 +105,6 @@ def test_exp_array_form_quadrature_matches_the_scalar_one(k, X):
     got = integral.riesz_mean(integral.exp_decay(), k, X)
     want = integral.riesz_mean(integral.sampled(lambda t: math.exp(-t)), k, X)
     assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
-
-
-def test_primitive_spec_samples_the_primitive():
-    # primitive() changes func, so the array form of sin must not follow it
-    spec = integral.sin_wave(1.0).primitive()
-    for k, X in ((0.5, 300.0), (-0.5, 40.0)):
-        assert (integral.riesz_mean(spec, k, X)
-                == integral.riesz_mean(integral.sampled(spec.func), k, X))
 
 
 def test_integer_order_quadrature_matches_the_closed_form():
@@ -333,25 +325,35 @@ def test_primitive_limit_of_constant():
 
 
 def test_primitive_limit_function_vs_integral_semantics():
-    # the limit of x - sin(x) over x (first primitive of int_0^x sin) is 1
-    spec = integral.sin_wave(1.0).primitive()
-    ev = integral.primitive_limit(spec, 1)
+    # the function sin has Cesaro limit 0, (1 - cos X)/X; its integral has
+    # Cesaro value 1, the order-1 Riesz mean (X - sin X)/X
+    spec = integral.sin_wave(1.0)
+    fn = integral.primitive_limit(spec, 1)
+    assert fn.converged
+    assert abs(fn.value) < 1e-4
+    ev = integral.cesaro_integral(spec, 1)
     assert ev.converged
     assert abs(ev.value - 1.0) < 1e-4
 
 
 def test_primitive_limit_agrees_with_riesz_mean():
-    # same generalized value through two different formulas
-    a = integral.cesaro_integral(integral.sin_wave(2.0), 1)
-    b = integral.primitive_limit(integral.sin_wave(2.0).primitive(), 1)
-    assert a.value == pytest.approx(b.value, abs=1e-4)
+    # the order-1 Cesaro value of int sin(2t) is 1/2: cesaro_integral's
+    # samples are riesz_mean at each grid point, and F_2(X)/X off the chain
+    spec = integral.sin_wave(2.0)
+    grid = integral.default_grid()
+    ev = integral.cesaro_integral(spec, 1, grid)
+    for X, got in zip(grid[-len(ev.trace):], ev.trace):
+        assert got == integral.riesz_mean(spec, 1, X), X
+        assert got == pytest.approx(spec.primitives[1](X) / X, rel=1e-15), X
+    assert ev.converged
+    assert ev.value == pytest.approx(0.5, abs=1e-4)
 
 
 def test_riesz_and_primitive_forms_agree_pointwise():
     # both routes reduce to (aX - sin aX)/(a^2 X); they must match everywhere
     for a in (1.0, 2.0):
         base = integral.sin_wave(a)
-        first = base.primitive().primitives[0]  # (ax - sin ax)/a^2
+        first = base.primitives[1]  # (ax - sin ax)/a^2
         for X in integral.default_grid():
             via_riesz = integral.riesz_mean(base, 1, X)
             via_chain = first(X) / X
@@ -469,12 +471,6 @@ def test_chain_verification_accepts_correct_primitives():
     assert ev.converged and abs(ev.value) < 1e-3
 
 
-def test_primitive_shift_requires_a_chain():
-    bare = integral.sampled(math.sin)
-    with pytest.raises(ValueError):
-        bare.primitive()
-
-
 def test_sampled_integrand_through_quadrature_grid():
     grid = integral.default_grid(lo=20.0, hi=2_000.0, num=8)
     ev = integral.cesaro_integral(integral.sampled(math.sin, label="sin"),
@@ -576,17 +572,14 @@ def _quad_layers(spec):
 
 
 def _periodic_layers(p):
-    """p({x}) and its primitive, mean * floor(x) + int_0^{x} p, in Fractions."""
+    """Layer j of p({x}) by Cauchy's formula in Fractions, whole periods
+    summed by integer power sums (``oracles.periodic_primitive``)."""
     def want(j, x):
-        x = Fraction(x)
-        n = math.floor(x)
-        u = x - n
-        if j == 0:
-            return float(sum(c * u ** i for i, c in enumerate(p.coeffs)))
-        return float(sum(c * (n + u ** (i + 1)) / (i + 1) for i, c in enumerate(p.coeffs)))
+        return float(periodic_primitive(p.coeffs, j, x))
     # float rounding of x and of the coefficients is relative to the
-    # coefficients, not to a value near a zero of p
-    return want, [0.0, 0.3, 1.0, 2.5, 7.3, 100.25, 1e3 + 1 / 3, 1e6 - 0.1], 1e-13, 1.0
+    # coefficients, not to a layer near one of its zeros or to a deep layer
+    # near 0, which is far below them: under 1e-4 the bound is 1e-17 absolute
+    return want, [0.0, 0.3, 1.0, 2.5, 7.3, 100.25, 1e3 + 1 / 3, 1e6 - 0.1], 1e-13, 1e-4
 
 
 _CHAIN_CASES = (
@@ -627,6 +620,45 @@ def test_builtin_chain_layers_match_an_independent_route(build, route):
             else:
                 assert abs(got - expected) <= rel * max(abs(expected), floor), (
                     j, t, got, expected)
+
+
+def test_the_periodic_oracle_integrates_by_hand_cases():
+    # a constant: F_j(x) = x^j / j!; {x} - 1/2: F_1(x) = ({x}^2 - {x}) / 2
+    for x in (Fraction(0), Fraction(3, 10), Fraction(7), Fraction(100025, 1000)):
+        u = x - math.floor(x)
+        for j in range(integral.MAX_CHAIN + 1):
+            assert periodic_primitive((1,), j, x) == x ** j / math.factorial(j), (j, x)
+        assert periodic_primitive((Fraction(-1, 2), 1), 1, x) == (u * u - u) / 2, x
+
+
+_PM31 = exact.pm_polynomial(3, 1)
+
+
+@pytest.mark.parametrize("X", [2.5, 40.3, 1000.7, 12345.6, 1e5])
+def test_periodic_riesz_means_match_cauchys_formula(X):
+    # every integer order of the chain is the closed form k! F_{k+1}(X)/X^k;
+    # quadrature cannot integrate these past about 50 periods
+    spec = integral.periodic_poly(_PM31)
+    for k in range(1, integral.MAX_CHAIN):
+        F = periodic_primitive(_PM31.coeffs, k + 1, X)
+        want = float(math.factorial(k) * F / Fraction(X) ** k)
+        got = integral.riesz_mean(spec, k, X)
+        assert abs(got - want) <= 1e-12 * abs(want), (k, got, want)
+
+
+@pytest.mark.parametrize("n,m", [(n, m) for n in range(1, 7) for m in range(n + 1)])
+def test_primitive_limit_of_a_periodic_layer_is_its_mean(n, m):
+    # the paper's lemma: p({x}) minus its mean is Cesaro-negligible.  With
+    # Q_1 the periodic part of the first primitive, the order-1 sample leaves
+    # the mean by Q_1({X})/X, 0 at the grid's integer end, and an order
+    # k >= 2 sample by k mean(Q_1)/X + O(1/X^2)
+    p = exact.pm_polynomial(n, m)
+    spec = integral.periodic_poly(p)
+    mean = float(exact.periodic_mean(p))
+    for k, bound in ((1, 1e-9), (2, 1e-5), (3, 1e-5), (5, 1e-5)):
+        ev = integral.primitive_limit(spec, k)
+        assert ev.converged, k
+        assert abs(ev.value - mean) <= bound, (k, ev.value, mean)
 
 
 @functools.cache

@@ -469,6 +469,40 @@ def test_both_drivers_check_the_order_alike(call):
             call(bad)
 
 
+def _never_sampled(*_):
+    raise AssertionError("sampled before tol was checked")
+
+
+@pytest.mark.parametrize("call", [
+    lambda tol: zeta.zeta_via_cesaro(2.0, tol=tol),
+    lambda tol: zeta.zeta_via_cesaro(2.5, tol=tol),
+    lambda tol: zeta.zeta_prime_via_cesaro(0.5, tol=tol),
+    lambda tol: zeta.lemma_witness(exact.pm_polynomial(2, 1), tol=tol),
+    lambda tol: series.cesaro_sum(series.SeriesSpec(_never_sampled), 1, 64, tol=tol),
+    lambda tol: series.detect_order(series.SeriesSpec(_never_sampled), 2, 64, tol=tol),
+    lambda tol: integral.cesaro_integral(integral.sampled(_never_sampled), 1, tol=tol),
+    lambda tol: integral.primitive_limit(integral.sampled(_never_sampled), 2, tol=tol),
+], ids=["zeta_exact", "zeta_float", "zeta_prime", "lemma", "cesaro_sum", "detect_order",
+        "cesaro_integral", "primitive_limit"])
+def test_every_evaluator_checks_tol_before_sampling(call):
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="^tol must be finite"):
+            call(bad)
+    with pytest.raises(ValueError, match="^tol must be >= 0"):
+        call(-1e-3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: zeta.zeta_via_cesaro(2.0, tol=0.0),
+    lambda: zeta.lemma_witness(exact.PeriodicPolynomial((1,)), tol=0),
+    lambda: series.cesaro_sum(_ALT_SIGN, 1, 64, tol=0.0),
+    lambda: integral.cesaro_integral(integral.constant(0.0), 1, tol=0.0),
+], ids=["zeta", "lemma", "cesaro_sum", "cesaro_integral"])
+def test_a_zero_tol_asks_for_an_exact_tail(call):
+    ev = call()
+    assert ev.converged == (ev.error_estimate == 0.0)
+
+
 @pytest.mark.parametrize("call", [
     lambda: zeta.zeta_via_cesaro(2.5, X_max=1e300),
     lambda: zeta.zeta_via_cesaro(-2.0, k=0, X_max=1e300),
