@@ -156,15 +156,18 @@ class PeriodicPolynomial:
 
     Calling it with a Fraction keeps the arithmetic exact; calling it with a
     float evaluates in float.  Either way the argument is reduced mod 1 first.
+    The float coefficients are converted on the first float call, so a
+    polynomial used only exactly may hold coefficients past the float range.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_floats")
 
     def __init__(self, coeffs):
         cs = [Fraction(c) for c in coeffs]
         while len(cs) > 1 and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
+        self._floats = None  # the coefficients in float, highest power first
 
     @property
     def degree(self) -> int:
@@ -177,11 +180,13 @@ class PeriodicPolynomial:
             for c in reversed(self.coeffs):
                 acc = acc * u + c
             return acc
+        if self._floats is None:
+            self._floats = tuple(float(c) for c in reversed(self.coeffs))
         xf = float(x)
         u = xf - math.floor(xf)
         acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * u + float(c)
+        for c in self._floats:
+            acc = acc * u + c
         return acc
 
     def __eq__(self, other):

@@ -168,8 +168,15 @@ def constant(c: float = 1.0) -> IntegrandSpec:
 
 def periodic_poly(p: PeriodicPolynomial) -> IntegrandSpec:
     """x -> p({x}), with its primitive chain to depth MAX_CHAIN: the exact
-    layers P_j(x) + Q_j({x}) of ``exact._periodic_primitives``, read in float."""
-    chain = tuple(_periodic_layer(P, Q) for P, Q in _periodic_primitives(p, MAX_CHAIN))
+    layers P_j(x) + Q_j({x}) of ``exact._periodic_primitives``, read in float.
+    A coefficient past the float range raises ValueError."""
+    try:
+        chain = tuple(_periodic_layer(P, Q) for P, Q in _periodic_primitives(p, MAX_CHAIN))
+        for F in (p, *chain):
+            F(0.0)  # converts every periodic coefficient to float, once
+    except OverflowError:
+        raise ValueError(f"p of degree {p.degree}: its primitive chain leaves the "
+                         "float range") from None
     return IntegrandSpec(func=lambda t: p(t), primitives=chain, label=f"{p!r}@frac")
 
 

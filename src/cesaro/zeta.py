@@ -21,15 +21,22 @@ At a boundary the sample is a Riesz mean of the weights w(m) = m^alpha
 with the finite part ln n (or (ln n)^2 / 2) at alpha + i = -1, so the poles
 alpha = -2 .. -(k+1) need no other formula.  Both terms grow like
 n^(alpha+1) while the sample is O(1), and I_k's alternating sum cancels by
-1e3..1e4 more.  So I_k is computed in ``decimal`` at 40 digits, alpha + i
-too (in float it moves n^(alpha+i) by an ulp, magnified as much), and is
-taken off as a double-double before the sample is rounded.
+1e3..1e4 more, up to 2^k at order k.  So I_k is computed in ``decimal`` at
+40 + k log10(2) digits, alpha + i too (in float it moves n^(alpha+i) by an
+ulp, magnified as much), and is taken off exactly before the sample is
+rounded once.
 
-The cost is the sum, walked in chunks of m that bound the memory, at the
-tail boundaries the verdict reads.  Each weight is taken once, and every
-boundary resumes its (total, carry) through the TwoSum scan of
-``accumulate``: about 7 X terms at k >= 1, X at k = 0, where one scan per
-chunk serves every boundary.  X is capped at MAX_SUMMED_TERMS.
+The Riesz sums of every tail boundary the verdict reads come from one pass
+over m = 1..X, in chunks that bound the memory.  By the surjection identity
+(n-m)^k = sum_j j! S(k, j) C(n-m, j), S the Stirling numbers of the second
+kind, and sum_{m<=n} w(m) C(n-m, j) is the (j+1)-fold iterated prefix sum
+of the weights read at n - j.  So k + 1 compensated prefix sums, the TwoSum
+scans of ``accumulate``, serve every boundary; the weights (n-m)^k are
+exact, and the integer counts j! S(k, j) are non-negative, so combining the
+sums cancels nothing.  That costs (k + 1) X scanned terms, against about
+6.7 X for weighting each tail boundary's sum on its own; the two cross near
+k = 8, so lower orders (the default order of every alpha <= 6) are cheaper
+and higher ones dearer.  X is capped at MAX_SUMMED_TERMS.
 
 Integer alpha >= 0 without the log weight takes the same identity in exact
 integers, with the Beta integral n^(alpha+k+1) alpha! k! / (alpha+k+1)! as
@@ -42,6 +49,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from decimal import Decimal, localcontext
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -138,7 +146,7 @@ def _fp_subtrahend(spec: StaircaseSpec, k: int, n: int) -> tuple[float, float]:
     """I_k(n) as a double-double (hi, lo).  Off the pole b = alpha+i+1 = 0,
     n^-i F.p. int_0^n t^(alpha+i) dt is n^(alpha+1) / b for every i."""
     with localcontext() as ctx:
-        ctx.prec = _FP_DIGITS
+        ctx.prec = _FP_DIGITS + math.ceil(k * math.log10(2))  # C(k, i) cancel up to 2^k
         alpha, big_n = Decimal(spec.alpha), Decimal(n)
         ln_n = big_n.ln()
         power = ((alpha + 1) * ln_n).exp()
@@ -156,35 +164,80 @@ def _fp_subtrahend(spec: StaircaseSpec, k: int, n: int) -> tuple[float, float]:
         return hi, float(total - Decimal(hi))
 
 
+def _surjection_counts(k: int) -> list[int]:
+    """j! S(k, j) for j = 0..k, S the Stirling numbers of the second kind:
+    the maps of a k-set onto a j-set, so d^k = sum_j j! S(k, j) C(d, j) for
+    every integer d >= 0 (Graham, Knuth and Patashnik, *Concrete
+    Mathematics*, 6.1)."""
+    row = [1]
+    for _ in range(k):
+        row.append(0)
+        row = [0] + [j * (row[j - 1] + row[j]) for j in range(1, len(row))]
+    return row
+
+
 def _riesz_samples(spec: StaircaseSpec, k: int,
                    boundaries: list[int]) -> list[float]:
-    """k! F_k(n) / n^k at each of the increasing boundaries n."""
-    sums = [(0.0, 0.0)] * len(boundaries)  # each boundary's (total, carry)
-    running = (0.0, 0.0)  # k = 0: the prefix sum shared by every n
-    end = boundaries[-1] + 1
-    for lo in range(1, end, _TERMS_PER_CHUNK):
-        hi = min(lo + _TERMS_PER_CHUNK, end)  # the chunk is lo <= m < hi
-        m = np.arange(lo, hi, dtype=np.float64)
-        w = m ** spec.alpha
-        if spec.log_weight:
-            w *= np.log(m)
-        if k == 0:
-            s, err = _two_sum_scan(w, *running)
-            running = s[-1], err[-1]
-            for i in range(bisect_left(boundaries, lo), bisect_left(boundaries, hi)):
-                sums[i] = s[boundaries[i] - lo], err[boundaries[i] - lo]
-            del s, err  # two chunk-sized arrays, freed before the next chunk
+    """k! F_k(n) / n^k at each of the increasing boundaries n.
+
+    The Riesz sums of every boundary read k + 1 shared iterated prefix
+    sums.  With A_1 the prefix sums of the weights w(m) and A_{j+1} those of
+    A_j, sum_{m<=n} w(m) C(n-m, j) = A_{j+1}(n - j), so by d^k = sum_j
+    j! S(k, j) C(d, j)
+
+        sum_{m<=n} w(m) (n-m)^k = sum_{j=0..k} j! S(k, j) A_{j+1}(n - j),
+
+    A(i) = 0 for i < 1.  The counts are non-negative integers and every A_j
+    is non-negative, so nothing cancels, and the weights (n-m)^k are exact.
+
+    One pass over m = 1..max(boundaries), in chunks of bounded memory, runs
+    the k + 1 TwoSum scans, each resumed from its (total, carry) and fed the
+    carries of the scan below.  Level j's input is divided by a power of
+    two near n_max / j, which keeps orders past 150 in the float range and
+    is undone exactly.  Each sample combines its k + 1 double-double reads
+    and the finite part I_k(n) exactly, in integers, and is rounded once.
+
+    That costs (k + 1) n_max scanned terms, against about 6.7 n_max for
+    weighting each tail boundary's sum on its own at any order: cheaper
+    below k = 8 or so, dearer above.
+    """
+    n_max = boundaries[-1]
+    counts = _surjection_counts(k)
+    shifts = [0] + [max(0, (n_max // j).bit_length() - 1) for j in range(1, k + 1)]
+    state = [(0.0, 0.0)] * (k + 1)  # each level's (total, carry)
+    reads = [[(0.0, 0.0)] * (k + 1) for _ in boundaries]  # level j at n - j
+    for start in range(1, n_max + 1, _TERMS_PER_CHUNK):
+        stop = min(start + _TERMS_PER_CHUNK, n_max + 1)  # the chunk is start <= m < stop
+        m = np.arange(start, stop, dtype=np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):  # past the float range: inf
+            x = m ** spec.alpha
+            if spec.log_weight:
+                x *= np.log(m)
+        x_lo = None
+        for j, shift in enumerate(shifts):
+            if shift:
+                scale = math.ldexp(1.0, -shift)
+                x *= scale
+                x_lo *= scale
+            x, x_lo = _two_sum_scan(x, *state[j], x_lo)
+            state[j] = x[-1], x_lo[-1]
+            for b in range(bisect_left(boundaries, start + j),
+                           bisect_left(boundaries, stop + j)):
+                i = boundaries[b] - j - start
+                reads[b][j] = float(x[i]), float(x_lo[i])
+    scales = list(accumulate(shifts))
+    samples = []
+    for n, levels in zip(boundaries, reads):
+        # (Riesz sum - n^k I_k(n)) / n^k: each term an integer times a float
+        terms = [(c << e, v) for c, e, pair in zip(counts, scales, levels) if c for v in pair]
+        terms += [(-n ** k, v) for v in _fp_subtrahend(spec, k, n)]
+        if not all(math.isfinite(v) for _, v in terms):  # no exact sum: inf or nan
+            samples.append(sum(v if c > 0 else -v for c, v in terms))
             continue
-        for i in range(bisect_left(boundaries, lo), len(boundaries)):
-            n = boundaries[i]
-            stop = min(n + 1, hi) - lo
-            terms = (n - m[:stop]) / n  # n - m is exact: one rounding
-            terms **= k
-            terms *= w[:stop]
-            sums[i] = tuple(a[-1] for a in _two_sum_scan(terms, *sums[i]))  # (total, carry)
-    folded = [_two_sum_scan(np.negative(_fp_subtrahend(spec, k, n)), *acc)
-              for n, acc in zip(boundaries, sums)]  # minus I_k(n): hi, then lo
-    return [float(s[-1] + err[-1]) for s, err in folded]
+        ratios = [(c, *v.as_integer_ratio()) for c, v in terms]  # v = a / d, d = 2^p
+        den = max(d for _, _, d in ratios)
+        samples.append(_quotient(sum(c * a * (den // d) for c, a, d in ratios), den * n ** k))
+    return samples
 
 
 def advance_primitives(state: PrimitiveState, spec: StaircaseSpec,
@@ -234,11 +287,17 @@ def _exact_samples(head, scale, k: int, boundaries: list[int]) -> list[float]:
         for i, d in enumerate(diffs):
             v += d * c
             c = c * (m - i) // (i + 1)  # C(m, i + 1), exactly
-        try:
-            samples.append(float(v / (scale * m ** k)))
-        except OverflowError:  # float(v) would overflow too: compare instead
-            samples.append(math.inf if v > 0 else -math.inf)
+        samples.append(_quotient(v, scale * m ** k))
     return samples
+
+
+def _quotient(v, d: int) -> float:
+    """The exact v / d (d > 0) rounded once; past the float range it reads
+    as an infinity of v's sign (compared, since float(v) would overflow)."""
+    try:
+        return float(v / d)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
 
 
 def _cesaro_limit_samples_exact(spec: StaircaseSpec, k: int,

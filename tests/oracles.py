@@ -153,3 +153,5 @@ ZETA_HALF = -1.4603545088095868
 ZETA_PRIME_0 = -0.9189385332046727  # -ln(2 pi)/2
 ZETA_PRIME_2 = -0.93754825431584376
 ZETA_PRIME_3 = -0.19812624288563685
+ZETA_PRIME_NEG_2 = -0.030448457058393271  # zeta'(-2) = -zeta(3) / (4 pi^2)
+ZETA_PRIME_NEG_3 = 0.0053785763577743011

@@ -105,6 +105,15 @@ def test_divergent_estimate_is_a_record_not_an_error(capsys, strict, want):
     assert pairs["diagnostics.converged"] == "false"
 
 
+def test_zeta_estimate_past_the_float_range_warns_nothing(capsys):
+    # m^200.5 overflows from m = 35; under the suite's warnings-as-errors a
+    # numpy RuntimeWarning would have turned this record into an error
+    code = cli.run(["zeta-estimate", "--alpha", "200.5", "--format", "text"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert "diagnostics.converged: false" in captured.out.splitlines()
+
+
 def test_cesaro_sum_alt_sign(capsys):
     code, (rec,) = run_json(capsys, ["cesaro-sum", "alt-sign", "--order", "1",
                                      "--terms", "10000", "--tol", "1e-3"])

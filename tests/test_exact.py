@@ -159,6 +159,21 @@ class TestPeriodicPolynomial:
         p = exact.PeriodicPolynomial((Fraction(1, 2), Fraction(-1)))
         assert p(0.5) == pytest.approx(0.0)
 
+    @pytest.mark.parametrize("n,m", [(1, 1), (6, 2), (20, 0)])
+    def test_float_calls_run_horner_on_the_rounded_coefficients(self, n, m):
+        p = exact.pm_polynomial(n, m)
+        for x in (0.0, 0.3, 12.3, -7.77, 1e6 + 0.1) * 2:  # twice: the second reuses
+            u, want = x - math.floor(x), 0.0
+            for c in reversed(p.coeffs):
+                want = want * u + float(c)
+            assert p(x) == want, x
+
+    def test_coefficients_past_the_float_range_stay_exact(self):
+        p = exact.pm_polynomial(300, 0)
+        assert p(Fraction(1, 3)) == sum(c * Fraction(1, 3) ** j for j, c in enumerate(p.coeffs))
+        with pytest.raises(OverflowError):
+            p(0.5)
+
     def test_trailing_zeros_trimmed(self):
         p = exact.PeriodicPolynomial((Fraction(1), Fraction(0), Fraction(0)))
         assert p.degree == 0

@@ -248,6 +248,14 @@ def test_factories_name_a_parameter_whose_chain_overflows(factory, value, name):
         factory(value)
 
 
+def test_periodic_poly_names_the_degree_of_a_chain_past_the_float_range():
+    # B_300 is past the float range, so are P_0's coefficients; n = 200 builds
+    integral.periodic_poly(exact.pm_polynomial(200, 0))
+    with pytest.raises(ValueError, match="^p of degree 301: its primitive chain leaves "
+                                         "the float range"):
+        integral.periodic_poly(exact.pm_polynomial(300, 0))
+
+
 @pytest.mark.parametrize("alpha,p", [(100.0, 0), (100.0, 1), (400.0, 0), (400.0, 3),
                                      (1e300, 0)])
 def test_power_log_past_the_float_range_reads_inf(alpha, p):

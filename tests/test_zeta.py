@@ -7,9 +7,9 @@ import pytest
 from scipy.integrate import quad
 
 from cesaro import exact, integral, series, zeta
-from oracles import (ZETA_HALF, ZETA_PRIME_0, ZETA_PRIME_2, ZETA_PRIME_3,
-                     bernoulli_table_akiyama_tanigawa, euler_maclaurin_zeta,
-                     zeta_prime_by_summation)
+from oracles import (ZETA_HALF, ZETA_PRIME_0, ZETA_PRIME_2, ZETA_PRIME_3, ZETA_PRIME_NEG_2,
+                     ZETA_PRIME_NEG_3, bernoulli_table_akiyama_tanigawa,
+                     euler_maclaurin_zeta, zeta_prime_by_summation)
 
 
 def test_staircase_value_spot_checks():
@@ -225,12 +225,48 @@ def test_pole_orders_keep_the_finite_part_convention(alpha, k):
     assert frozen is None or abs(prime - frozen) < bound
 
 
-@pytest.mark.parametrize("k", [0, 1, 3])
+def test_the_frozen_zeta_prime_values_obey_the_functional_equation():
+    assert abs(ZETA_PRIME_NEG_2 + euler_maclaurin_zeta(3.0) / (4 * math.pi ** 2)) < 1e-15
+
+
+def test_zeta_prime_at_minus_two_converges_at_1e5():
+    # exact weights (n-m)^k; weights ((n-m)/n)^k rounded in float miss by 1.4e-3
+    ev = zeta.zeta_prime_via_cesaro(2.0, X_max=1e5)
+    assert ev.converged
+    assert abs(ev.value - ZETA_PRIME_NEG_2) < 1e-4
+
+
+def test_zeta_prime_at_minus_three_at_1e4():
+    ev = zeta.zeta_prime_via_cesaro(3.0, X_max=1e4)
+    assert abs(ev.value - ZETA_PRIME_NEG_3) < 1e-3
+
+
+@pytest.mark.parametrize("alpha,k", [(0.5, 40), (0.5, 60), (0.5, 100), (-0.5, 120),
+                                     (-0.5, 150)])
+def test_high_order_samples_keep_their_digits(alpha, k):
+    # at n = 1e5 the order-k sample is zeta(-alpha) - k zeta(-alpha-1) / n
+    # up to C(k, 2) |zeta(-alpha-2)| / n^2 < 3e-8: every level of the prefix
+    # sums stays in the float range, and I_k keeps digits past its 2^k cancellation
+    n = 100_000
+    ev = zeta.zeta_via_cesaro(alpha, k=k, X_max=n)
+    want = euler_maclaurin_zeta(-alpha)
+    assert math.isfinite(ev.value) and ev.converged
+    assert abs(ev.value - (want - k * euler_maclaurin_zeta(-alpha - 1) / n)) < 1e-7
+    assert abs(ev.value - want) < (1e-4 if alpha > 0 else 4e-4)
+
+
+@pytest.mark.parametrize("call", [zeta.zeta_via_cesaro, zeta.zeta_prime_via_cesaro])
+def test_weights_past_the_float_range_read_as_not_converged(call):
+    # m^200.5 overflows from m = 35: no RuntimeWarning, no exception
+    ev = call(200.5, X_max=1e4)
+    assert not ev.converged and not math.isfinite(ev.value)
+
+
+@pytest.mark.parametrize("k", [0, 1, 3, 5])
 @pytest.mark.parametrize("alpha", [-1.5, 0.5])
 def test_riesz_samples_do_not_depend_on_the_chunk_size(monkeypatch, alpha, k):
-    # each boundary's compensated sum resumes across chunk edges, and at
-    # k = 0 every boundary reads the one running scan: 7-term chunks
-    # change no bit
+    # every level's compensated prefix sum resumes across chunk edges, and
+    # every boundary reads the same running scans: 7-term chunks change no bit
     def both():
         return (zeta.zeta_via_cesaro(alpha, k=k, X_max=300),
                 zeta.zeta_prime_via_cesaro(alpha, k=k, X_max=300))
