@@ -2,8 +2,9 @@
 
 Every estimator in this package (series, integrals, staircase limits) samples
 a normalized quantity along a tail of indices or grid points and judges
-convergence the same way: by the dispersion (max - min) of the tail samples
-against a tolerance.  Divergence is a result, never an exception.
+convergence against a tolerance: by the dispersion (max - min) of the tail
+samples, or, for the fitted staircase limits of ``zeta``, by the gap between
+two extrapolations.  Divergence is a result, never an exception.
 
 QuadratureError, which the integral layer re-exports, is defined here so the
 CLI can catch it without importing that layer; numpy is imported only when a
@@ -23,12 +24,16 @@ TRACE_LEN = 8
 class CesaroEvaluation:
     """Outcome of a Cesaro-style limit evaluation.
 
-    value          last sample of the normalized quantity
+    value          last sample of the normalized quantity; for a fitted
+                   staircase limit, the constant fitted to the samples
     order          the Cesaro order k used (float to allow Riesz real orders)
-    n_terms        how many terms / boundaries / grid points were consumed
-    trace          the last few samples, oldest first (length >= 2)
-    error_estimate dispersion of the tail window (inf when non-finite)
-    converged      True iff every tail sample is finite and dispersion <= tol
+    n_terms        how many terms / boundaries / grid points were consumed;
+                   for a fitted staircase limit, the top boundary summed
+    trace          the last few raw samples, oldest first (length >= 2)
+    error_estimate dispersion of the tail window; for a fitted staircase
+                   limit, the gap between two fits (inf when non-finite)
+    converged      True iff error_estimate is finite and <= tol (and, for a
+                   fitted staircase limit, the order k exceeds alpha)
     """
 
     value: float

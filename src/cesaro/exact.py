@@ -174,7 +174,7 @@ class PeriodicPolynomial:
         return len(self.coeffs) - 1
 
     def __call__(self, x):
-        if isinstance(x, Rational):
+        if type(x) is not float and isinstance(x, Rational):  # the ABC check is slow
             u = Fraction(x) - math.floor(x)
             acc = Fraction(0)
             for c in reversed(self.coeffs):

@@ -134,8 +134,8 @@ def extract_finite_part(g, basis, eps_grid,
     The fit is weighted least squares: rows are scaled by 1/max(1, |g|) so
     the divergent end does not drown the constant, and columns are scaled to
     unit norm before solving.  A condition number beyond ``cond_limit`` for
-    the scaled design matrix raises IllConditionedFitError instead of
-    returning a garbage constant.
+    the scaled design matrix, or a column that vanishes on the grid, raises
+    IllConditionedFitError instead of returning a garbage constant.
     """
     import numpy as np
 
@@ -161,25 +161,7 @@ def extract_finite_part(g, basis, eps_grid,
     ln_inv = np.log(1.0 / eps)
     cols = [eps ** (-a) * ln_inv ** b for a, b in basis]
     cols.append(np.ones_like(eps))
-    design = np.column_stack(cols)
-
-    weights = 1.0 / np.maximum(1.0, np.abs(gvals))
-    dw = design * weights[:, None]
-    gw = gvals * weights
-    norms = np.linalg.norm(dw, axis=0)
-    if np.any(norms == 0.0):
-        raise ValueError("degenerate basis column on this grid")
-    dn = dw / norms
-
-    coef_n, _, rank, sv = np.linalg.lstsq(dn, gw, rcond=None)
-    condition = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
-    if rank < design.shape[1] or condition > cond_limit:
-        raise IllConditionedFitError(
-            f"finite-part fit is ill-conditioned (cond={condition:.3e}); "
-            "separate the basis exponents or widen the eps grid", condition)
-    coefs = coef_n / norms
-    resid = dw @ coefs - gw
-    residual = float(np.sqrt(np.mean(resid ** 2)))
+    coefs, residual, condition = _weighted_fit(np.column_stack(cols), gvals, cond_limit)
     divergent = tuple((a, b, float(c)) for (a, b), c in zip(basis, coefs[:-1]))
     return FinitePartDecomposition(
         divergent_terms=divergent,
@@ -187,3 +169,32 @@ def extract_finite_part(g, basis, eps_grid,
         residual=residual,
         condition=condition,
     )
+
+
+def _weighted_fit(design, values, cond_limit: float = 1e12):
+    """Least-squares coefficients of ``values`` on the columns of ``design``,
+    with the rms misfit and the condition number it was solved at.
+
+    Rows are scaled by 1/max(1, |value|), so that large samples do not drown
+    the small ones, and the scaled columns to unit norm before solving.  A
+    column that vanishes on the rows, a rank deficit, or a condition number
+    beyond ``cond_limit`` raises IllConditionedFitError instead of returning
+    garbage coefficients.
+    """
+    import numpy as np
+
+    weights = 1.0 / np.maximum(1.0, np.abs(values))
+    dw = design * weights[:, None]
+    gw = values * weights
+    norms = np.linalg.norm(dw, axis=0)
+    if np.any(norms == 0.0):
+        raise IllConditionedFitError("degenerate basis column on this grid", math.inf)
+    coef_n, _, rank, sv = np.linalg.lstsq(dw / norms, gw, rcond=None)
+    condition = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
+    if rank < design.shape[1] or condition > cond_limit:
+        raise IllConditionedFitError(
+            f"finite-part fit is ill-conditioned (cond={condition:.3e}); "
+            "separate the basis exponents or widen the eps grid", condition)
+    coefs = coef_n / norms
+    resid = dw @ coefs - gw
+    return coefs, float(np.sqrt(np.mean(resid ** 2))), condition

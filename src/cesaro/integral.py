@@ -42,6 +42,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -550,14 +551,18 @@ def _power_log_layer(g: float, terms) -> Callable[[float], float]:
 
 
 def _periodic_layer(P, Q: PeriodicPolynomial) -> Callable[[float], float]:
-    """t -> P(t) + Q({t}) in float, P by Horner's rule."""
+    """t -> P(t) + Q({t}) in float, by Horner's rule.  In the first period
+    {t} = t, and a deep layer is far smaller there than P(t) and Q(t), so
+    there it is the one polynomial P + Q, its coefficients summed exactly."""
     coeffs = [float(c) for c in reversed(P)]
+    first = [float(a + b) for a, b in zip_longest(P, Q.coeffs, fillvalue=0)][::-1]
 
     def F(t):
+        head = first if 0.0 <= t < 1.0 else coeffs
         acc = 0.0
-        for c in coeffs:
+        for c in head:
             acc = acc * t + c
-        return acc + Q(t)
+        return acc if head is first else acc + Q(t)
     return F
 
 

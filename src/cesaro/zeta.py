@@ -26,39 +26,53 @@ n^(alpha+1) while the sample is O(1), and I_k's alternating sum cancels by
 ulp, magnified as much), and is taken off exactly before the sample is
 rounded once.
 
-The Riesz sums of every tail boundary the verdict reads come from one pass
-over m = 1..X, in chunks that bound the memory.  By the surjection identity
-(n-m)^k = sum_j j! S(k, j) C(n-m, j), S the Stirling numbers of the second
-kind, and sum_{m<=n} w(m) C(n-m, j) is the (j+1)-fold iterated prefix sum
-of the weights read at n - j.  So k + 1 compensated prefix sums, the TwoSum
-scans of ``accumulate``, serve every boundary; the weights (n-m)^k are
-exact, and the integer counts j! S(k, j) are non-negative, so combining the
-sums cancels nothing.  That costs (k + 1) X scanned terms, against about
-6.7 X for weighting each tail boundary's sum on its own; the two cross near
-k = 8, so lower orders (the default order of every alpha <= 6) are cheaper
-and higher ones dearer.  X is capped at MAX_SUMMED_TERMS.
+The Riesz sums of a list of boundaries come from one pass over m = 1..n_max,
+in chunks that bound the memory.  By the surjection identity (n-m)^k =
+sum_j j! S(k, j) C(n-m, j), S the Stirling numbers of the second kind, and
+sum_{m<=n} w(m) C(n-m, j) is the (j+1)-fold iterated prefix sum of the
+weights read at n - j.  So k + 1 compensated prefix sums, the TwoSum scans
+of ``accumulate``, serve every boundary; the weights (n-m)^k are exact, and
+the integer counts j! S(k, j) are non-negative, so combining the sums
+cancels nothing.  That costs (k + 1) n_max scanned terms.
+
+The limit is not the sample at X_max but the constant of the sample's
+large-n expansion, whose exponents theory gives (Estrada and Kanwal, *A
+Distributional Approach to Asymptotics*, 2002): n^-j for j = 1..k, and
+n^(alpha-l) for odd l >= k (l = 0 too at k = 0), each with an n^e ln n
+partner under the log weight.  It is fitted by generalized Richardson
+extrapolation (Sidi, *Practical Extrapolation Methods*, 2003) on a ladder
+of boundaries 2^a and 3 * 2^a, 16 .. 256 at first, and its error is the gap
+between the fits on two windows of the ladder one rung apart.  The ladder
+climbs a rung at a time only while that gap is above tol / 10 and still
+shrinking: a float sample carries noise of about eps n^(alpha+1/2), so
+higher boundaries help only until that noise overtakes the truncation
+error.  X_max is a cap, and the cost follows tol, not X_max; X_max is still
+capped at MAX_SUMMED_TERMS.
 
 Integer alpha >= 0 without the log weight takes the same identity in exact
 integers, with the Beta integral n^(alpha+k+1) alpha! k! / (alpha+k+1)! as
 its finite part; k! F_k(n) is then a polynomial in n, as in ``lemma_witness``,
-summed at n = 0..degree only and read at the boundaries in Newton form.
+summed at n = 0..degree only and read at the boundaries in Newton form.  That
+path reports its sample at X_max and judges the dispersion of the tail.
 """
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from decimal import Decimal, localcontext
+from functools import lru_cache
 from itertools import accumulate
 from typing import Optional
 
 import numpy as np
 
 from .accumulate import _two_sum_scan
-from .evaluation import (CesaroEvaluation, require_finite, require_order, require_tol,
-                         tail_judgement, tail_window)
+from .evaluation import (TRACE_LEN, CesaroEvaluation, require_finite, require_order,
+                         require_tol, tail_judgement, tail_window)
 from .exact import PeriodicPolynomial, _periodic_primitives
-from .finite_part import fp_log_power_integral, fp_power_integral
+from .finite_part import (IllConditionedFitError, _weighted_fit, fp_log_power_integral,
+                          fp_power_integral)
 
 __all__ = [
     "StaircaseSpec",
@@ -78,6 +92,13 @@ MAX_SUMMED_TERMS = 10**9
 _TERMS_PER_CHUNK = 1 << 14
 _BOUNDARY_GRID = 48  # geometric boundaries up to X_max; the tail is sampled
 _FP_DIGITS = 40
+# the extrapolated limit: a ladder of rungs 2^a and 3 * 2^a, fitted in windows
+_LADDER_FLOOR = 16  # the lowest rung
+_FIRST_TOP = 256  # the first fit reads the rungs up to here
+_FIT_RUNGS = 8  # rungs per fit window
+_FIT_COLUMNS = 6  # the slowest decaying terms of the expansion, besides the constant
+_MERGE_GAP = 1e-3  # exponents closer than this share one column
+_STEEPEST = -13  # 16^-13 < eps: a term that decays faster is below every rung's resolution
 
 
 @dataclass(frozen=True)
@@ -142,13 +163,34 @@ def staircase_value(spec: StaircaseSpec, x: float) -> float:
 
 # -- the Riesz-sum sampler --------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _ln2_ln3(prec: int) -> tuple[Decimal, Decimal]:
+    """ln 2 and ln 3 to prec digits."""
+    with localcontext() as ctx:
+        ctx.prec = prec
+        return Decimal(2).ln(), Decimal(3).ln()
+
+
+def _ln(n: int, prec: int) -> Decimal:
+    """ln n to about prec digits (the current context's): a ln 2 + b ln 3
+    when n = 2^a 3^b, as every ladder rung is, else ``Decimal.ln``."""
+    a = (n & -n).bit_length() - 1
+    rest, b = n >> a, 0
+    while rest % 3 == 0:
+        rest, b = rest // 3, b + 1
+    if rest != 1:
+        return Decimal(n).ln()
+    ln2, ln3 = _ln2_ln3(prec)
+    return a * ln2 + b * ln3
+
+
 def _fp_subtrahend(spec: StaircaseSpec, k: int, n: int) -> tuple[float, float]:
     """I_k(n) as a double-double (hi, lo).  Off the pole b = alpha+i+1 = 0,
     n^-i F.p. int_0^n t^(alpha+i) dt is n^(alpha+1) / b for every i."""
     with localcontext() as ctx:
         ctx.prec = _FP_DIGITS + math.ceil(k * math.log10(2))  # C(k, i) cancel up to 2^k
         alpha, big_n = Decimal(spec.alpha), Decimal(n)
-        ln_n = big_n.ln()
+        ln_n = _ln(n, ctx.prec)
         power = ((alpha + 1) * ln_n).exp()
         total = Decimal(0)
         for i in range(k + 1):
@@ -326,18 +368,126 @@ def _cesaro_limit_samples_exact(spec: StaircaseSpec, k: int,
     return _exact_samples(head, scale, k, boundaries)
 
 
-def _order_and_boundaries(k, X_max: float, tol: float) -> tuple[int, int, list[int]]:
-    """The order of a staircase limit up to X_max, and the boundaries that
-    the verdict reads: at least TRACE_LEN for every X_max >= 64.  A bad
-    order, X_max or tol is refused here, before any sample is taken."""
+def _order_and_domain(k, X_max: float, tol: float) -> tuple[int, int]:
+    """The order of a staircase limit and the last integer boundary up to
+    X_max.  A bad order, X_max or tol is refused here, before any sample is
+    taken."""
     k = require_order(k)
     require_finite(X_max=X_max)
     require_tol(tol)
     if X_max < 64:
         raise ValueError("X_max is too small to form a sample tail")
-    n_max = int(math.floor(X_max))
+    return k, int(math.floor(X_max))
+
+
+def _tail_boundaries(n_max: int) -> list[int]:
+    """The boundaries that a tail verdict reads: at least TRACE_LEN for
+    every n_max >= 64."""
     grid = _sample_boundaries(n_max)
-    return k, n_max, grid[-tail_window(len(grid)):]
+    return grid[-tail_window(len(grid)):]
+
+
+def _ladder(n_max: int) -> list[int]:
+    """The rungs 2^a and 3 * 2^a from _LADDER_FLOOR up to n_max, so the
+    ratios are 3/2 and 4/3 in turn."""
+    rungs, r = [], _LADDER_FLOOR
+    while r <= n_max:
+        rungs.append(r)
+        r = r * 3 // 2 if r & (r - 1) == 0 else r * 4 // 3
+    return rungs
+
+
+def _expansion_exponents(spec: StaircaseSpec, k: int) -> list[tuple[float, int]]:
+    """(e, b) for the columns n^e (ln n)^b of the sample's expansion: the
+    _FIT_COLUMNS slowest decaying ones, slowest first.
+
+    At an integer boundary, Euler-Maclaurin at both ends of sum_{m<=n}
+    m^alpha (1 - m/n)^k gives the moment asymptotic expansion (Estrada and
+    Kanwal, *A Distributional Approach to Asymptotics*, 2002)
+
+        T(n) = zeta(-alpha) + sum_{j=1..k} C(k, j) (-1)^j zeta(-alpha-j) n^-j
+               + sum_{l odd, l >= k} e_l n^(alpha-l),
+
+    with l = 0 too at k = 0 (the half weight n^alpha / 2).  The log weight
+    adds n^e ln n next to each endpoint column n^(alpha-l).  Only the
+    exponents come from theory; the coefficients are fitted, so the limit
+    owes nothing to the exact route.  An exponent within _MERGE_GAP of one
+    taken already (alpha - l = -j at integer alpha) shares its column, and
+    one below _STEEPEST is left out: the columns would be near-parallel on
+    the ladder, for terms below eps of the sample.  A growing or constant
+    term is never a column, so a mean that diverges at order k cannot be
+    fitted into converging.
+    """
+    endpoint = ([0] if k == 0 else []) + list(range(k | 1, (k | 1) + 2 * _FIT_COLUMNS, 2))
+    terms = [(-j, 0) for j in range(1, min(k, _FIT_COLUMNS) + 1)]
+    for l in endpoint:
+        terms += [(spec.alpha - l, b) for b in ((0, 1) if spec.log_weight else (0,))]
+    columns = []
+    for e, b in sorted(terms, key=lambda t: (-t[0], -t[1])):
+        if _STEEPEST <= e < 0 and all(b != c or abs(e - d) >= _MERGE_GAP for d, c in columns):
+            columns.append((e, b))
+    return columns[:_FIT_COLUMNS]
+
+
+def _window_fits(rungs: list[int], samples: list[float],
+                 exponents: list[tuple[float, int]]) -> tuple[float, float]:
+    """The constant fitted on the top window of rungs, and its gap to the
+    constant fitted on the window one rung lower.  A window holds
+    _FIT_RUNGS rungs, or one fewer than the rungs summed where X_max < 256,
+    and fits two exponents fewer than its rungs, besides the constant.  A
+    non-finite sample or an ill-conditioned fit reads as (the last sample,
+    inf)."""
+    width = min(_FIT_RUNGS, len(rungs) - 1)
+    columns = exponents[:width - 2]
+    fits = []
+    for stop in (len(rungs), len(rungs) - 1):
+        n = np.asarray(rungs[stop - width:stop], dtype=np.float64)
+        y = np.asarray(samples[stop - width:stop])
+        if not np.isfinite(y).all():
+            return samples[-1], math.inf
+        design = np.column_stack([n ** e * np.log(n) ** b for e, b in columns]
+                                 + [np.ones_like(n)])
+        try:
+            fits.append(float(_weighted_fit(design, y)[0][-1]))
+        except IllConditionedFitError:
+            return samples[-1], math.inf
+    gap = abs(fits[0] - fits[1])
+    return fits[0], gap if math.isfinite(gap) else math.inf
+
+
+def _extrapolated_evaluation(spec: StaircaseSpec, k: int, n_max: int,
+                             tol: float) -> CesaroEvaluation:
+    """The limit as the fitted constant of the sample's expansion, read on
+    a ladder of boundaries that climbs only as far as tol asks.
+
+    The first fit reads the rungs up to _FIRST_TOP in one Riesz-sum pass.
+    A rung is added only while the gap between the two window fits is above
+    tol / 10, still shrinking, and the rung is <= n_max: a float sample
+    carries noise of about eps n^(alpha+1/2), so past the point where the
+    gap grows, climbing makes the fit worse.  There the fit below is kept,
+    with the larger of its two gaps as its error.
+
+    An order k <= alpha never converges: there the staircase's order-k
+    Cesaro mean does not exist, though its samples can settle, since the
+    layers vanish at integer boundaries and a term n^(alpha-l) just above
+    n^0 grows too slowly to see (alpha = 1.001 at k = 1 settles at twice
+    zeta(-1)).
+    """
+    rungs = _ladder(n_max)
+    top = bisect_right(rungs, _FIRST_TOP)
+    samples = _riesz_samples(spec, k, rungs[:top])
+    exponents = _expansion_exponents(spec, k)
+    value, gap = _window_fits(rungs[:top], samples, exponents)
+    while tol / 10 < gap < math.inf and top < len(rungs):
+        samples += _riesz_samples(spec, k, rungs[top:top + 1])
+        v, g = _window_fits(rungs[:top + 1], samples, exponents)
+        if not g < gap:
+            gap = max(gap, g)
+            break
+        value, gap, top = v, g, top + 1
+    return CesaroEvaluation(value=value, order=k, n_terms=rungs[len(samples) - 1],
+                            trace=tuple(samples[-TRACE_LEN:]), error_estimate=gap,
+                            converged=gap <= tol and k > spec.alpha)
 
 
 def _staircase_evaluation(spec: StaircaseSpec, k: Optional[int], X_max: float,
@@ -345,16 +495,17 @@ def _staircase_evaluation(spec: StaircaseSpec, k: Optional[int], X_max: float,
     require_finite(alpha=spec.alpha)
     if k is None:
         k = default_order(spec.alpha)
-    k, n_max, boundaries = _order_and_boundaries(k, X_max, tol)
+    k, n_max = _order_and_domain(k, X_max, tol)
     if k > 0 and not spec.log_weight and spec.alpha >= 0 and spec.alpha.is_integer():
+        boundaries = _tail_boundaries(n_max)
         samples = _cesaro_limit_samples_exact(spec, k, boundaries)
-    else:
-        if n_max > MAX_SUMMED_TERMS:  # minutes to hours of summing
-            raise ValueError(
-                f"X_max={n_max:.3g} exceeds {MAX_SUMMED_TERMS:.0e} summed terms; "
-                "only integer alpha >= 0 at order k >= 1 runs at any X_max")
-        samples = _riesz_samples(spec, k, boundaries)
-    return tail_judgement(samples, order=k, n_terms=n_max, tol=tol, tail_count=len(samples))
+        return tail_judgement(samples, order=k, n_terms=n_max, tol=tol,
+                              tail_count=len(samples))
+    if n_max > MAX_SUMMED_TERMS:  # minutes to hours of summing
+        raise ValueError(
+            f"X_max={n_max:.3g} exceeds {MAX_SUMMED_TERMS:.0e} summed terms; "
+            "only integer alpha >= 0 at order k >= 1 runs at any X_max")
+    return _extrapolated_evaluation(spec, k, n_max, tol)
 
 
 def zeta_via_cesaro(alpha: float, k: Optional[int] = None,
@@ -362,15 +513,17 @@ def zeta_via_cesaro(alpha: float, k: Optional[int] = None,
                     tol: float = DEFAULT_TOL) -> CesaroEvaluation:
     """Estimate zeta(-alpha) from the power-sum staircase at order k.
 
-    k defaults to max(0, ceil(alpha) + 1).  Convergence is judged on a
-    geometric subsequence of integer boundaries up to X_max; the value is
-    the last sample either way.
+    k defaults to max(0, ceil(alpha) + 1).  Integer alpha >= 0 at k >= 1
+    reads its exact samples at boundaries up to X_max; the value is the last
+    sample, and convergence is judged on the dispersion of the tail.  Every
+    other alpha and order reports the extrapolated limit, with the gap of
+    two fits as its error; X_max only caps the boundaries it sums.
 
     Caveat for k = 0 with alpha >= -1: boundary sampling sees the staircase
     exactly at the points where its sawtooth layers vanish, so the honest
-    oscillation is invisible there (alpha = 0 "converges" to 0, an artifact).
-    The default order avoids this; ask for k = 0 only in the absolutely
-    convergent regime alpha < -1.
+    oscillation is invisible there (alpha = 0 reads 0, an artifact, and is
+    reported not converged, as is every order k <= alpha).  The default
+    order avoids this; ask for k = 0 only where alpha < 0.
     """
     spec = StaircaseSpec(alpha)
     return _staircase_evaluation(spec, k, X_max, tol)
@@ -402,10 +555,10 @@ def lemma_witness(p: PeriodicPolynomial, k: int = 1, X_max: float = DEFAULT_XMAX
     ``_exact_samples`` reads it at each boundary from its exact values at
     n = 0..k, rounding once, so the cost does not depend on X_max.
     """
-    k, n_max, boundaries = _order_and_boundaries(k, X_max, tol)
+    k, n_max = _order_and_domain(k, X_max, tol)
     if k == 0:
         raise ValueError("lemma_witness needs order k >= 1, got k=0")
     P = _periodic_primitives(p, k)[-1][0]
     head = [math.factorial(k) * sum(c * n ** i for i, c in enumerate(P)) for n in range(k + 1)]
-    samples = _exact_samples(head, 1, k, boundaries)
+    samples = _exact_samples(head, 1, k, _tail_boundaries(n_max))
     return tail_judgement(samples, order=k, n_terms=n_max, tol=tol, tail_count=len(samples))

@@ -168,6 +168,27 @@ class TestPeriodicPolynomial:
                 want = want * u + float(c)
             assert p(x) == want, x
 
+    @pytest.mark.parametrize("n,m", [(1, 1), (6, 2)])
+    def test_every_input_type_keeps_its_path(self, n, m):
+        # a float skips the Rational check; an int or a Fraction stays exact,
+        # and a numpy float64 (a float subclass) takes the float path
+        import numpy as np
+
+        p = exact.pm_polynomial(n, m)
+
+        def horner(u, num):
+            acc = num(0)
+            for c in reversed(p.coeffs):
+                acc = acc * u + num(c)
+            return acc
+
+        for x in (0, 3, -2, True, Fraction(7, 3), Fraction(-1, 5)):
+            got = p(x)
+            assert type(got) is Fraction and got == horner(Fraction(x) - math.floor(x), Fraction), x
+        for x in (0.3, 2.75, -7.77, np.float64(0.3)):
+            got = p(x)
+            assert type(got) is float and got == horner(float(x) - math.floor(x), float), x
+
     def test_coefficients_past_the_float_range_stay_exact(self):
         p = exact.pm_polynomial(300, 0)
         assert p(Fraction(1, 3)) == sum(c * Fraction(1, 3) ** j for j, c in enumerate(p.coeffs))

@@ -585,9 +585,9 @@ def _periodic_layers(p):
     def want(j, x):
         return float(periodic_primitive(p.coeffs, j, x))
     # float rounding of x and of the coefficients is relative to the
-    # coefficients, not to a layer near one of its zeros or to a deep layer
-    # near 0, which is far below them: under 1e-4 the bound is 1e-17 absolute
-    return want, [0.0, 0.3, 1.0, 2.5, 7.3, 100.25, 1e3 + 1 / 3, 1e6 - 0.1], 1e-13, 1e-4
+    # coefficients, not to a layer near one of its zeros, which is far below
+    # them: under 7e-5 the bound is 7e-18 absolute
+    return want, [0.0, 0.3, 1.0, 2.5, 7.3, 100.25, 1e3 + 1 / 3, 1e6 - 0.1], 1e-13, 7e-5
 
 
 _CHAIN_CASES = (
@@ -652,6 +652,18 @@ def test_periodic_riesz_means_match_cauchys_formula(X):
         want = float(math.factorial(k) * F / Fraction(X) ** k)
         got = integral.riesz_mean(spec, k, X)
         assert abs(got - want) <= 1e-12 * abs(want), (k, got, want)
+
+
+@pytest.mark.parametrize("k", range(integral.MAX_CHAIN))
+def test_periodic_riesz_means_keep_their_digits_in_the_first_period(k):
+    # there a deep layer is far below the P_j(t) and Q_j(t) it is summed
+    # from, so the layer reads the one polynomial P_j + Q_j (near t = 1 a
+    # layer nears its zero, and digits go by cancellation, not by the split)
+    for X in (0.01, 0.3):
+        F = periodic_primitive(_PM31.coeffs, k + 1, X)
+        want = float(math.factorial(k) * F / Fraction(X) ** k)
+        got = integral.riesz_mean(integral.periodic_poly(_PM31), k, X)
+        assert abs(got - want) <= 5e-16 * abs(want), (X, got, want)
 
 
 @pytest.mark.parametrize("n,m", [(n, m) for n in range(1, 7) for m in range(n + 1)])

@@ -1,15 +1,17 @@
 import math
 import time
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from scipy.integrate import quad
 
 from cesaro import exact, integral, series, zeta
-from oracles import (ZETA_HALF, ZETA_PRIME_0, ZETA_PRIME_2, ZETA_PRIME_3, ZETA_PRIME_NEG_2,
-                     ZETA_PRIME_NEG_3, bernoulli_table_akiyama_tanigawa,
-                     euler_maclaurin_zeta, zeta_prime_by_summation)
+from oracles import (_EVEN_BERNOULLI, ZETA_HALF, ZETA_PRIME_0, ZETA_PRIME_2, ZETA_PRIME_3,
+                     ZETA_PRIME_NEG_2, ZETA_PRIME_NEG_3, bernoulli_table_akiyama_tanigawa,
+                     euler_maclaurin_zeta, euler_maclaurin_zeta_decimal,
+                     zeta_prime_by_summation)
 
 
 def test_staircase_value_spot_checks():
@@ -248,10 +250,11 @@ def test_high_order_samples_keep_their_digits(alpha, k):
     # up to C(k, 2) |zeta(-alpha-2)| / n^2 < 3e-8: every level of the prefix
     # sums stays in the float range, and I_k keeps digits past its 2^k cancellation
     n = 100_000
+    (sample,) = zeta._riesz_samples(zeta.StaircaseSpec(alpha), k, [n])
     ev = zeta.zeta_via_cesaro(alpha, k=k, X_max=n)
     want = euler_maclaurin_zeta(-alpha)
     assert math.isfinite(ev.value) and ev.converged
-    assert abs(ev.value - (want - k * euler_maclaurin_zeta(-alpha - 1) / n)) < 1e-7
+    assert abs(sample - (want - k * euler_maclaurin_zeta(-alpha - 1) / n)) < 1e-7
     assert abs(ev.value - want) < (1e-4 if alpha > 0 else 4e-4)
 
 
@@ -277,8 +280,10 @@ def test_riesz_samples_do_not_depend_on_the_chunk_size(monkeypatch, alpha, k):
 
 
 def test_zeta_prime_trace_negation_is_consistent():
+    # the trace holds the raw samples, negated like the value
     ev = zeta.zeta_prime_via_cesaro(0.0)
-    assert ev.trace[-1] == ev.value
+    spec = zeta.StaircaseSpec(0.0, log_weight=True)
+    assert ev.trace[-1] == -zeta._riesz_samples(spec, 1, [ev.n_terms])[0]
 
 
 def test_lemma_witness_mean_zero_layers_vanish():
@@ -320,10 +325,13 @@ def test_estimator_rejects_tiny_domains():
 
 
 def test_exact_and_float_advances_agree():
-    # same alpha through the integer path and the generic series path
-    exact_ev = zeta.zeta_via_cesaro(2.0, k=3, X_max=2e3)
+    # same alpha through the integer path and the generic series path: their
+    # samples at X = 2e3, and the float fit against the exact limit zeta(-2) = 0
+    exact_sample = zeta._cesaro_limit_samples_exact(zeta.StaircaseSpec(2.0), 3, [2000])
+    float_sample = zeta._riesz_samples(zeta.StaircaseSpec(2.0 + 1e-13), 3, [2000])
+    assert exact_sample[0] == pytest.approx(float_sample[0], abs=1e-5)
     float_ev = zeta.zeta_via_cesaro(2.0 + 1e-13, k=3, X_max=2e3)
-    assert exact_ev.value == pytest.approx(float_ev.value, abs=1e-5)
+    assert float_ev.value == pytest.approx(0.0, abs=1e-5)
 
 
 def _exact_samples_by_loop(alpha: int, k: int, boundaries):
@@ -581,3 +589,124 @@ def test_summed_paths_meet_their_time_budget():
     zeta.zeta_prime_via_cesaro(0.5, X_max=1e5)
     zeta.zeta_via_cesaro(0.5, X_max=1e6)
     assert time.perf_counter() - start < 1.5
+
+
+# -- the extrapolated limit ---------------------------------------------------
+
+def test_the_decimal_oracle_agrees_with_the_other_routes():
+    bern = bernoulli_table_akiyama_tanigawa(40)
+    assert _EVEN_BERNOULLI == [bern[2 * j] for j in range(1, 21)]
+    for n in range(9):  # zeta(-n) = -B_{n+1} / (n+1), zeta(0) = -1/2
+        want = -0.5 if n == 0 else float(-bern[n + 1] / (n + 1))
+        assert abs(euler_maclaurin_zeta_decimal(-n) - want) <= 1e-16 * max(1, abs(want)), n
+    frozen = [(0.5, False, ZETA_HALF), (0.0, True, ZETA_PRIME_0), (2.0, True, ZETA_PRIME_2),
+              (3.0, True, ZETA_PRIME_3), (-2.0, True, ZETA_PRIME_NEG_2),
+              (-3.0, True, ZETA_PRIME_NEG_3)]
+    for s, prime, want in frozen:
+        assert euler_maclaurin_zeta_decimal(s, prime) == pytest.approx(want, rel=1e-15, abs=0)
+    for s in (-0.5, 0.5, 2.5, 4.0):
+        assert euler_maclaurin_zeta_decimal(s) == pytest.approx(euler_maclaurin_zeta(s), rel=1e-13)
+
+
+@pytest.mark.parametrize("log_weight", [False, True])
+@pytest.mark.parametrize("alpha,k", [(-2.5, 0), (-2.0, 1), (0.0, 1), (0.5, 2), (3.4265, 5),
+                                     (6.5, 8), (0.5, 40)])
+def test_ladder_logs_match_the_decimal_ln_route(monkeypatch, alpha, k, log_weight):
+    # ln n = a ln 2 + b ln 3 from cached constants, on every rung 2^a 3^b
+    spec = zeta.StaircaseSpec(alpha, log_weight)
+    rungs = zeta._ladder(10**6)
+    got = [zeta._fp_subtrahend(spec, k, n) for n in rungs]
+    monkeypatch.setattr(zeta, "_ln", lambda n, prec: Decimal(n).ln())
+    for n, pair in zip(rungs, got):
+        want = sum(map(Decimal, zeta._fp_subtrahend(spec, k, n)))
+        assert abs(sum(map(Decimal, pair)) - want) <= Decimal("1e-30") * abs(want), n
+
+
+_SWEEP_ALPHAS = [a / 2 for a in range(-5, 14) if a != -2]
+
+
+@pytest.mark.parametrize("alpha", _SWEEP_ALPHAS)
+def test_no_estimate_claims_convergence_beyond_its_tol(alpha):
+    # the order, X_max and tol sweep of every path: a converged record is
+    # within tol of the decimal oracle
+    for prime, call in ((False, zeta.zeta_via_cesaro), (True, zeta.zeta_prime_via_cesaro)):
+        want = euler_maclaurin_zeta_decimal(-alpha, prime)
+        for k in (zeta.default_order(alpha), zeta.default_order(alpha) + 1):
+            for X in (1e3, 1e4, 1e5):
+                for tol in (1e-3, 1e-6, 1e-9):
+                    ev = call(alpha, k=k, X_max=X, tol=tol)
+                    assert not ev.converged or abs(ev.value - want) <= tol, (
+                        prime, k, X, tol, ev.value, want, ev.error_estimate)
+
+
+# the float-fit column of the roadmap's table: a fit of the float samples at
+# six boundaries 64..362, the bar that a fitted staircase limit is held to
+_FIT_TABLE = [(0.5, False, 5.1e-14), (1.5, False, 2.3e-11), (2.5, False, 1.0e-9),
+              (3.5, False, 4.1e-8), (4.5, False, 5.9e-6), (0.0, True, 1.6e-14),
+              (0.5, True, 2.0e-9), (2.0, True, 1.1e-10), (3.0, True, 1.6e-8)]
+
+
+@pytest.mark.parametrize("alpha,prime,fit_error", _FIT_TABLE)
+def test_the_fit_meets_the_roadmap_table(alpha, prime, fit_error):
+    call = zeta.zeta_prime_via_cesaro if prime else zeta.zeta_via_cesaro
+    want = euler_maclaurin_zeta_decimal(-alpha, prime)
+    errors = []
+    for X in (1e4, 1e5):
+        call(alpha, X_max=X)  # warm
+        start = time.perf_counter()
+        ev = call(alpha, X_max=X)
+        assert time.perf_counter() - start < 0.02, X
+        assert ev.converged and ev.n_terms <= X
+        errors.append(abs(ev.value - want))
+        assert errors[-1] <= 10 * fit_error, (X, errors[-1])
+    assert errors[1] <= errors[0]
+
+
+@pytest.mark.parametrize("alpha,k,prime", [(2.5, 1, False), (0.5, 0, False), (1.5, 1, True),
+                                           (1.001, 1, False), (0.0005, 0, False),
+                                           (3.001, 3, False), (2.5, 2, False),
+                                           (1.001, 1, True), (0.0, 0, False)])
+def test_orders_at_or_below_alpha_never_converge(alpha, k, prime):
+    # the order-k mean exists only for k > alpha.  Only decaying terms are
+    # fitted, and the boundary samples can still settle: at 1.001 (k = 1) on
+    # twice zeta(-1), at 2.5 (k = 2) on zeta(-2.5) itself, at 0 (k = 0) on 0
+    call = zeta.zeta_prime_via_cesaro if prime else zeta.zeta_via_cesaro
+    for X in (1e3, 1e4, 1e5):
+        for tol in (1e-3, 1e-1):
+            assert not call(alpha, k=k, X_max=X, tol=tol).converged, (X, tol)
+
+
+@pytest.mark.parametrize("alpha,k", [(0.999, 1), (-0.0005, 0), (2.9, 3)])
+def test_orders_just_above_alpha_converge(alpha, k):
+    ev = zeta.zeta_via_cesaro(alpha, k=k, X_max=1e5, tol=1e-6)
+    assert ev.converged and abs(ev.value - euler_maclaurin_zeta_decimal(-alpha)) <= 1e-6
+
+
+@pytest.mark.parametrize("alpha", [-12.5, -13.5, -30.0, -300.0])
+def test_steep_weights_converge_on_the_constant(alpha):
+    # terms below n^-13 are under eps on every rung and stay out of the fit,
+    # whose columns would otherwise be near-parallel and ill-conditioned
+    for prime, call in ((False, zeta.zeta_via_cesaro), (True, zeta.zeta_prime_via_cesaro)):
+        want = euler_maclaurin_zeta_decimal(-alpha, prime)
+        ev = call(alpha, X_max=1e4, tol=1e-12)
+        assert ev.converged and abs(ev.value - want) <= 1e-15 * max(1.0, abs(want)), prime
+
+
+def test_a_fit_that_cannot_be_made_reads_the_last_raw_sample():
+    # m^200.5 overflows from m = 35: no fit, the record keeps the raw sample
+    ev = zeta.zeta_via_cesaro(200.5, X_max=1e4)
+    assert not ev.converged and ev.error_estimate == math.inf
+    assert repr(ev.value) == repr(ev.trace[-1]) and not math.isfinite(ev.value)
+
+
+def test_the_ladder_climbs_only_as_far_as_tol_asks():
+    # X_max is a cap: a loose tol stops at the first ladder, a tight one
+    # climbs, and neither sums past X_max
+    loose = zeta.zeta_via_cesaro(0.5, k=40, X_max=1e5, tol=1e-3)
+    tight = zeta.zeta_via_cesaro(0.5, k=40, X_max=1e5, tol=1e-9)
+    capped = zeta.zeta_via_cesaro(0.5, k=40, X_max=1e3, tol=1e-9)
+    assert loose.n_terms == 256 < tight.n_terms <= 1e5
+    assert capped.n_terms <= 1e3
+    want = euler_maclaurin_zeta_decimal(-0.5)
+    assert abs(tight.value - want) < abs(loose.value - want)
+    assert tight.converged and abs(tight.value - want) <= 1e-9
