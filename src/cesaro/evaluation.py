@@ -1,10 +1,12 @@
 """Shared convergence record for the numeric Cesaro evaluators.
 
-Every estimator in this package (series, integrals, staircase limits) samples
-a normalized quantity along a tail of indices or grid points and judges
-convergence against a tolerance: by the dispersion (max - min) of the tail
-samples, or, for the fitted staircase limits of ``zeta``, by the gap between
-two extrapolations.  Divergence is a result, never an exception.
+The series and integral estimators sample a normalized quantity along a
+tail of indices or grid points and judge convergence against a tolerance by
+the dispersion (max - min) of the tail samples; the fitted staircase limits
+of ``zeta`` judge it by the gap between two extrapolations.  The exact
+staircase paths of ``zeta`` (integer alpha >= 0, ``lemma_witness``) sample
+nothing: they read the limit off an exact polynomial, and converge exactly
+when the order admits a limit.  Divergence is a result, never an exception.
 
 QuadratureError, which the integral layer re-exports, is defined here so the
 CLI can catch it without importing that layer; numpy is imported only when a
@@ -25,15 +27,21 @@ class CesaroEvaluation:
     """Outcome of a Cesaro-style limit evaluation.
 
     value          last sample of the normalized quantity; for a fitted
-                   staircase limit, the constant fitted to the samples
+                   staircase limit, the constant fitted to the samples; for
+                   an exact staircase limit, the limit rounded once (+-inf
+                   where the mean diverges)
     order          the Cesaro order k used (float to allow Riesz real orders)
     n_terms        how many terms / boundaries / grid points were consumed;
-                   for a fitted staircase limit, the top boundary summed
-    trace          the last few raw samples, oldest first (length >= 2)
+                   for a fitted staircase limit, the top boundary summed; for
+                   an exact one, the polynomial values summed
+    trace          the last few raw samples, oldest first (length >= 2); for
+                   an exact staircase limit, the value alone (length 1)
     error_estimate dispersion of the tail window; for a fitted staircase
-                   limit, the gap between two fits (inf when non-finite)
+                   limit, the gap between two fits (inf when non-finite);
+                   for an exact one, 0
     converged      True iff error_estimate is finite and <= tol (and, for a
-                   fitted staircase limit, the order k exceeds alpha)
+                   fitted staircase limit, the order k exceeds alpha); for
+                   an exact staircase limit, iff the order k exceeds alpha
     """
 
     value: float

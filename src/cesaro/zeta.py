@@ -46,14 +46,14 @@ between the fits on two windows of the ladder one rung apart.  The ladder
 climbs a rung at a time only while that gap is above tol / 10 and still
 shrinking: a float sample carries noise of about eps n^(alpha+1/2), so
 higher boundaries help only until that noise overtakes the truncation
-error.  X_max is a cap, and the cost follows tol, not X_max; X_max is still
-capped at MAX_SUMMED_TERMS.
+error.  X_max and _TOP_RUNG cap the climb, and the cost follows tol, not
+X_max.
 
 Integer alpha >= 0 without the log weight takes the same identity in exact
 integers, with the Beta integral n^(alpha+k+1) alpha! k! / (alpha+k+1)! as
 its finite part; k! F_k(n) is then a polynomial in n, as in ``lemma_witness``,
-summed at n = 0..degree only and read at the boundaries in Newton form.  That
-path reports its sample at X_max and judges the dispersion of the tail.
+summed at n = 0..degree only.  Both exact paths report the limit itself,
+its n^k coefficient rounded once, and X_max only passes the shared checks.
 """
 from __future__ import annotations
 
@@ -69,7 +69,7 @@ import numpy as np
 
 from .accumulate import _two_sum_scan
 from .evaluation import (TRACE_LEN, CesaroEvaluation, require_finite, require_order,
-                         require_tol, tail_judgement, tail_window)
+                         require_tol)
 from .exact import PeriodicPolynomial, _periodic_primitives
 from .finite_part import (IllConditionedFitError, _weighted_fit, fp_log_power_integral,
                           fp_power_integral)
@@ -88,15 +88,14 @@ __all__ = [
 POLE_GUARD = 1e-6
 DEFAULT_TOL = 1e-3
 DEFAULT_XMAX = 1e4
-MAX_SUMMED_TERMS = 10**9
 _TERMS_PER_CHUNK = 1 << 14
-_BOUNDARY_GRID = 48  # geometric boundaries up to X_max; the tail is sampled
 _FP_DIGITS = 40
 # the extrapolated limit: a ladder of rungs 2^a and 3 * 2^a, fitted in windows
 _LADDER_FLOOR = 16  # the lowest rung
-_FIRST_TOP = 256  # the first fit reads the rungs up to here
+_FIRST_TOP = 256  # the first fit reads the rungs up to here; the least X_max
+_TOP_RUNG = 4096  # the climb's cap: at tol = 0 it stops by 2048
 _FIT_RUNGS = 8  # rungs per fit window
-_FIT_COLUMNS = 6  # the slowest decaying terms of the expansion, besides the constant
+_FIT_COLUMNS = _FIT_RUNGS - 2  # the slowest decaying terms of the expansion, besides the constant
 _MERGE_GAP = 1e-3  # exponents closer than this share one column
 _STEEPEST = -13  # 16^-13 < eps: a term that decays faster is below every rung's resolution
 
@@ -297,40 +296,9 @@ def advance_primitives(state: PrimitiveState, spec: StaircaseSpec,
 
 # -- drivers ------------------------------------------------------------------
 
-def _sample_boundaries(n_max: int) -> list[int]:
-    # geomspace in float, rounded to Python ints: int64 would overflow
-    # above about 9.2e18, and the exact paths answer at any X
-    lo = round(math.sqrt(n_max))  # n_max >= 64, so 8 <= lo < n_max
-    raw = np.geomspace(float(lo), float(n_max), _BOUNDARY_GRID)
-    return sorted({int(round(v)) for v in raw})
-
-
 def default_order(alpha: float) -> int:
     """max(0, ceil(alpha) + 1): one averaging per polynomial degree."""
     return max(0, math.ceil(alpha) + 1)
-
-
-def _exact_samples(head, scale, k: int, boundaries: list[int]) -> list[float]:
-    """head(m) / (scale m^k) at each boundary m, correctly rounded.
-
-    head holds the exact (int or Fraction) values at n = 0..deg of a
-    polynomial of degree <= deg, and Newton's form head(m) = sum_i
-    Delta^i head(0) C(m, i) reads it at any m in O(deg) exact operations.  A
-    quotient beyond the float range (a mean that diverges below order
-    alpha + 1) rounds to an infinity of its sign.
-    """
-    diffs = []
-    while head:
-        diffs.append(head[0])
-        head = [b - a for a, b in zip(head, head[1:])]
-    samples = []
-    for m in boundaries:
-        v, c = 0, 1
-        for i, d in enumerate(diffs):
-            v += d * c
-            c = c * (m - i) // (i + 1)  # C(m, i + 1), exactly
-        samples.append(_quotient(v, scale * m ** k))
-    return samples
 
 
 def _quotient(v, d: int) -> float:
@@ -342,9 +310,30 @@ def _quotient(v, d: int) -> float:
         return math.inf if v > 0 else -math.inf
 
 
-def _cesaro_limit_samples_exact(spec: StaircaseSpec, k: int,
-                                boundaries: list[int]) -> list[float]:
-    """Integer alpha >= 0: the Riesz identity in exact integers.
+def _monomial_numerators(values: list[int], k: int) -> list[int]:
+    """d! c_j for j = k..d, c_j the coefficients of the polynomial of degree
+    <= d through the integers values[n] at n = 0..d.
+
+    Newton's form reads values[n] = sum_i Delta^i(0) C(n, i), and i! C(n, i)
+    = n (n-1) ... (n-i+1) = sum_j s(i, j) n^j, s the signed Stirling numbers
+    of the first kind (Graham, Knuth and Patashnik, *Concrete Mathematics*,
+    6.1), so d! c_j = sum_i Delta^i(0) (d! / i!) s(i, j), all in integers.
+    """
+    numerators = [0] * (len(values) - k)
+    row, weight = [1], math.factorial(len(values) - 1)  # s(i, .) and d! / i!
+    for i in range(len(values)):
+        newton = values[0] * weight
+        for j in range(k, i + 1):
+            numerators[j - k] += newton * row[j]
+        values = [b - a for a, b in zip(values, values[1:])]
+        row = [a - i * b for a, b in zip([0] + row, row + [0])]  # times (n - i)
+        weight //= i + 1
+    return numerators
+
+
+def _exact_limit(alpha: int, k: int) -> float:
+    """Integer alpha >= 0: the order-k limit from the Riesz identity in exact
+    integers.
 
     The float sum cancels quantities of size ~n^(alpha+1), so for alpha >= 4
     roundoff swamps the limit by X ~ 1e4.  For integer alpha the finite part
@@ -355,9 +344,10 @@ def _cesaro_limit_samples_exact(spec: StaircaseSpec, k: int,
 
     is an integer polynomial in n of degree alpha + k (the n^(alpha+k+1)
     terms cancel).  Its values at n = 0..alpha+k are summed directly, and
-    ``_exact_samples`` rounds it once at each boundary.
+    the limit of k! F_k(n) / n^k is its n^k coefficient over scale, rounded
+    once.  A non-zero coefficient above n^k, as below order alpha + 1, makes
+    the mean diverge, to an infinity of the sign of the highest one.
     """
-    alpha = int(spec.alpha)
     deg = alpha + k
     scale = math.factorial(deg + 1)
     fp = math.factorial(alpha) * math.factorial(k)  # scale * B(alpha+1, k+1)
@@ -365,7 +355,18 @@ def _cesaro_limit_samples_exact(spec: StaircaseSpec, k: int,
     t = [j ** k for j in range(deg + 1)]
     head = [scale * sum(w[m] * t[n - m] for m in range(1, n + 1))
             - fp * n ** (deg + 1) for n in range(deg + 1)]
-    return _exact_samples(head, scale, k, boundaries)
+    coeffs = _monomial_numerators(head, k)  # deg! times those of n^k .. n^deg
+    top = next((c for c in reversed(coeffs[1:]) if c), 0)
+    if top:
+        return math.inf if top > 0 else -math.inf
+    return _quotient(coeffs[0], math.factorial(deg) * scale)
+
+
+def _exact_evaluation(value: float, k: int, n_terms: int,
+                      converged: bool) -> CesaroEvaluation:
+    """The record of a limit read exactly: no sample tail, no error."""
+    return CesaroEvaluation(value=value, order=k, n_terms=n_terms, trace=(value,),
+                            error_estimate=0.0, converged=converged)
 
 
 def _order_and_domain(k, X_max: float, tol: float) -> tuple[int, int]:
@@ -375,16 +376,9 @@ def _order_and_domain(k, X_max: float, tol: float) -> tuple[int, int]:
     k = require_order(k)
     require_finite(X_max=X_max)
     require_tol(tol)
-    if X_max < 64:
-        raise ValueError("X_max is too small to form a sample tail")
+    if X_max < _FIRST_TOP:
+        raise ValueError(f"X_max must be at least {_FIRST_TOP}, got {X_max:g}")
     return k, int(math.floor(X_max))
-
-
-def _tail_boundaries(n_max: int) -> list[int]:
-    """The boundaries that a tail verdict reads: at least TRACE_LEN for
-    every n_max >= 64."""
-    grid = _sample_boundaries(n_max)
-    return grid[-tail_window(len(grid)):]
 
 
 def _ladder(n_max: int) -> list[int]:
@@ -433,19 +427,16 @@ def _window_fits(rungs: list[int], samples: list[float],
                  exponents: list[tuple[float, int]]) -> tuple[float, float]:
     """The constant fitted on the top window of rungs, and its gap to the
     constant fitted on the window one rung lower.  A window holds
-    _FIT_RUNGS rungs, or one fewer than the rungs summed where X_max < 256,
-    and fits two exponents fewer than its rungs, besides the constant.  A
-    non-finite sample or an ill-conditioned fit reads as (the last sample,
-    inf)."""
-    width = min(_FIT_RUNGS, len(rungs) - 1)
-    columns = exponents[:width - 2]
+    _FIT_RUNGS rungs and fits the exponents, _FIT_COLUMNS at most, besides
+    the constant.  A non-finite sample or an ill-conditioned fit reads as
+    (the last sample, inf)."""
     fits = []
     for stop in (len(rungs), len(rungs) - 1):
-        n = np.asarray(rungs[stop - width:stop], dtype=np.float64)
-        y = np.asarray(samples[stop - width:stop])
+        n = np.asarray(rungs[stop - _FIT_RUNGS:stop], dtype=np.float64)
+        y = np.asarray(samples[stop - _FIT_RUNGS:stop])
         if not np.isfinite(y).all():
             return samples[-1], math.inf
-        design = np.column_stack([n ** e * np.log(n) ** b for e, b in columns]
+        design = np.column_stack([n ** e * np.log(n) ** b for e, b in exponents]
                                  + [np.ones_like(n)])
         try:
             fits.append(float(_weighted_fit(design, y)[0][-1]))
@@ -462,10 +453,10 @@ def _extrapolated_evaluation(spec: StaircaseSpec, k: int, n_max: int,
 
     The first fit reads the rungs up to _FIRST_TOP in one Riesz-sum pass.
     A rung is added only while the gap between the two window fits is above
-    tol / 10, still shrinking, and the rung is <= n_max: a float sample
-    carries noise of about eps n^(alpha+1/2), so past the point where the
-    gap grows, climbing makes the fit worse.  There the fit below is kept,
-    with the larger of its two gaps as its error.
+    tol / 10, still shrinking, and the rung is at most n_max and _TOP_RUNG:
+    a float sample carries noise of about eps n^(alpha+1/2), so past the
+    point where the gap grows, climbing makes the fit worse.  There the fit
+    below is kept, with the larger of its two gaps as its error.
 
     An order k <= alpha never converges: there the staircase's order-k
     Cesaro mean does not exist, though its samples can settle, since the
@@ -473,7 +464,7 @@ def _extrapolated_evaluation(spec: StaircaseSpec, k: int, n_max: int,
     n^0 grows too slowly to see (alpha = 1.001 at k = 1 settles at twice
     zeta(-1)).
     """
-    rungs = _ladder(n_max)
+    rungs = _ladder(min(n_max, _TOP_RUNG))
     top = bisect_right(rungs, _FIRST_TOP)
     samples = _riesz_samples(spec, k, rungs[:top])
     exponents = _expansion_exponents(spec, k)
@@ -497,14 +488,8 @@ def _staircase_evaluation(spec: StaircaseSpec, k: Optional[int], X_max: float,
         k = default_order(spec.alpha)
     k, n_max = _order_and_domain(k, X_max, tol)
     if k > 0 and not spec.log_weight and spec.alpha >= 0 and spec.alpha.is_integer():
-        boundaries = _tail_boundaries(n_max)
-        samples = _cesaro_limit_samples_exact(spec, k, boundaries)
-        return tail_judgement(samples, order=k, n_terms=n_max, tol=tol,
-                              tail_count=len(samples))
-    if n_max > MAX_SUMMED_TERMS:  # minutes to hours of summing
-        raise ValueError(
-            f"X_max={n_max:.3g} exceeds {MAX_SUMMED_TERMS:.0e} summed terms; "
-            "only integer alpha >= 0 at order k >= 1 runs at any X_max")
+        alpha = int(spec.alpha)
+        return _exact_evaluation(_exact_limit(alpha, k), k, alpha + k + 1, k > alpha)
     return _extrapolated_evaluation(spec, k, n_max, tol)
 
 
@@ -514,10 +499,11 @@ def zeta_via_cesaro(alpha: float, k: Optional[int] = None,
     """Estimate zeta(-alpha) from the power-sum staircase at order k.
 
     k defaults to max(0, ceil(alpha) + 1).  Integer alpha >= 0 at k >= 1
-    reads its exact samples at boundaries up to X_max; the value is the last
-    sample, and convergence is judged on the dispersion of the tail.  Every
-    other alpha and order reports the extrapolated limit, with the gap of
-    two fits as its error; X_max only caps the boundaries it sums.
+    reports the exact limit, rounded once, with error_estimate 0; X_max is
+    checked but unused there.  Every other alpha and order reports the
+    extrapolated limit, with the gap of two fits as its error; X_max only
+    caps the boundaries it sums.  No order k <= alpha converges: there the
+    staircase's order-k mean does not exist.
 
     Caveat for k = 0 with alpha >= -1: boundary sampling sees the staircase
     exactly at the points where its sawtooth layers vanish, so the honest
@@ -551,14 +537,13 @@ def lemma_witness(p: PeriodicPolynomial, k: int = 1, X_max: float = DEFAULT_XMAX
     that such functions are Cesaro-negligible.  With nonzero mean the same
     evaluation converges to the mean instead, which makes a handy control.
 
-    At an integer n, k! F_k(n) = k! P_k(n), P_k from ``_periodic_primitives``;
-    ``_exact_samples`` reads it at each boundary from its exact values at
-    n = 0..k, rounding once, so the cost does not depend on X_max.
+    At an integer n, k! F_k(n) = k! P_k(n), P_k the degree-k polynomial from
+    ``_periodic_primitives``, so the limit is k! times P_k's x^k coefficient
+    (the mean of p), exact and rounded once, with error_estimate 0.  X_max
+    and tol are checked but unused.
     """
-    k, n_max = _order_and_domain(k, X_max, tol)
+    k, _ = _order_and_domain(k, X_max, tol)
     if k == 0:
         raise ValueError("lemma_witness needs order k >= 1, got k=0")
     P = _periodic_primitives(p, k)[-1][0]
-    head = [math.factorial(k) * sum(c * n ** i for i, c in enumerate(P)) for n in range(k + 1)]
-    samples = _exact_samples(head, 1, k, _tail_boundaries(n_max))
-    return tail_judgement(samples, order=k, n_terms=n_max, tol=tol, tail_count=len(samples))
+    return _exact_evaluation(_quotient(math.factorial(k) * P[k], 1), k, k + 1, True)
