@@ -7,35 +7,27 @@ running total, so the pair (total, carry) loses almost nothing.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 
 __all__ = ["compensated_prefix_sums"]
 
 
-def _two_sum_scan(x: np.ndarray, total: float = 0.0, carry: float = 0.0,
-                  x_lo: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
+def _two_sum_scan(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Running totals s and carries err of adding the non-empty float array
-    x in order to (total, carry).  np.cumsum adds in order, so TwoSum
-    recovers each step's error from s (Knuth; Ogita, Rump and Oishi, SIAM J.
-    Sci. Comput. 26, 2005).  x_lo, if given, is the low part of each term
-    (the carries of a scan below, so s + err sums x + x_lo) and joins the
-    step errors before they are summed: a scan resumed from its last
-    (total, carry) gives the same bits as one unbroken scan.  Where s is
-    not finite the carry is 0, or an honest inf would read nan; inf and nan
-    absorb later terms, so that takes one check of s[-1]."""
+    x in order from 0.  np.cumsum adds in order, so TwoSum recovers each
+    step's error from s (Knuth; Ogita, Rump and Oishi, SIAM J. Sci. Comput.
+    26, 2005).  Where s is not finite the carry is 0, or an honest inf
+    would read nan; inf and nan absorb later terms, so that takes one check
+    of s[-1]."""
     with np.errstate(over="ignore", invalid="ignore"):
-        s = np.cumsum(np.concatenate(([total], x)))
+        s = np.cumsum(np.concatenate(([0.0], x)))
         prev, s = s[:-1], s[1:]
         bb = s - prev
         e = np.subtract(s, bb)  # e = (prev - (s - bb)) + (x - bb), in place
         np.subtract(prev, e, out=e)
         np.subtract(x, bb, out=bb)
         e += bb
-        if x_lo is not None:
-            e += x_lo
-        e[0] += carry
         err = np.cumsum(e, out=e)
     if not math.isfinite(s[-1]):
         err[~np.isfinite(s)] = 0.0

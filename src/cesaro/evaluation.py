@@ -38,7 +38,8 @@ class CesaroEvaluation:
                    an exact staircase limit, the value alone (length 1)
     error_estimate dispersion of the tail window; for a fitted staircase
                    limit, the gap between two fits (inf when non-finite);
-                   for an exact one, 0
+                   for an exact one, 0 where the limit exists and inf where
+                   it does not (order k <= alpha)
     converged      True iff error_estimate is finite and <= tol (and, for a
                    fitted staircase limit, the order k exceeds alpha); for
                    an exact staircase limit, iff the order k exceeds alpha

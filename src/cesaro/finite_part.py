@@ -12,6 +12,13 @@ after removing those.  Closed forms:
 The same removal is available numerically: ``extract_finite_part`` fits a
 caller-supplied divergent basis { eps^-a (ln 1/eps)^b } plus a constant to
 sampled values of g on a decreasing eps grid and reports the constant.
+
+The fit, here and in the staircase limits of ``zeta``, is one pure-Python
+weighted least-squares solver: modified Gram-Schmidt with the right-hand
+side as an extra column (Bjorck, *BIT* 7, 1967), on rows scaled by
+1/max(1, |y|) and columns scaled to unit norm.  Its condition number is
+||R||_F ||R^-1||_F of that normalized design, the Frobenius-norm one: never
+below the 2-norm condition number and at most the column count times it.
 """
 from __future__ import annotations
 
@@ -19,6 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
+from operator import mul
 
 __all__ = [
     "FinitePartDecomposition",
@@ -47,7 +55,9 @@ class FinitePartDecomposition:
                      in the caller's basis order; (0, 0) never appears here
     finite_part      the fitted constant term
     residual         weighted rms misfit of the model on the grid
-    condition        condition number of the normalized design matrix
+    condition        Frobenius-norm condition number ||R||_F ||R^-1||_F of
+                     the normalized design matrix (R from its QR): between
+                     the 2-norm one and the column count times it
     """
 
     divergent_terms: tuple[tuple[float, int, float], ...]
@@ -134,67 +144,113 @@ def extract_finite_part(g, basis, eps_grid,
     The fit is weighted least squares: rows are scaled by 1/max(1, |g|) so
     the divergent end does not drown the constant, and columns are scaled to
     unit norm before solving.  A condition number beyond ``cond_limit`` for
-    the scaled design matrix, or a column that vanishes on the grid, raises
-    IllConditionedFitError instead of returning a garbage constant.
+    the scaled design matrix, or a column that vanishes on the grid or
+    leaves the float range, raises IllConditionedFitError instead of
+    returning a garbage constant.
     """
-    import numpy as np
-
     basis = [(float(a), int(b)) for a, b in basis]
     if len(set(basis)) != len(basis):
         raise ValueError("divergent basis pairs must be distinct")
     if (0.0, 0) in basis:
         raise ValueError("(0, 0) is the constant term, not a divergent basis element")
-    eps = np.asarray([float(e) for e in eps_grid], dtype=float)
-    if eps.ndim != 1 or len(eps) < 2 * (len(basis) + 1):
+    eps = [float(e) for e in eps_grid]
+    if len(eps) < 2 * (len(basis) + 1):
         raise ValueError(
             f"eps grid needs at least {2 * (len(basis) + 1)} points for "
             f"{len(basis)} basis terms")
-    if np.any(eps <= 0) or np.any(np.diff(eps) >= 0):
+    if eps[-1] <= 0 or any(b >= a for a, b in zip(eps, eps[1:])):
         raise ValueError("eps grid must be positive and strictly decreasing")
     if eps[0] / eps[-1] < 999.999:
         raise ValueError("eps grid should span at least three decades")
 
-    gvals = np.asarray([float(g(e)) for e in eps], dtype=float)
-    if not np.all(np.isfinite(gvals)):
+    gvals = [float(g(e)) for e in eps]
+    if not all(math.isfinite(v) for v in gvals):
         raise ValueError("g produced non-finite samples on the eps grid")
 
-    ln_inv = np.log(1.0 / eps)
-    cols = [eps ** (-a) * ln_inv ** b for a, b in basis]
-    cols.append(np.ones_like(eps))
-    coefs, residual, condition = _weighted_fit(np.column_stack(cols), gvals, cond_limit)
-    divergent = tuple((a, b, float(c)) for (a, b), c in zip(basis, coefs[:-1]))
+    cols = [[_basis_value(e, a, b) for e in eps] for a, b in basis]
+    cols.append([1.0] * len(eps))
+    coefs, residual, condition = _weighted_fit(cols, gvals, cond_limit)
+    divergent = tuple((a, b, c) for (a, b), c in zip(basis, coefs[:-1]))
     return FinitePartDecomposition(
         divergent_terms=divergent,
-        finite_part=float(coefs[-1]),
+        finite_part=coefs[-1],
         residual=residual,
         condition=condition,
     )
 
 
-def _weighted_fit(design, values, cond_limit: float = 1e12):
-    """Least-squares coefficients of ``values`` on the columns of ``design``,
-    with the rms misfit and the condition number it was solved at.
+def _basis_value(eps: float, a: float, b: int) -> float:
+    """eps^-a (ln 1/eps)^b, or inf where that leaves the float range."""
+    try:
+        return eps ** -a * math.log(1.0 / eps) ** b
+    except OverflowError:
+        return math.inf
+
+
+def _weighted_fit(columns, values, cond_limit: float = 1e12):
+    """Least-squares coefficients of ``values`` on ``columns`` (each a list
+    with one entry per row), with the rms misfit and the condition number
+    it was solved at.
 
     Rows are scaled by 1/max(1, |value|), so that large samples do not drown
-    the small ones, and the scaled columns to unit norm before solving.  A
-    column that vanishes on the rows, a rank deficit, or a condition number
-    beyond ``cond_limit`` raises IllConditionedFitError instead of returning
+    the small ones, and the scaled columns to unit norm.  Modified
+    Gram-Schmidt on that design, with the right-hand side y as one more
+    column (Bjorck, *BIT* 7, 1967), gives R, the projections z = Q^T y and
+    the misfit y - Q z; back-substitution solves R c = z.  The condition
+    number is ||R||_F ||R^-1||_F: an upper bound on the 2-norm condition
+    number, at most the column count times it.  A column that vanishes on
+    the rows or is not finite, a rank deficit, or a condition number beyond
+    ``cond_limit`` raises IllConditionedFitError instead of returning
     garbage coefficients.
-    """
-    import numpy as np
 
-    weights = 1.0 / np.maximum(1.0, np.abs(values))
-    dw = design * weights[:, None]
-    gw = values * weights
-    norms = np.linalg.norm(dw, axis=0)
-    if np.any(norms == 0.0):
-        raise IllConditionedFitError("degenerate basis column on this grid", math.inf)
-    coef_n, _, rank, sv = np.linalg.lstsq(dw / norms, gw, rcond=None)
-    condition = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
-    if rank < design.shape[1] or condition > cond_limit:
+    Only the square roots are float calls; the rest is arithmetic that any
+    number type with the float operators can run.
+    """
+    weights = [1 / max(1, abs(v)) for v in values]
+    norms, q, r = [], [], []  # column scales, orthonormal columns, columns of R
+    for column in columns:
+        a = list(map(mul, column, weights))
+        norm = math.sqrt(sum(map(mul, a, a)))
+        if not 0 < norm < math.inf:
+            raise IllConditionedFitError(
+                "a basis column vanishes or leaves the float range on this grid", math.inf)
+        norms.append(norm)
+        a, r_col = _orthogonalize([x / norm for x in a], q)
+        diag = math.sqrt(sum(map(mul, a, a)))
+        if diag == 0:
+            raise IllConditionedFitError("the basis columns are dependent on this grid",
+                                         math.inf)
+        q.append([x / diag for x in a])
+        r_col.append(diag)
+        r.append(r_col)
+    misfit, z = _orthogonalize(list(map(mul, values, weights)), q)
+    r_inv = [_back_substitute(r[:j + 1], [0] * j + [1]) for j in range(len(r))]  # columns
+    condition = math.sqrt(sum(sum(map(mul, col, col)) for col in r)
+                          * sum(sum(map(mul, col, col)) for col in r_inv))
+    if condition > cond_limit:
         raise IllConditionedFitError(
             f"finite-part fit is ill-conditioned (cond={condition:.3e}); "
             "separate the basis exponents or widen the eps grid", condition)
-    coefs = coef_n / norms
-    resid = dw @ coefs - gw
-    return coefs, float(np.sqrt(np.mean(resid ** 2))), condition
+    coefs = _back_substitute(r, z)
+    return ([c / norm for c, norm in zip(coefs, norms)],
+            math.sqrt(sum(map(mul, misfit, misfit)) / len(misfit)), condition)
+
+
+def _orthogonalize(a, q):
+    """a less its projections on the orthonormal columns q, each taken off
+    before the next is measured, and those projections."""
+    projections = []
+    for u in q:
+        p = sum(map(mul, u, a))
+        a = [x - p * y for x, y in zip(a, u)]
+        projections.append(p)
+    return a, projections
+
+
+def _back_substitute(r, z):
+    """x with R x = z, for the upper-triangular R given by its columns
+    (column j holds rows 0..j)."""
+    x = [0] * len(z)
+    for i in reversed(range(len(z))):
+        x[i] = (z[i] - sum(r[l][i] * x[l] for l in range(i + 1, len(z)))) / r[i][i]
+    return x

@@ -26,14 +26,15 @@ n^(alpha+1) while the sample is O(1), and I_k's alternating sum cancels by
 ulp, magnified as much), and is taken off exactly before the sample is
 rounded once.
 
-The Riesz sums of a list of boundaries come from one pass over m = 1..n_max,
-in chunks that bound the memory.  By the surjection identity (n-m)^k =
-sum_j j! S(k, j) C(n-m, j), S the Stirling numbers of the second kind, and
-sum_{m<=n} w(m) C(n-m, j) is the (j+1)-fold iterated prefix sum of the
-weights read at n - j.  So k + 1 compensated prefix sums, the TwoSum scans
-of ``accumulate``, serve every boundary; the weights (n-m)^k are exact, and
-the integer counts j! S(k, j) are non-negative, so combining the sums
-cancels nothing.  That costs (k + 1) n_max scanned terms.
+The Riesz sums of a list of boundaries come from one pass over m = 1..n_max
+in exact integers.  By the surjection identity (n-m)^k = sum_j j! S(k, j)
+C(n-m, j), S the Stirling numbers of the second kind, and sum_{m<=n} w(m)
+C(n-m, j) is the (j+1)-fold iterated prefix sum of the weights read at
+n - j.  Every float weight is a dyadic rational, so scaled to one power of
+two the weights are integers, and k + 1 integer prefix sums serve every
+boundary exactly.  Each sample is then the exact Riesz sum of the rounded
+weights minus I_k(n), rounded once.  That costs (k + 1) n_max integer
+additions.
 
 The limit is not the sample at X_max but the constant of the sample's
 large-n expansion, whose exponents theory gives (Estrada and Kanwal, *A
@@ -58,16 +59,13 @@ its n^k coefficient rounded once, and X_max only passes the shared checks.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from decimal import Decimal, localcontext
 from functools import lru_cache
 from itertools import accumulate
 from typing import Optional
 
-import numpy as np
-
-from .accumulate import _two_sum_scan
 from .evaluation import (TRACE_LEN, CesaroEvaluation, require_finite, require_order,
                          require_tol)
 from .exact import PeriodicPolynomial, _periodic_primitives
@@ -88,8 +86,8 @@ __all__ = [
 POLE_GUARD = 1e-6
 DEFAULT_TOL = 1e-3
 DEFAULT_XMAX = 1e4
-_TERMS_PER_CHUNK = 1 << 14
 _FP_DIGITS = 40
+_GUARD = 5  # extra digits for the rung powers' products
 # the extrapolated limit: a ladder of rungs 2^a and 3 * 2^a, fitted in windows
 _LADDER_FLOOR = 16  # the lowest rung
 _FIRST_TOP = 256  # the first fit reads the rungs up to here; the least X_max
@@ -170,17 +168,47 @@ def _ln2_ln3(prec: int) -> tuple[Decimal, Decimal]:
         return Decimal(2).ln(), Decimal(3).ln()
 
 
-def _ln(n: int, prec: int) -> Decimal:
-    """ln n to about prec digits (the current context's): a ln 2 + b ln 3
-    when n = 2^a 3^b, as every ladder rung is, else ``Decimal.ln``."""
+def _two_three(n: int) -> Optional[tuple[int, int]]:
+    """(a, b) with n = 2^a 3^b, as every ladder rung is, else None."""
     a = (n & -n).bit_length() - 1
     rest, b = n >> a, 0
     while rest % 3 == 0:
         rest, b = rest // 3, b + 1
-    if rest != 1:
+    return (a, b) if rest == 1 else None
+
+
+def _ln(n: int, prec: int) -> Decimal:
+    """ln n to about prec digits (the current context's): a ln 2 + b ln 3
+    when n = 2^a 3^b, else ``Decimal.ln``."""
+    rung = _two_three(n)
+    if rung is None:
         return Decimal(n).ln()
     ln2, ln3 = _ln2_ln3(prec)
-    return a * ln2 + b * ln3
+    return rung[0] * ln2 + rung[1] * ln3
+
+
+@lru_cache(maxsize=64)
+def _rung_bases(alpha: float, prec: int) -> tuple[Decimal, Decimal]:
+    """2^(alpha+1) and 3^(alpha+1) to prec digits."""
+    with localcontext() as ctx:
+        ctx.prec = prec
+        ln2, ln3 = _ln2_ln3(prec)
+        e = Decimal(alpha) + 1
+        return (e * ln2).exp(), (e * ln3).exp()
+
+
+def _power(alpha: float, n: int, ln_n: Decimal) -> Decimal:
+    """n^(alpha+1) to about the current context's digits: on n = 2^a 3^b,
+    (2^(alpha+1))^a (3^(alpha+1))^b from two exps cached per alpha and
+    precision, else exp((alpha+1) ln n).  The product runs at _GUARD more
+    digits, so its a + b roundings stay below the context's last digit."""
+    rung = _two_three(n)
+    if rung is None:
+        return ((Decimal(alpha) + 1) * ln_n).exp()
+    with localcontext() as ctx:
+        ctx.prec += _GUARD
+        two, three = _rung_bases(alpha, ctx.prec)
+        return two ** rung[0] * three ** rung[1]
 
 
 def _fp_subtrahend(spec: StaircaseSpec, k: int, n: int) -> tuple[float, float]:
@@ -190,7 +218,7 @@ def _fp_subtrahend(spec: StaircaseSpec, k: int, n: int) -> tuple[float, float]:
         ctx.prec = _FP_DIGITS + math.ceil(k * math.log10(2))  # C(k, i) cancel up to 2^k
         alpha, big_n = Decimal(spec.alpha), Decimal(n)
         ln_n = _ln(n, ctx.prec)
-        power = ((alpha + 1) * ln_n).exp()
+        power = _power(spec.alpha, n, ln_n)
         total = Decimal(0)
         for i in range(k + 1):
             b = alpha + (i + 1)
@@ -217,6 +245,23 @@ def _surjection_counts(k: int) -> list[int]:
     return row
 
 
+def _weights(spec: StaircaseSpec, n_max: int) -> list[float]:
+    """The float weights w(m) for m = 1..n_max, up to the first that leaves
+    the float range (m^alpha grows with m, so every later one does too)."""
+    weights = []
+    for m in range(1, n_max + 1):
+        try:
+            w = float(m) ** spec.alpha
+        except OverflowError:
+            break
+        if spec.log_weight:
+            w *= math.log(m)
+        if w == math.inf:
+            break
+        weights.append(w)
+    return weights
+
+
 def _riesz_samples(spec: StaircaseSpec, k: int,
                    boundaries: list[int]) -> list[float]:
     """k! F_k(n) / n^k at each of the increasing boundaries n.
@@ -228,56 +273,38 @@ def _riesz_samples(spec: StaircaseSpec, k: int,
 
         sum_{m<=n} w(m) (n-m)^k = sum_{j=0..k} j! S(k, j) A_{j+1}(n - j),
 
-    A(i) = 0 for i < 1.  The counts are non-negative integers and every A_j
-    is non-negative, so nothing cancels, and the weights (n-m)^k are exact.
+    A(i) = 0 for i < 1.  Each float weight is a / 2^p, so times the largest
+    2^p every weight is an integer and every A_j is exact.  Each sample
+    takes the double-double I_k(n) off the exact Riesz sum and is rounded
+    once.
 
-    One pass over m = 1..max(boundaries), in chunks of bounded memory, runs
-    the k + 1 TwoSum scans, each resumed from its (total, carry) and fed the
-    carries of the scan below.  Level j's input is divided by a power of
-    two near n_max / j, which keeps orders past 150 in the float range and
-    is undone exactly.  Each sample combines its k + 1 double-double reads
-    and the finite part I_k(n) exactly, in integers, and is rounded once.
-
-    That costs (k + 1) n_max scanned terms, against about 6.7 n_max for
-    weighting each tail boundary's sum on its own at any order: cheaper
-    below k = 8 or so, dearer above.
+    A sample that reads a weight past the float range is +inf, and one whose
+    I_k(n) is past it is nan.  At k >= 1 the sum reads the weights up to
+    n - 1 only, since the term m = n has weight (n-n)^k = 0.
     """
-    n_max = boundaries[-1]
-    counts = _surjection_counts(k)
-    shifts = [0] + [max(0, (n_max // j).bit_length() - 1) for j in range(1, k + 1)]
-    state = [(0.0, 0.0)] * (k + 1)  # each level's (total, carry)
-    reads = [[(0.0, 0.0)] * (k + 1) for _ in boundaries]  # level j at n - j
-    for start in range(1, n_max + 1, _TERMS_PER_CHUNK):
-        stop = min(start + _TERMS_PER_CHUNK, n_max + 1)  # the chunk is start <= m < stop
-        m = np.arange(start, stop, dtype=np.float64)
-        with np.errstate(over="ignore", invalid="ignore"):  # past the float range: inf
-            x = m ** spec.alpha
-            if spec.log_weight:
-                x *= np.log(m)
-        x_lo = None
-        for j, shift in enumerate(shifts):
-            if shift:
-                scale = math.ldexp(1.0, -shift)
-                x *= scale
-                x_lo *= scale
-            x, x_lo = _two_sum_scan(x, *state[j], x_lo)
-            state[j] = x[-1], x_lo[-1]
-            for b in range(bisect_left(boundaries, start + j),
-                           bisect_left(boundaries, stop + j)):
-                i = boundaries[b] - j - start
-                reads[b][j] = float(x[i]), float(x_lo[i])
-    scales = list(accumulate(shifts))
+    weights = _weights(spec, boundaries[-1])
+    ratios = [w.as_integer_ratio() for w in weights]
+    den = max((d for _, d in ratios), default=1)
+    level = [a * (den // d) for a, d in ratios]
+    sums = [0] * len(boundaries)  # den times the Riesz sums
+    for j, count in enumerate(_surjection_counts(k)):
+        level = list(accumulate(level))  # A_{j+1}
+        if count:
+            for b, n in enumerate(boundaries):
+                if 0 < n - j <= len(level):
+                    sums[b] += count * level[n - j - 1]
     samples = []
-    for n, levels in zip(boundaries, reads):
-        # (Riesz sum - n^k I_k(n)) / n^k: each term an integer times a float
-        terms = [(c << e, v) for c, e, pair in zip(counts, scales, levels) if c for v in pair]
-        terms += [(-n ** k, v) for v in _fp_subtrahend(spec, k, n)]
-        if not all(math.isfinite(v) for _, v in terms):  # no exact sum: inf or nan
-            samples.append(sum(v if c > 0 else -v for c, v in terms))
-            continue
-        ratios = [(c, *v.as_integer_ratio()) for c, v in terms]  # v = a / d, d = 2^p
-        den = max(d for _, _, d in ratios)
-        samples.append(_quotient(sum(c * a * (den // d) for c, a, d in ratios), den * n ** k))
+    for n, riesz in zip(boundaries, sums):
+        hi, lo = _fp_subtrahend(spec, k, n)
+        if not (math.isfinite(hi) and math.isfinite(lo)):
+            samples.append(math.nan)
+        elif n - (k > 0) > len(weights):
+            samples.append(math.inf)
+        else:
+            (a, d), (c, e) = hi.as_integer_ratio(), lo.as_integer_ratio()
+            common = max(den, d, e)  # every denominator is a power of two
+            num = riesz * (common // den) - n ** k * (a * (common // d) + c * (common // e))
+            samples.append(_quotient(num, common * n ** k))
     return samples
 
 
@@ -364,9 +391,12 @@ def _exact_limit(alpha: int, k: int) -> float:
 
 def _exact_evaluation(value: float, k: int, n_terms: int,
                       converged: bool) -> CesaroEvaluation:
-    """The record of a limit read exactly: no sample tail, no error."""
+    """The record of a limit read exactly: no sample tail, and no error where
+    the limit exists.  Where it does not (k <= alpha), the value is no
+    estimate of the limit, so its error is unbounded."""
     return CesaroEvaluation(value=value, order=k, n_terms=n_terms, trace=(value,),
-                            error_estimate=0.0, converged=converged)
+                            error_estimate=0.0 if converged else math.inf,
+                            converged=converged)
 
 
 def _order_and_domain(k, X_max: float, tol: float) -> tuple[int, int]:
@@ -428,18 +458,17 @@ def _window_fits(rungs: list[int], samples: list[float],
     """The constant fitted on the top window of rungs, and its gap to the
     constant fitted on the window one rung lower.  A window holds
     _FIT_RUNGS rungs and fits the exponents, _FIT_COLUMNS at most, besides
-    the constant.  A non-finite sample or an ill-conditioned fit reads as
-    (the last sample, inf)."""
+    the constant; the columns of both windows are built once.  A non-finite
+    sample or an ill-conditioned fit reads as (the last sample, inf)."""
+    n, y = rungs[-_FIT_RUNGS - 1:], samples[-_FIT_RUNGS - 1:]
+    if not all(math.isfinite(v) for v in y):
+        return samples[-1], math.inf
+    columns = [[r ** e * math.log(r) ** b for r in n] for e, b in exponents]
+    columns.append([1.0] * len(n))
     fits = []
-    for stop in (len(rungs), len(rungs) - 1):
-        n = np.asarray(rungs[stop - _FIT_RUNGS:stop], dtype=np.float64)
-        y = np.asarray(samples[stop - _FIT_RUNGS:stop])
-        if not np.isfinite(y).all():
-            return samples[-1], math.inf
-        design = np.column_stack([n ** e * np.log(n) ** b for e, b in exponents]
-                                 + [np.ones_like(n)])
+    for window in (slice(1, None), slice(None, -1)):
         try:
-            fits.append(float(_weighted_fit(design, y)[0][-1]))
+            fits.append(_weighted_fit([c[window] for c in columns], y[window])[0][-1])
         except IllConditionedFitError:
             return samples[-1], math.inf
     gap = abs(fits[0] - fits[1])
@@ -499,8 +528,8 @@ def zeta_via_cesaro(alpha: float, k: Optional[int] = None,
     """Estimate zeta(-alpha) from the power-sum staircase at order k.
 
     k defaults to max(0, ceil(alpha) + 1).  Integer alpha >= 0 at k >= 1
-    reports the exact limit, rounded once, with error_estimate 0; X_max is
-    checked but unused there.  Every other alpha and order reports the
+    reports the exact limit, rounded once, with error_estimate 0, or inf
+    where k <= alpha and no limit exists; X_max is checked but unused there.  Every other alpha and order reports the
     extrapolated limit, with the gap of two fits as its error; X_max only
     caps the boundaries it sums.  No order k <= alpha converges: there the
     staircase's order-k mean does not exist.

@@ -353,6 +353,17 @@ def test_structured_record_of_a_divergent_estimate_is_strict_json(capsys):
     rec = json.loads(capsys.readouterr().out, parse_constant=_no_constant)
     jsonschema.validate(rec, cli.OUTPUT_SCHEMA)
     assert rec["result"]["float"] is None
+    assert rec["diagnostics"]["error_estimate"] is None
+    assert rec["diagnostics"]["converged"] is False
+
+
+def test_an_exact_value_that_is_no_limit_has_no_error_bound(capsys):
+    # order 1 <= alpha = 1: the polynomial reads -1/6, twice zeta(-1), and
+    # that is no estimate of a limit, so its error is unbounded (null)
+    code, (rec,) = run_json(capsys, ["zeta-estimate", "--alpha", "1", "--order", "1"])
+    assert code == 0
+    assert rec["result"]["float"] == -1 / 6
+    assert rec["diagnostics"]["error_estimate"] is None
     assert rec["diagnostics"]["converged"] is False
 
 
@@ -502,10 +513,15 @@ sys.exit("the command loaded numpy" if "numpy" in sys.modules else code)
 """
 
 
-@pytest.mark.parametrize("argv", [["zeta", "-7"], ["faulhaber", "10", "1000"],
-                                  ["pm-poly", "4", "1"], ["fp-int", "--alpha=-3/2"],
-                                  ["fp-log-int", "--alpha=-3/2"], ["bernoulli", "30"]],
-                         ids=lambda argv: argv[0])
+@pytest.mark.parametrize("argv", [
+    ["zeta", "-7"], ["faulhaber", "10", "1000"], ["pm-poly", "4", "1"],
+    ["fp-int", "--alpha=-3/2"], ["fp-log-int", "--alpha=-3/2"], ["bernoulli", "30"],
+    # the staircase estimators sum in integers and fit in pure Python
+    pytest.param(["zeta-estimate", "--alpha", "0.5"], id="zeta-estimate"),
+    pytest.param(["zeta-estimate", "--alpha-range", "0", "2", "0.5"],
+                 id="zeta-estimate-range"),
+    pytest.param(["zeta-prime-estimate", "--alpha", "0"], id="zeta-prime-estimate"),
+], ids=lambda argv: argv[0])
 def test_exact_subcommands_load_no_numpy(argv):
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     proc = subprocess.run([sys.executable, "-c", _NO_NUMPY_PROBE, *argv],

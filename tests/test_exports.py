@@ -99,6 +99,12 @@ if "numpy" in sys.modules:
 from cesaro import bernoulli, fp_power_integral
 if "numpy" in sys.modules:
     sys.exit("an exact name loaded numpy")
+from cesaro.finite_part import extract_finite_part
+from cesaro.zeta import zeta_prime_via_cesaro, zeta_via_cesaro
+zeta_via_cesaro(0.5), zeta_prime_via_cesaro(0.0)
+extract_finite_part(lambda e: 1 / e + 7, [(1, 0)], [10.0 ** -i for i in range(2, 8)])
+if "numpy" in sys.modules:
+    sys.exit("a zeta estimate or a finite-part fit loaded numpy")
 if vars(cesaro)["bernoulli"] is not cesaro.exact.bernoulli:
     sys.exit("cesaro.bernoulli was not cached")
 print(dir(cesaro))  # which imports every module

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cesaro import finite_part as fp
+from cesaro import finite_part as fp, zeta
 
 
 GRID = tuple(np.geomspace(1e-2, 1e-6, 24))
@@ -180,6 +180,16 @@ def test_extract_flags_near_dependent_basis():
     assert err.value.condition > 1e4
 
 
+@pytest.mark.parametrize("basis", [[(400, 0)], [(1, 400)], [(1e-20, 0)]],
+                         ids=["eps^-400", "ln^400", "eps^-1e-20 is the constant"])
+def test_extract_refuses_columns_past_the_float_range_or_dependent(basis):
+    # a column past the float range, or one equal to the constant's, is
+    # refused as ill-conditioned, not by a LinAlgError
+    with pytest.raises(fp.IllConditionedFitError) as err:
+        fp.extract_finite_part(lambda e: 1.0 / e, basis, GRID)
+    assert err.value.condition > 1e12
+
+
 def test_extract_rejects_nonfinite_samples():
     with pytest.raises(ValueError):
         fp.extract_finite_part(lambda e: float("nan"), [(1, 0)], GRID)
@@ -198,3 +208,75 @@ def test_closed_form_and_extraction_agree_below_the_pole():
     dec = fp.extract_finite_part(lambda e: 2.0 / math.sqrt(e) - 2.0,
                                  [(0.5, 0)], GRID)
     assert dec.finite_part == pytest.approx(fp.fp_power_integral(-1.5), abs=1e-6)
+
+
+# -- the least-squares solver against numpy ----------------------------------
+
+def _lstsq_fit(columns, values):
+    """The fit of ``_weighted_fit`` by np.linalg.lstsq, as an oracle: the
+    constant (the last column's coefficient), the 2-norm condition number
+    of the normalized design, and the error a backward-stable solve admits
+    on that constant, kappa eps |y w| / |w|."""
+    y = np.asarray(values, dtype=float)
+    w = 1.0 / np.maximum(1.0, np.abs(y))
+    design = np.asarray(columns, dtype=float).T * w[:, None]
+    norms = np.linalg.norm(design, axis=0)
+    coefs, _, _, sv = np.linalg.lstsq(design / norms, y * w, rcond=None)
+    kappa = sv[0] / sv[-1]
+    slack = kappa * np.finfo(float).eps * np.linalg.norm(y * w) / np.linalg.norm(w)
+    return coefs[-1] / norms[-1], kappa, slack
+
+
+_BENCH_GRID = tuple(10.0 ** (-1 - 5 * i / 23) for i in range(24))
+_EXTRACT_CASES = {
+    "1/e + 7": (lambda e: 1.0 / e + 7.0, [(1, 0)], GRID),
+    "ln(1/e) + pi": (lambda e: math.log(1.0 / e) + math.pi, [(0, 1)], GRID),
+    "t^-3 ln t": (_log_power_tail(-3.0), [(2.0, 1), (2.0, 0)], GRID),
+    "t^-2.5 ln t": (_log_power_tail(-2.5), [(1.5, 1), (1.5, 0)], GRID),
+    "t^-2 ln t": (_log_power_tail(-2.0), [(1.0, 1), (1.0, 0)], GRID),
+    "t^0.5 ln t": (_log_power_tail(0.5), [], tuple(np.geomspace(1e-5, 1e-9, 24))),
+    "-ln e": (lambda e: -math.log(e), [(0, 1)], GRID),
+    "ln(x)/x^2": (lambda e: (math.log(e) + 1.0) / e - 1.0, [(1, 1), (1, 0)], GRID),
+    "t^-1.5": (lambda e: 2.0 / math.sqrt(e) - 2.0, [(0.5, 0)], GRID),
+    "bench t^-1.55": (lambda e: (1.0 - e ** -0.55) / -0.55, [(0.55, 0)], _BENCH_GRID),
+    "bench t^-1 ln t": (lambda e: -math.log(1.0 / e) ** 2 / 2.0, [(0, 2)], _BENCH_GRID),
+    "bench t^-2 ln t": (lambda e: -1.0 - math.log(1.0 / e) / e + 1.0 / e, [(1, 1), (1, 0)],
+                        _BENCH_GRID),
+}
+
+
+def _assert_matches_lstsq(constant, condition, columns, values):
+    want, kappa, slack = _lstsq_fit(columns, values)
+    # 1e-13 relative, unless lstsq's own error on the constant may be larger
+    assert abs(constant - want) <= max(1e-13 * abs(want), 4 * slack), (constant, want)
+    assert kappa * (1 - 1e-12) <= condition <= len(columns) * kappa * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("label", list(_EXTRACT_CASES))
+def test_extraction_matches_numpy_lstsq(label):
+    g, basis, eps = _EXTRACT_CASES[label]
+    dec = fp.extract_finite_part(g, basis, eps)
+    e = np.asarray(eps)
+    columns = [e ** -a * np.log(1.0 / e) ** b for a, b in basis] + [np.ones_like(e)]
+    _assert_matches_lstsq(dec.finite_part, dec.condition, columns, [g(x) for x in eps])
+
+
+@pytest.mark.parametrize("alpha,log_weight,k", [
+    (0.5, False, None), (1.5, False, None), (2.5, False, None), (3.5, False, None),
+    (4.5, False, None), (6.5, False, None), (0.0, True, None), (0.5, True, None),
+    (2.0, True, None), (3.0, True, None), (4.0, True, None), (-0.5, False, 0),
+    (-2.0, False, 0), (-2.5, True, 0)])
+def test_staircase_fits_match_numpy_lstsq(monkeypatch, alpha, log_weight, k):
+    # every window the fitted staircase limit solves, at the default tol
+    fits = []
+
+    def recorded(columns, values, *rest):
+        fits.append((columns, values, fp._weighted_fit(columns, values, *rest)))
+        return fits[-1][2]
+
+    monkeypatch.setattr(zeta, "_weighted_fit", recorded)
+    call = zeta.zeta_prime_via_cesaro if log_weight else zeta.zeta_via_cesaro
+    call(alpha, k=k)
+    assert len(fits) >= 2
+    for columns, values, (coefs, _, condition) in fits:
+        _assert_matches_lstsq(coefs[-1], condition, columns, values)

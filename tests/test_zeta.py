@@ -1,7 +1,7 @@
 import math
 import time
 import tracemalloc
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -269,16 +269,21 @@ def test_weights_past_the_float_range_read_as_not_converged(call):
 
 @pytest.mark.parametrize("k", [0, 1, 3, 5])
 @pytest.mark.parametrize("alpha", [-1.5, 0.5])
-def test_riesz_samples_do_not_depend_on_the_chunk_size(monkeypatch, alpha, k):
-    # every level's compensated prefix sum resumes across chunk edges, and
-    # every boundary reads the same running scans: 7-term chunks change no bit
-    def both():
-        return (zeta.zeta_via_cesaro(alpha, k=k, X_max=300),
-                zeta.zeta_prime_via_cesaro(alpha, k=k, X_max=300))
-
-    want = both()
-    monkeypatch.setattr(zeta, "_TERMS_PER_CHUNK", 7)
-    assert both() == want
+def test_riesz_samples_are_the_exact_sums_rounded_once(alpha, k):
+    # each sample is (sum_{m<=n} w(m) (n-m)^k - n^k (hi + lo)) / n^k, summed
+    # directly in exact arithmetic from the float weights and I_k's
+    # double-double, then rounded once: no iterated prefix sum, no identity
+    ns = list(range(1, 301))
+    for log_weight in (False, True):
+        spec = zeta.StaircaseSpec(alpha, log_weight)
+        w = [Fraction(float(m) ** alpha * (math.log(m) if log_weight else 1.0)) for m in ns]
+        den = max(f.denominator for f in w)
+        num = [f.numerator * (den // f.denominator) for f in w]
+        for n, got in zip(ns, zeta._riesz_samples(spec, k, ns)):
+            riesz = Fraction(sum(num[m - 1] * (n - m) ** k for m in range(1, n + 1)), den)
+            hi, lo = zeta._fp_subtrahend(spec, k, n)
+            want = (riesz - n ** k * (Fraction(hi) + Fraction(lo))) / n ** k
+            assert repr(got) == repr(float(want)), (log_weight, n)
 
 
 def test_zeta_prime_trace_negation_is_consistent():
@@ -602,14 +607,34 @@ def test_the_decimal_oracle_agrees_with_the_other_routes():
 @pytest.mark.parametrize("alpha,k", [(-2.5, 0), (-2.0, 1), (0.0, 1), (0.5, 2), (3.4265, 5),
                                      (6.5, 8), (0.5, 40)])
 def test_ladder_logs_match_the_decimal_ln_route(monkeypatch, alpha, k, log_weight):
-    # ln n = a ln 2 + b ln 3 from cached constants, on every rung 2^a 3^b
+    # ln n = a ln 2 + b ln 3 and n^(alpha+1) = (2^(alpha+1))^a (3^(alpha+1))^b
+    # from cached constants, on every rung 2^a 3^b, against Decimal's ln and
+    # exp at each n
     spec = zeta.StaircaseSpec(alpha, log_weight)
     rungs = zeta._ladder(10**6)
     got = [zeta._fp_subtrahend(spec, k, n) for n in rungs]
-    monkeypatch.setattr(zeta, "_ln", lambda n, prec: Decimal(n).ln())
+    monkeypatch.setattr(zeta, "_two_three", lambda n: None)
     for n, pair in zip(rungs, got):
         want = sum(map(Decimal, zeta._fp_subtrahend(spec, k, n)))
         assert abs(sum(map(Decimal, pair)) - want) <= Decimal("1e-30") * abs(want), n
+
+
+@pytest.mark.parametrize("alpha,k", [(-2.5, 0), (0.588, 2), (3.4265, 5), (6.5, 8),
+                                     (0.5, 40), (-0.5, 150), (200.5, 3)])
+def test_rung_powers_keep_every_digit_of_the_subtrahend(alpha, k):
+    # n^(alpha+1) from the two cached powers of 2 and 3 is within one unit
+    # of the last of I_k's 40 + k log10(2) digits, on every rung to 4096
+    prec = 40 + math.ceil(k * math.log10(2))
+    for n in zeta._ladder(4096):
+        with localcontext() as ctx:
+            ctx.prec = prec + 30
+            want = ((Decimal(alpha) + 1) * Decimal(n).ln()).exp()
+        with localcontext() as ctx:
+            ctx.prec = prec
+            got = zeta._power(alpha, n, zeta._ln(n, prec))
+        with localcontext() as ctx:
+            ctx.prec = prec + 30
+            assert abs(got - want) <= abs(want).scaleb(-prec), n
 
 
 _SWEEP_ALPHAS = [a / 2 for a in range(-5, 14) if a != -2]
@@ -668,6 +693,15 @@ def test_orders_at_or_below_alpha_never_converge(alpha, k, prime):
     for X in (1e3, 1e4, 1e5):
         for tol in (1e-3, 1e-1):
             assert not call(alpha, k=k, X_max=X, tol=tol).converged, (X, tol)
+
+
+def test_exact_records_without_a_limit_carry_no_error_bound():
+    # at k <= alpha the polynomial's n^k coefficient is no limit: -inf at
+    # alpha = 3 (k = 1), and -1/6, twice zeta(-1), at alpha = 1 (k = 1)
+    for alpha, value in ((3.0, -math.inf), (1.0, -1 / 6)):
+        ev = zeta.zeta_via_cesaro(alpha, k=1)
+        assert ev.value == value and not ev.converged, alpha
+        assert ev.error_estimate == math.inf, alpha
 
 
 @pytest.mark.parametrize("alpha,k", [(0.999, 1), (-0.0005, 0), (2.9, 3)])
