@@ -5,50 +5,48 @@ parts of divergent integrals; exact Bernoulli/Faulhaber algebra; and zeta
 special values recovered both exactly (zeta(-n) = -B_{n+1}/(n+1)) and
 numerically as Cesaro limits of power-sum staircases.
 
-Submodules and public names are imported on first access (PEP 562), so
-``import cesaro`` and the exact layer load no numpy.
+Submodules and public names are imported on first access (PEP 562): a
+public name imports the one module that defines it, as _EXPORTS says, and
+``__all__`` and ``dir()`` import nothing.  So ``import cesaro``, the exact
+layer and the zeta estimators load no numpy.
 """
 from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-# every submodule, in the order a public name is looked for: the first three
-# load no numpy, so reading an exact name does not import it
-_SUBMODULES = ("evaluation", "exact", "finite_part", "accumulate", "integral",
-               "series", "zeta")
-# the public surface is CesaroEvaluation and __version__, then these modules'
-# __all__, in this order
-_REPUBLISHED = ("accumulate", "exact", "finite_part", "integral", "series", "zeta")
-
-
-def _exports(module: str) -> list:
-    """The names the package republishes from ``module``."""
-    if module == "evaluation":  # the rest of its __all__ serves the other modules
-        return ["CesaroEvaluation"]
-    return _import_module(f"{__name__}.{module}").__all__
-
-
-def _public() -> tuple:
-    """Every public name, in __all__ order; imports every module."""
-    return ("CesaroEvaluation", "__version__",
-            *(name for module in _REPUBLISHED for name in _exports(module)))
+# each submodule and the names the package republishes from it, in __all__
+# order: the module's whole __all__ (a test pins the two copies), except that
+# evaluation's other names serve the modules, not the package
+_EXPORTS = {
+    "evaluation": ("CesaroEvaluation",),
+    "accumulate": ("compensated_prefix_sums",),
+    "exact": ("BernoulliTable", "bernoulli", "faulhaber_sum", "zeta_neg_int",
+              "PeriodicPolynomial", "pm_polynomial", "periodic_mean"),
+    "finite_part": ("FinitePartDecomposition", "IllConditionedFitError",
+                    "fp_power_integral", "fp_power_integral_exact", "fp_log_power_integral",
+                    "fp_log_power_integral_exact", "extract_finite_part"),
+    "integral": ("IntegrandSpec", "QuadratureError", "default_grid", "riesz_mean",
+                 "cesaro_integral", "primitive_limit", "sin_wave", "cos_wave", "exp_decay",
+                 "power_log", "constant", "periodic_poly", "from_primitives", "sampled"),
+    "series": ("SeriesSpec", "iterated_partial_sums", "cesaro_sum", "detect_order"),
+    "zeta": ("StaircaseSpec", "PrimitiveState", "new_primitive_state", "staircase_value",
+             "advance_primitives", "zeta_via_cesaro", "zeta_prime_via_cesaro",
+             "lemma_witness"),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 
 
 def __getattr__(name):
-    # reached only by a name not yet in the package globals; a private or
-    # dunder name never imports anything
-    from importlib.util import find_spec
+    # reached only by a name not yet in the package globals
     if name == "__all__":
-        value = list(_public())
-    elif name.startswith("_"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    elif find_spec(f"{__name__}.{name}") is not None:
+        value = list(_OWNER)
+        value.insert(1, "__version__")  # after CesaroEvaluation
+    elif name in _EXPORTS or name == "cli":
         return _import_module(f"{__name__}.{name}")  # which binds it here
+    elif name in _OWNER:
+        value = getattr(_import_module(f"{__name__}.{_OWNER[name]}"), name)
     else:
-        owner = next((module for module in _SUBMODULES if name in _exports(module)), None)
-        if owner is None:
-            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-        value = getattr(_import_module(f"{__name__}.{owner}"), name)
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     globals()[name] = value
     return value
 
@@ -57,4 +55,4 @@ def __dir__():
     # what an eager import listed: dunders, submodules and public names
     listed = {name for name in globals() if not name.startswith("_")
               or name.startswith("__") and name not in ("__getattr__", "__dir__")}
-    return sorted(listed | {"__all__", *_SUBMODULES, *_public()})
+    return sorted(listed | {"__all__", *_EXPORTS, *_OWNER})

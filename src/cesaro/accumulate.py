@@ -13,13 +13,21 @@ import numpy as np
 __all__ = ["compensated_prefix_sums"]
 
 
-def _two_sum_scan(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Running totals s and carries err of adding the non-empty float array
-    x in order from 0.  np.cumsum adds in order, so TwoSum recovers each
-    step's error from s (Knuth; Ogita, Rump and Oishi, SIAM J. Sci. Comput.
-    26, 2005).  Where s is not finite the carry is 0, or an honest inf
-    would read nan; inf and nan absorb later terms, so that takes one check
-    of s[-1]."""
+def compensated_prefix_sums(values) -> np.ndarray:
+    """Return the compensated running sums of the float sequence ``values``
+    as an array, accurate to a few ulps even for millions of terms.  A
+    running sum that is no longer finite is returned as is, without its
+    carry.
+
+    np.cumsum adds in order from 0, so TwoSum recovers each step's error
+    from the running totals s (Knuth; Ogita, Rump and Oishi, SIAM J. Sci.
+    Comput. 26, 2005), and the carries err are the running sums of those
+    errors.  Where s is not finite the carry is 0, or an honest inf would
+    read nan; inf and nan absorb later terms, so that takes one check of
+    s[-1]."""
+    x = np.asarray(values, dtype=np.float64)
+    if not len(x):
+        return x
     with np.errstate(over="ignore", invalid="ignore"):
         s = np.cumsum(np.concatenate(([0.0], x)))
         prev, s = s[:-1], s[1:]
@@ -31,17 +39,5 @@ def _two_sum_scan(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         err = np.cumsum(e, out=e)
     if not math.isfinite(s[-1]):
         err[~np.isfinite(s)] = 0.0
-    return s, err
-
-
-def compensated_prefix_sums(values) -> np.ndarray:
-    """Return the compensated running sums of the float sequence ``values``
-    as an array, accurate to a few ulps even for millions of terms.  A
-    running sum that is no longer finite is returned as is, without its
-    carry."""
-    x = np.asarray(values, dtype=np.float64)
-    if not len(x):
-        return x
-    s, err = _two_sum_scan(x)
     s += err
     return s

@@ -9,8 +9,7 @@ and the (C, k) mean is the exactly normalized quotient
     C^k_n = A^k_n / C(n + k, k).
 
 The binomial denominator, not its n^k/k! asymptotic, is used throughout: it
-is what makes C^k_n of the constant series equal 1 for every n.  The
-asymptotic form is available separately as a cross-check diagnostic.
+is what makes C^k_n of the constant series equal 1 for every n.
 
 A series that fails to settle is reported through the ``converged`` flag of
 the returned evaluation; divergence is a result, never an exception.
@@ -37,7 +36,6 @@ __all__ = [
     "iterated_partial_sums",
     "cesaro_sum",
     "detect_order",
-    "asymptotic_normalized",
 ]
 
 DEFAULT_TOL = 1e-6
@@ -152,20 +150,3 @@ def detect_order(spec: SeriesSpec, k_max: int, n_terms: int,
             return k, ev
     return None
 
-
-def asymptotic_normalized(spec: SeriesSpec, k: int, n_terms: int) -> float:
-    """Diagnostic only: k! * A^k_N / N^k at the final index N.
-
-    Agrees with the binomial normalization as N grows; exposed so the two
-    normalizations can be compared, not for use as an estimator.
-    """
-    k = require_order(k)
-    n = n_terms - 1
-    try:
-        factorial, power = float(math.factorial(k)), float(n) ** k
-    except OverflowError:
-        raise ValueError(_BEYOND_FLOAT.format(k, n_terms)) from None
-    last = float(_iterated_sums(spec, k, n_terms)[-1])
-    if n == 0:
-        return last
-    return factorial * last / power

@@ -96,6 +96,11 @@ _FIT_RUNGS = 8  # rungs per fit window
 _FIT_COLUMNS = _FIT_RUNGS - 2  # the slowest decaying terms of the expansion, besides the constant
 _MERGE_GAP = 1e-3  # exponents closer than this share one column
 _STEEPEST = -13  # 16^-13 < eps: a term that decays faster is below every rung's resolution
+# the largest order k, and on the exact path the largest degree alpha + k: the
+# work grows as k^2 (float) and degree^2 (exact), a few seconds at this bound
+_MAX_ORDER = 512
+_UNBOUNDED = (f"{{}} is above {_MAX_ORDER}, the most a staircase limit takes; exact "
+              "zeta(-n) is `cesaro zeta -n` or zeta_neg_int(n)")
 
 
 @dataclass(frozen=True)
@@ -373,9 +378,12 @@ def _exact_limit(alpha: int, k: int) -> float:
     terms cancel).  Its values at n = 0..alpha+k are summed directly, and
     the limit of k! F_k(n) / n^k is its n^k coefficient over scale, rounded
     once.  A non-zero coefficient above n^k, as below order alpha + 1, makes
-    the mean diverge, to an infinity of the sign of the highest one.
+    the mean diverge, to an infinity of the sign of the highest one.  A
+    degree above _MAX_ORDER is refused before any sum.
     """
     deg = alpha + k
+    if deg > _MAX_ORDER:
+        raise ValueError(_UNBOUNDED.format(f"degree alpha + k = {deg}"))
     scale = math.factorial(deg + 1)
     fp = math.factorial(alpha) * math.factorial(k)  # scale * B(alpha+1, k+1)
     w = [m ** alpha for m in range(deg + 1)]
@@ -402,12 +410,14 @@ def _exact_evaluation(value: float, k: int, n_terms: int,
 def _order_and_domain(k, X_max: float, tol: float) -> tuple[int, int]:
     """The order of a staircase limit and the last integer boundary up to
     X_max.  A bad order, X_max or tol is refused here, before any sample is
-    taken."""
+    taken, and so is an order above _MAX_ORDER."""
     k = require_order(k)
     require_finite(X_max=X_max)
     require_tol(tol)
     if X_max < _FIRST_TOP:
         raise ValueError(f"X_max must be at least {_FIRST_TOP}, got {X_max:g}")
+    if k > _MAX_ORDER:
+        raise ValueError(_UNBOUNDED.format(f"order k={k}"))
     return k, int(math.floor(X_max))
 
 
@@ -532,7 +542,8 @@ def zeta_via_cesaro(alpha: float, k: Optional[int] = None,
     where k <= alpha and no limit exists; X_max is checked but unused there.  Every other alpha and order reports the
     extrapolated limit, with the gap of two fits as its error; X_max only
     caps the boundaries it sums.  No order k <= alpha converges: there the
-    staircase's order-k mean does not exist.
+    staircase's order-k mean does not exist.  An order above 512, or on the
+    exact path a degree alpha + k above 512, raises ValueError.
 
     Caveat for k = 0 with alpha >= -1: boundary sampling sees the staircase
     exactly at the points where its sawtooth layers vanish, so the honest

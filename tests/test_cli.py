@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import jsonschema
@@ -486,6 +487,22 @@ def test_alpha_range_refuses_too_many_steps(capsys, monkeypatch, bounds, steps):
     assert captured.out == ""
     assert (f"error: --alpha-range spans {steps} steps, more than "
             f"{cli.ALPHA_RANGE_MAX_STEPS}") in captured.err
+
+
+@pytest.mark.parametrize("argv,what", [
+    (["zeta-estimate", "--alpha", "1000000"], "order k=1000001"),
+    (["zeta-estimate", "--alpha", "1000000", "--order", "1"], "degree alpha + k = 1000001"),
+    (["zeta-prime-estimate", "--alpha", "0.5", "--order", "3000"], "order k=3000"),
+])
+def test_an_estimate_past_the_order_bound_exits_one_at_once(capsys, argv, what):
+    start = time.perf_counter()
+    code = cli.run(argv)
+    captured = capsys.readouterr()
+    assert time.perf_counter() - start < 0.1
+    assert code == 1
+    assert captured.out == ""
+    assert f"error: {what} is above 512, " in captured.err
+    assert "`cesaro zeta -n` or zeta_neg_int(n)" in captured.err
 
 
 def test_cesaro_int_names_a_log_power_whose_coefficients_overflow(capsys):

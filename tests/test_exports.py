@@ -72,7 +72,6 @@ _PUBLIC = [
     "primitive_limit", "sin_wave", "cos_wave", "exp_decay", "power_log", "constant",
     "periodic_poly", "from_primitives", "sampled",
     "SeriesSpec", "iterated_partial_sums", "cesaro_sum", "detect_order",
-    "asymptotic_normalized",
     "StaircaseSpec", "PrimitiveState", "new_primitive_state", "staircase_value",
     "advance_primitives", "zeta_via_cesaro", "zeta_prime_via_cesaro", "lemma_witness",
 ]
@@ -91,6 +90,13 @@ def test_the_public_surface_is_pinned():
     assert star == {name: getattr(cesaro, name) for name in _PUBLIC}
 
 
+def _probe(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this checkout's cesaro."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cesaro.__file__)))
+    return subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+
+
 _LAZY_PROBE = """
 import sys
 import cesaro
@@ -99,28 +105,66 @@ if "numpy" in sys.modules:
 from cesaro import bernoulli, fp_power_integral
 if "numpy" in sys.modules:
     sys.exit("an exact name loaded numpy")
-from cesaro.finite_part import extract_finite_part
-from cesaro.zeta import zeta_prime_via_cesaro, zeta_via_cesaro
-zeta_via_cesaro(0.5), zeta_prime_via_cesaro(0.0)
-extract_finite_part(lambda e: 1 / e + 7, [(1, 0)], [10.0 ** -i for i in range(2, 8)])
+cesaro.zeta_via_cesaro(0.5), cesaro.zeta_prime_via_cesaro(0.0)
+cesaro.lemma_witness(cesaro.pm_polynomial(2, 1))
+cesaro.extract_finite_part(lambda e: 1 / e + 7, [(1, 0)], [10.0 ** -i for i in range(2, 8)])
 if "numpy" in sys.modules:
-    sys.exit("a zeta estimate or a finite-part fit loaded numpy")
+    sys.exit("a zeta estimate or a finite-part fit read off the package loaded numpy")
+cesaro.__all__
+listed = dir(cesaro)
+if "numpy" in sys.modules:
+    sys.exit("cesaro.__all__ or dir(cesaro) loaded numpy")
 if vars(cesaro)["bernoulli"] is not cesaro.exact.bernoulli:
     sys.exit("cesaro.bernoulli was not cached")
-print(dir(cesaro))  # which imports every module
+print(listed)
 cesaro.integral, cesaro.evaluation  # submodules still resolve
 """
 
 
 def test_import_cesaro_loads_no_numpy_and_lists_what_an_eager_import_did():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cesaro.__file__)))
-    proc = subprocess.run([sys.executable, "-c", _LAZY_PROBE],
-                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
-                          text=True, timeout=60)
+    proc = _probe(_LAZY_PROBE)
     assert proc.returncode == 0, proc.stderr
     module_dunders = ["__all__", "__builtins__", "__cached__", "__doc__", "__file__",
                       "__loader__", "__name__", "__package__", "__path__", "__spec__"]
     assert ast.literal_eval(proc.stdout) == sorted(module_dunders + _PUBLIC + _SUBMODULES)
+
+
+def _loaded_after(reads: str) -> set:
+    """The cesaro submodules loaded once ``reads`` has run after ``import cesaro``."""
+    proc = _probe(f"import sys, cesaro\n{reads}\n"
+                  "print(sorted(m for m in sys.modules if m.startswith('cesaro.')))")
+    assert proc.returncode == 0, proc.stderr
+    return set(ast.literal_eval(proc.stdout))
+
+
+def test_a_public_name_imports_only_its_owner():
+    # series imports accumulate and evaluation itself; nothing else is read
+    loaded = _loaded_after("cesaro.SeriesSpec")
+    assert "cesaro.series" in loaded
+    assert not loaded & {"cesaro.exact", "cesaro.finite_part", "cesaro.integral",
+                         "cesaro.zeta"}
+    assert _loaded_after("cesaro.zeta_neg_int") == {"cesaro.exact"}
+
+
+@pytest.mark.parametrize("name", ["no_such_name", "_private", "_weighted_fit",
+                                  "tail_judgement", "__wrapped__"])
+def test_an_unknown_or_private_name_imports_nothing(name):
+    reads = (f"try:\n    getattr(cesaro, {name!r})\nexcept AttributeError:\n    pass\n"
+             f"else:\n    sys.exit('cesaro.{name} resolved')")
+    assert _loaded_after(reads) == set()
+
+
+def test_the_package_table_repeats_each_module_all():
+    # the package lists each name beside its owner, a second copy of each
+    # module's __all__; evaluation's other names serve the modules only
+    for module, names in cesaro._EXPORTS.items():
+        owner = importlib.import_module(f"cesaro.{module}")
+        if module == "evaluation":
+            assert names == ("CesaroEvaluation",)
+            assert set(names) <= set(owner.__all__)
+        else:
+            assert list(names) == owner.__all__, module
+    assert sorted(cesaro._EXPORTS) == _SUBMODULES
 
 
 def _unused_imports(path: pathlib.Path) -> list:

@@ -148,13 +148,6 @@ def test_start_index_shifts_the_series():
     assert sums == [0.0, 1.0, 3.0, 6.0, 10.0]
 
 
-def test_asymptotic_normalization_agrees_in_the_limit():
-    # n^k/k! vs C(n+k, k): same limit, slightly different finite-N values
-    diag = series.asymptotic_normalized(alt_sign(), 1, 50_000)
-    ev = series.cesaro_sum(alt_sign(), 1, 50_000)
-    assert abs(diag - ev.value) < 1e-3
-
-
 def test_rejects_bad_parameters():
     with pytest.raises(ValueError):
         series.cesaro_sum(alt_sign(), -1, 100)
@@ -238,8 +231,7 @@ def test_absurd_series_sizes_fail_before_any_work(n_terms):
     calls = (lambda: spec.terms(n_terms),
              lambda: series.iterated_partial_sums(spec, 1, n_terms),
              lambda: series.cesaro_sum(spec, 1, n_terms),
-             lambda: series.detect_order(spec, 3, n_terms),
-             lambda: series.asymptotic_normalized(spec, 1, n_terms))
+             lambda: series.detect_order(spec, 3, n_terms))
     for call in calls:
         with pytest.raises(ValueError, match="MAX_SERIES_TERMS"):
             call()
@@ -248,8 +240,6 @@ def test_absurd_series_sizes_fail_before_any_work(n_terms):
 @pytest.mark.parametrize("call,k,n_terms", [
     (series.cesaro_sum, 150, 10**4),  # C(n + k, k) beyond the float range
     (series.cesaro_sum, 80, 10**6),
-    (series.asymptotic_normalized, 150, 1000),  # k!
-    (series.asymptotic_normalized, 110, 1000),  # n^k
 ])
 def test_a_normalization_beyond_the_float_range_fails_before_any_term(call, k, n_terms):
     calls = []

@@ -333,6 +333,27 @@ def test_estimator_rejects_tiny_domains():
         zeta.zeta_via_cesaro(0.0, k=-1)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: zeta.zeta_via_cesaro(1e6),  # default order 1000001
+    lambda: zeta.zeta_via_cesaro(1e6, k=1),  # exact degree 1000001
+    lambda: zeta.zeta_via_cesaro(400.0),  # exact degree 801
+    lambda: zeta.zeta_via_cesaro(500.0, k=13),  # exact degree 513
+    lambda: zeta.zeta_via_cesaro(0.5, k=3000),
+    lambda: zeta.zeta_via_cesaro(0.5, k=513),
+    lambda: zeta.zeta_prime_via_cesaro(0.5, k=513),
+    lambda: zeta.lemma_witness(exact.pm_polynomial(3, 1), k=1000),
+    lambda: zeta.lemma_witness(exact.pm_polynomial(3, 1), k=513),
+], ids=["default-order", "exact-degree-1e6", "exact-degree-801", "exact-degree-513",
+        "order-3000", "order-513", "prime-order-513", "lemma-1000", "lemma-513"])
+def test_orders_and_degrees_past_the_bound_fail_fast(call):
+    # each of these would sum for seconds to hours, or need terabytes
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^(order k=|degree alpha \+ k = )\d+ is above 512, "
+                                         r".*`cesaro zeta -n` or zeta_neg_int\(n\)$"):
+        call()
+    assert time.perf_counter() - start < 0.1
+
+
 def test_exact_and_float_advances_agree():
     # same alpha through the integer path and the generic series path: the
     # exact limit zeta(-2) = 0 against the float fit at X = 2e3
@@ -490,11 +511,9 @@ _HALF = zeta.StaircaseSpec(0.5)
     lambda k: series.cesaro_sum(_ALT_SIGN, k, 64),
     lambda k: series.iterated_partial_sums(_ALT_SIGN, k, 16),
     lambda k: series.detect_order(_ALT_SIGN, k, 64),
-    lambda k: series.asymptotic_normalized(_ALT_SIGN, k, 16),
     lambda k: integral.primitive_limit(integral.sin_wave(1.0), k),
 ], ids=["zeta", "lemma", "new_primitive_state", "advance_primitives", "cesaro_sum",
-        "iterated_partial_sums", "detect_order", "asymptotic_normalized",
-        "primitive_limit"])
+        "iterated_partial_sums", "detect_order", "primitive_limit"])
 def test_both_drivers_check_the_order_alike(call):
     # every integer-order driver goes through evaluation.require_order
     assert call(2.0) == call(2)
