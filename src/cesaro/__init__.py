@@ -8,7 +8,8 @@ numerically as Cesaro limits of power-sum staircases.
 Submodules and public names are imported on first access (PEP 562): a
 public name imports the one module that defines it, as _EXPORTS says, and
 ``__all__`` and ``dir()`` import nothing.  So ``import cesaro``, the exact
-layer and the zeta estimators load no numpy.
+layer, the zeta estimators and the integral layer's closed-form orders load
+no numpy.
 """
 from importlib import import_module as _import_module
 

@@ -6,26 +6,23 @@ invocation prints exactly one record per result, through ``_emit``: stable
 mode.  stdout is reserved for records, stderr for logs; exit codes are 0
 (success), 1 (usage or domain error), 2 (non-convergence under --strict).
 
-Only the exact layer is imported up front, so the exact subcommands never
-load numpy; a numeric handler imports its module when it runs, and reads
-the defaults of --xmax and --tol from that module's constants then.
+Only the exact layer is imported up front.  Every other module is imported
+by the handler that runs it, which reads the defaults of --xmax and --tol
+from that module's constants then: the exact subcommands load neither numpy
+nor dataclasses, the staircase estimates and closed-form ``cesaro-int``
+orders no numpy.  ``logging`` is imported at the first warning, and the
+numeric error types only once a handler has raised.
 """
 from __future__ import annotations
 
 import argparse
-import json
-import logging
 import math
 import os
 import sys
 from fractions import Fraction
 from functools import partial
-from typing import Optional
 
-from . import exact, finite_part
-from .evaluation import QuadratureError, require_finite
-
-log = logging.getLogger("cesaro.cli")
+from . import exact
 
 FORMAT_ENV = "CESARO_FORMAT"
 
@@ -78,13 +75,15 @@ def _fmt(v) -> str:
 
 
 def _emit(fmt: str, command: str, inputs: dict, result: dict,
-          diagnostics: Optional[dict] = None) -> None:
+          diagnostics: dict | None = None) -> None:
     """Print one record: ``key: value`` lines, or one compact JSON object in
     which a non-finite float is null (RFC 8259 has no token for it)."""
     sections = {"inputs": inputs, "result": result}
     if diagnostics is not None:
         sections["diagnostics"] = diagnostics
     if fmt == "structured":
+        import json
+
         record = {"command": command}
         for name, section in sections.items():
             record[name] = {key: None if isinstance(v, float) and not math.isfinite(v)
@@ -94,6 +93,16 @@ def _emit(fmt: str, command: str, inputs: dict, result: dict,
         print("\n".join([f"command: {command}"] + [
             f"{name}.{key}: {_fmt(v)}"
             for name, section in sections.items() for key, v in section.items()]))
+
+
+def _warn(message: str, *args) -> None:
+    """Log a warning to the ``cesaro.cli`` logger.  logging is imported and
+    set up here, at the first warning, since most commands never warn; a
+    process that configured logging itself keeps its setup."""
+    import logging
+
+    logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(message)s")
+    logging.getLogger("cesaro.cli").warning(message, *args)
 
 
 def _emit_estimate(inputs: dict, ev, args, fmt: str) -> int:
@@ -131,6 +140,7 @@ _INTEGRANDS = {
 def _cesaro_integral_to(spec, k: int, x_max: float, tol: float):
     """cesaro_integral on a grid of two to three decades ending at x_max."""
     from . import integral
+    from .evaluation import require_finite
     require_finite(xmax=x_max)
     if x_max < 100:
         raise ValueError(f"xmax must be at least 100, got {x_max:g}")
@@ -165,6 +175,7 @@ def _cmd_pm_poly(args, fmt: str) -> int:
 def _alphas(args) -> list:
     """The alphas to estimate at: --alpha, or every step of --alpha-range."""
     if args.alpha_range is not None:
+        from .evaluation import require_finite
         lo, hi, step = args.alpha_range
         require_finite(**{"--alpha-range LO": lo, "--alpha-range HI": hi,
                           "--alpha-range STEP": step})
@@ -198,7 +209,7 @@ def _run_estimates(args, fmt: str, estimator: str) -> int:
         except ValueError as exc:
             if args.alpha_range is None:
                 raise
-            log.warning("skipping alpha=%g: %s", a, exc)
+            _warn("skipping alpha=%g: %s", a, exc)
             continue
         inputs = {"alpha": a, "order": ev.order, "xmax": args.xmax,
                   "tol": args.tol}
@@ -225,6 +236,7 @@ def _cesaro_mean(args, fmt: str, module, evaluate, kind: str, table: dict,
                  span: str) -> int:
     """cesaro-sum / cesaro-int: the (C,k) mean of the named sequence or
     integrand, built from exactly the options its table entry names."""
+    from .evaluation import require_finite
     name = getattr(args, kind)
     options, build = table[name]
     if args.tol is None:
@@ -240,17 +252,19 @@ def _cesaro_mean(args, fmt: str, module, evaluate, kind: str, table: dict,
     return _emit_estimate(inputs, ev, args, fmt)
 
 
-def _cmd_finite_part(args, fmt: str, float_fn, exact_fn) -> int:
+def _cmd_finite_part(args, fmt: str, float_fn: str, exact_fn: str) -> int:
     """fp-int / fp-log-int: the float value, plus the exact one where the
     rational inputs give a rational value (exact_fn raises ValueError where
-    they do not)."""
+    they do not); both are ``finite_part`` functions, named."""
+    from . import finite_part
+    from .evaluation import require_finite
     alpha = Fraction(args.alpha)
     upper = Fraction(args.upper)
     require_finite(alpha=alpha, upper=upper)
     inputs = {"alpha": float(alpha), "upper": float(upper)}
-    result = {"float": float_fn(inputs["alpha"], inputs["upper"])}
+    result = {"float": getattr(finite_part, float_fn)(inputs["alpha"], inputs["upper"])}
     try:
-        result["exact"] = str(exact_fn(alpha, upper))
+        result["exact"] = str(getattr(finite_part, exact_fn)(alpha, upper))
     except ValueError:
         pass
     _emit(fmt, args.cmd, inputs, result)
@@ -332,10 +346,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_cesaro_int)
 
     for name, integrand, float_fn, exact_fn in (
-            ("fp-int", "t^alpha", finite_part.fp_power_integral,
-             finite_part.fp_power_integral_exact),
-            ("fp-log-int", "t^alpha ln t", finite_part.fp_log_power_integral,
-             finite_part.fp_log_power_integral_exact)):
+            ("fp-int", "t^alpha", "fp_power_integral", "fp_power_integral_exact"),
+            ("fp-log-int", "t^alpha ln t", "fp_log_power_integral",
+             "fp_log_power_integral_exact")):
         p = sub.add_parser(name, parents=[common],
                            help=f"finite part of int_0^b {integrand} dt")
         p.add_argument("--alpha", required=True,
@@ -362,19 +375,29 @@ def run(argv) -> int:
     if fmt is None:
         fmt = os.environ.get(FORMAT_ENV, "text")
         if fmt not in ("text", "structured"):
-            log.warning("ignoring %s=%r (want text|structured)", FORMAT_ENV, fmt)
+            _warn("ignoring %s=%r (want text|structured)", FORMAT_ENV, fmt)
             fmt = "text"
 
     try:
         return args.handler(args, fmt)
-    except (ValueError, OverflowError, ZeroDivisionError,
-            QuadratureError, finite_part.IllConditionedFitError) as exc:
+    except (ValueError, OverflowError, ZeroDivisionError, RuntimeError) as exc:
+        if not isinstance(exc, _domain_errors()):  # a RuntimeError of no layer
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 
+def _domain_errors() -> tuple:
+    """The errors that a handler reports as `error: ...` and exit 1.  Read
+    only after one has raised, so no command imports the numeric layers for
+    their error types."""
+    from .evaluation import QuadratureError
+    from .finite_part import IllConditionedFitError
+    return (ValueError, OverflowError, ZeroDivisionError, QuadratureError,
+            IllConditionedFitError)
+
+
 def main() -> int:
-    logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(message)s")
     return run(sys.argv[1:])
 
 

@@ -9,8 +9,8 @@ nothing: they read the limit off an exact polynomial, and converge exactly
 when the order admits a limit.  Divergence is a result, never an exception.
 
 QuadratureError, which the integral layer re-exports, is defined here so the
-CLI can catch it without importing that layer; numpy is imported only when a
-judgement is made.
+CLI can catch it without importing that layer.  This module imports no
+numpy: a judgement reads the tail of a list or of an array in pure Python.
 """
 from __future__ import annotations
 
@@ -95,28 +95,28 @@ def tail_window(n_samples: int) -> int:
 
 def tail_judgement(samples, order, n_terms, tol,
                    tail_count=None) -> CesaroEvaluation:
-    """Build a CesaroEvaluation from a full sample sequence: a float array,
-    or a sequence of numbers, which is converted to one.
+    """Build a CesaroEvaluation from a full sample sequence: a list, a tuple
+    or a float array, judged in pure Python either way.
 
     ``tail_count`` samples from the end form the dispersion window; the
     default is ``tail_window(len(samples))``.  The reported value
     is always the final sample, converged or not.
     """
-    import numpy as np
-
-    samples = np.asarray(samples, dtype=np.float64)
     if len(samples) < 2:
         raise ValueError("need at least two samples to judge convergence")
     if tail_count is None:
         tail_count = tail_window(len(samples))
     tail_count = max(2, min(tail_count, len(samples)))
-    tail = samples[-tail_count:]
-    if np.isfinite(tail).all():
-        dispersion = float(tail.max()) - float(tail.min())
+    last = samples[-max(tail_count, TRACE_LEN):]
+    if hasattr(last, "tolist"):  # an array: its numbers, read at C speed
+        last = last.tolist()
+    tail = last[-tail_count:]
+    if all(map(math.isfinite, tail)):
+        dispersion = float(max(tail)) - float(min(tail))
     else:
         dispersion = math.inf
     converged = math.isfinite(dispersion) and dispersion <= tol
-    trace = tuple(samples[-TRACE_LEN:].tolist())
+    trace = tuple(map(float, last[-TRACE_LEN:]))
     return CesaroEvaluation(
         value=trace[-1],
         order=order,

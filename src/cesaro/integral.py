@@ -18,36 +18,38 @@ Approach to Asymptotics*, 2002).  Order 0 off the chain
 integrates each segment of the X grid once and adds the segments by one
 prefix pass.  Every other order is quadrature over [0, X] at each X.
 
-Quadrature splits its range into ~50-wide windows and integrates every
-window in one numpy batch: a Gauss-Legendre rule on each piece, an error
-estimate from the same rule on its two halves, and each round a bisection
-of the worst piece of every window still short of its target,
-max(1e-10 |value|, 1e-13 int |g|).  It accepts a sum whose summed estimate
-is at most max(1e-8 |sum|, 1e-12 int |g|), raises QuadratureError on a sum
-that fails it or is not finite, and adds the windows by
-``compensated_prefix_sums``.  No target has an absolute floor, so 2^m g
-gets exactly 2^m times the answer.  The rule is built on first use, so
-``import cesaro`` and every closed-form path never build it, and no path
+Quadrature, in the private ``_quadrature`` module, splits its range into
+~50-wide windows and integrates every window in one numpy batch: a
+Gauss-Legendre rule on each piece, an error estimate from the same rule on
+its two halves, and each round a bisection of the worst piece of every
+window still short of its target, max(1e-10 |value|, 1e-13 int |g|).  It
+accepts a sum whose summed estimate is at most max(1e-8 |sum|,
+1e-12 int |g|), raises QuadratureError on a sum that fails it or is not
+finite, and adds the windows by ``compensated_prefix_sums``.  No target has
+an absolute floor, so 2^m g gets exactly 2^m times the answer.  No path
 needs scipy.
+
+This module itself runs without numpy: the chain path, ``default_grid`` and
+the factories are pure Python.  numpy is imported, with ``_quadrature``,
+only for an order past the integrand's chain (and by ``from_primitives``,
+for its probe points), so ``cesaro-int`` at orders 0..MAX_CHAIN-1 loads
+none.
 
 The quadrature nodes of one call reach the integrand as one array.
 ``sin_wave``, ``cos_wave`` and ``exp_decay`` evaluate it in numpy, through
-their ``array_func``; every other integrand (``power_log``, ``constant``,
-``periodic_poly``, ``from_primitives`` and ``sampled``) is called once per
-node with a Python float.
+their ``array_func``, which imports numpy when it is first called; every
+other integrand (``power_log``, ``constant``, ``periodic_poly``,
+``from_primitives`` and ``sampled``) is called once per node with a Python
+float.
 """
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
-import numpy as np
-
-from .accumulate import compensated_prefix_sums
 from .evaluation import (CesaroEvaluation, QuadratureError, require_finite, require_order,
                          require_tol, tail_judgement)
 from .exact import PeriodicPolynomial, _periodic_primitives
@@ -71,10 +73,6 @@ __all__ = [
 
 MAX_CHAIN = 8
 DEFAULT_TOL = 1e-3
-_GAUSS_POINTS = 32
-_MAX_WINDOWS = 4096  # quadrature windows per integral
-_MAX_PIECES = 200  # pieces per quadrature window (QUADPACK's limit)
-_STALL_LIMIT = 6  # roundoff-limited bisections per window (QAG's count)
 _EPS = math.ulp(1.0)
 
 
@@ -98,7 +96,7 @@ class IntegrandSpec:
     func: Callable[[float], float]
     primitives: tuple = ()
     label: str = "f"
-    array_func: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    array_func: Optional[Callable] = None
 
     def __repr__(self):
         return f"IntegrandSpec({self.label})"
@@ -108,15 +106,15 @@ class IntegrandSpec:
 
 def sin_wave(a: float = 1.0) -> IntegrandSpec:
     """sin(a t), with its iterated-primitive chain to depth MAX_CHAIN."""
-    return _trig_wave(a, "sin", math.sin, np.sin, "imag")
+    return _trig_wave(a, "sin", "imag")
 
 
 def cos_wave(a: float = 1.0) -> IntegrandSpec:
     """cos(a t), with its iterated-primitive chain to depth MAX_CHAIN."""
-    return _trig_wave(a, "cos", math.cos, np.cos, "real")
+    return _trig_wave(a, "cos", "real")
 
 
-def _trig_wave(a: float, name: str, wave, array_wave, part: str) -> IntegrandSpec:
+def _trig_wave(a: float, name: str, part: str) -> IntegrandSpec:
     require_finite(a=a)
     if a == 0:
         raise ValueError(f"{name}_wave needs a nonzero frequency")
@@ -126,14 +124,25 @@ def _trig_wave(a: float, name: str, wave, array_wave, part: str) -> IntegrandSpe
     except OverflowError:  # (ia)^j, for |a| past about 1.6e38
         raise ValueError(f"a={a:g} is too large: its primitive chain overflows "
                          "a float") from None
+    wave = getattr(math, name)
     return IntegrandSpec(func=lambda t: wave(a * t), primitives=chain,
-                         label=f"{name}({a:g}t)", array_func=lambda t: array_wave(a * t))
+                         label=f"{name}({a:g}t)", array_func=_numpy_ufunc(name, a))
 
 
 def exp_decay() -> IntegrandSpec:
     """exp(-t), with its iterated-primitive chain to depth MAX_CHAIN."""
     return IntegrandSpec(func=lambda t: math.exp(-t), primitives=_exp_chain(-1.0, "real"),
-                         label="exp(-t)", array_func=lambda t: np.exp(-t))
+                         label="exp(-t)", array_func=_numpy_ufunc("exp", -1.0))
+
+
+def _numpy_ufunc(name: str, c: float) -> Callable:
+    """t -> numpy.<name>(c t) on an array of quadrature nodes; numpy is
+    imported at the first call, so building the spec does not load it."""
+    def array_func(t):
+        import numpy as np
+
+        return getattr(np, name)(c * t)
+    return array_func
 
 
 def power_log(alpha: float, p: int = 0) -> IntegrandSpec:
@@ -188,6 +197,8 @@ def from_primitives(func, primitives, label: str = "user") -> IntegrandSpec:
     pseudo-random points in [0.5, 20]; a wrong chain raises ValueError.  Two
     misses per pair are allowed, for a probe that lands on a kink or jump.
     """
+    import numpy as np
+
     rng = np.random.default_rng(20260815)
     pts = np.exp(rng.uniform(math.log(0.5), math.log(20.0), size=32)).tolist()
     layers = (func, *primitives)
@@ -215,13 +226,19 @@ def sampled(func, label: str = "sampled") -> IntegrandSpec:
 
 
 def default_grid(lo: float = 1e2, hi: float = 1e5, num: int = 16) -> tuple[float, ...]:
-    """Geometric evaluation grid, 16 points over [1e2, 1e5] by default."""
+    """Geometric evaluation grid, 16 points over [1e2, 1e5] by default.
+
+    Point i is 10^(log10 lo + i step), as in numpy.geomspace, and the two
+    ends are lo and hi themselves; an interior point can differ from
+    geomspace's by a few ulps, since numpy's power is not libm's."""
     require_finite(lo=lo, hi=hi)
     if not (0 < lo < hi):
         raise ValueError("need 0 < lo < hi")
     if num < 8:
         raise ValueError("grid needs at least 8 points")
-    return tuple(float(x) for x in np.geomspace(lo, hi, num))
+    a, b = math.log10(lo), math.log10(hi)
+    step = (b - a) / (num - 1)
+    return (float(lo), *(10.0 ** (i * step + a) for i in range(1, num - 1)), float(hi))
 
 
 def _validate_grid(grid) -> tuple[float, ...]:
@@ -248,9 +265,10 @@ def riesz_mean(spec: IntegrandSpec, k: float, X: float) -> float:
     return float(_riesz_means(spec, k, (X,))[0])
 
 
-def _riesz_means(spec: IntegrandSpec, k: float, grid: tuple) -> np.ndarray:
+def _riesz_means(spec: IntegrandSpec, k: float, grid: tuple) -> list[float]:
     """The order-k Riesz mean at each X of grid, a positive increasing tuple,
-    by the chain, by stitched segments (order 0) or by quadrature at each X."""
+    by the chain, by stitched segments (order 0) or by quadrature at each X.
+    Only the last two import ``_quadrature``, and numpy with it."""
     require_finite(k=k)
     if k <= -1:
         raise ValueError(f"Riesz order must exceed -1, got {k}")
@@ -263,193 +281,12 @@ def _riesz_means(spec: IntegrandSpec, k: float, grid: tuple) -> np.ndarray:
             for _ in range(k):  # not / X ** k, which overflows where the mean need not
                 mean /= X
             means.append(kfact * mean)
-        return np.array(means)
+        return means
+    from . import _quadrature
+
     if k == 0:
-        windows = [_quadrature_windows(functools.partial(_sample, spec), *_windows(a, X),
-                                       spec.label) for a, X in zip((0.0,) + grid, grid)]
-        ends = np.cumsum([len(v) for v in windows]) - 1  # each X's last window
-        return compensated_prefix_sums(np.concatenate(windows))[ends]
-    return np.array([_riesz_quadrature(spec, k, X) for X in grid])
-
-
-def _windows(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper ends of the ~50-wide windows that split [a, b], at most
-    _MAX_WINDOWS of them."""
-    n_windows = int(min(_MAX_WINDOWS, max(1, math.ceil((b - a) / 50.0))))
-    edges = np.linspace(a, b, n_windows + 1)
-    return edges[:-1], edges[1:]
-
-
-@functools.cache
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The Gauss-Legendre rule on [0, 1]: nodes, weights, and the matrix that
-    maps values at the nodes to the derivative there of their interpolating
-    polynomial.  Built on first use: closed forms never need it."""
-    from numpy.polynomial.legendre import leggauss
-
-    x, w = leggauss(_GAUSS_POINTS)
-    diff = x[:, None] - x[None, :]
-    np.fill_diagonal(diff, 1.0)
-    bary = 1.0 / diff.prod(axis=1)  # barycentric weights of the nodes
-    dmat = bary[None, :] / bary[:, None] / diff
-    np.fill_diagonal(dmat, 0.0)
-    np.fill_diagonal(dmat, -dmat.sum(axis=1))
-    rule = (0.5 * (1.0 + x), 0.5 * w, 2.0 * dmat)
-    for part in rule:
-        part.flags.writeable = False
-    return rule
-
-
-def _sample(spec: IntegrandSpec, t: np.ndarray) -> np.ndarray:
-    """The integrand at each node: one call of spec.array_func where the
-    spec has one (sin_wave, cos_wave, exp_decay), else one scalar call of
-    spec.func per node."""
-    if spec.array_func is not None:
-        return spec.array_func(t)
-    return np.fromiter(map(spec.func, t.tolist()), np.float64, len(t))
-
-
-def _gauss(g, lo: np.ndarray, hi: np.ndarray):
-    """The rule on each piece [lo, hi] of the vectorized integrand g: the
-    node values (one row per piece), the rule's value and its value for |g|.
-
-    A node t = lo + (hi - lo) u is rounded to a double, by up to eps |t|,
-    which far from 0 is noise of that size in every value of g.  The TwoSum
-    residual r of that addition is exact, so the value adds the first-order
-    term sum w g'(t) r, with g' from the piece's interpolating polynomial.
-    """
-    u, w, dmat = _gauss_legendre()
-    width = hi - lo
-    q = width[:, None] * u
-    t = lo[:, None] + q
-    bb = t - lo[:, None]
-    r = (lo[:, None] - (t - bb)) + (q - bb)
-    vals = g(t.ravel()).reshape(t.shape)
-    value = (vals @ w) * width + ((vals @ dmat.T) * r) @ w
-    return vals, value, (np.abs(vals) @ w) * width
-
-
-class _Pieces(NamedTuple):
-    """The pieces of the open quadrature windows, one entry per piece."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-    value: np.ndarray  # the rule on the two halves, summed
-    error: np.ndarray
-    absval: np.ndarray  # the rule for |g| on the two halves, summed
-    left: np.ndarray  # the rule on each half: the whole-piece values
-    right: np.ndarray  # of the two pieces that bisecting this one makes
-
-
-def _bisected(g, lo: np.ndarray, hi: np.ndarray, whole: np.ndarray) -> _Pieces:
-    """The pieces [lo, hi], whose rule values are whole, with the rule on
-    both halves of each.
-
-    The estimate is the gap between whole and the halves' sum.  A node sits
-    an ulp or so off its ideal place, which can move a rule by about eps |t|
-    times the variation of g on the piece; a gap within twice that is
-    rounding, not truncation, and counts as zero.  Either way the estimate
-    is at least QUADPACK's rounding floor, 50 eps int |g|.
-    """
-    m = len(lo)
-    mid = 0.5 * (lo + hi)
-    vals, rule, abs_rule = _gauss(g, np.concatenate((lo, mid)), np.concatenate((mid, hi)))
-    left, right = rule[:m], rule[m:]
-    value = left + right
-    gap = np.abs(whole - value)
-    variation = np.abs(np.diff(np.hstack((vals[:m], vals[m:])), axis=1)).sum(axis=1)
-    noise = 2.0 * _EPS * np.maximum(np.abs(lo), np.abs(hi)) * variation
-    absval = abs_rule[:m] + abs_rule[m:]
-    error = np.maximum(np.where(gap > noise, gap, 0.0), 50.0 * _EPS * absval)
-    return _Pieces(lo, hi, value, error, absval, left, right)
-
-
-def _quadrature_windows(g, lo: np.ndarray, hi: np.ndarray, label: str) -> np.ndarray:
-    """int g over each window [lo[i], hi[i]], all windows integrated in one
-    batch by adaptive bisection.
-
-    g maps an array of nodes to the integrand's values there.  Every window
-    starts as one piece; each round bisects the worst piece of every window
-    still open.  A window closes when its summed estimate meets
-    max(1e-10 |value|, 1e-13 int |g|), a target that scales with g; when it
-    holds _MAX_PIECES pieces; or after _STALL_LIMIT bisections that neither
-    moved the piece's value by 1e-5 relative nor shrank its estimate (QAG's
-    roundoff test).  A window whose value or estimate is not finite raises
-    QuadratureError, and so does a summed estimate above the acceptance
-    rule, max(1e-8 |sum|, 1e-12 int |g|).
-    """
-    n_windows = len(lo)
-    out = np.empty((3, n_windows))
-    is_open = np.ones(n_windows, dtype=bool)
-    count = np.ones(n_windows, dtype=np.int64)
-    stalls = np.zeros(n_windows, dtype=np.int64)
-    win = np.arange(n_windows)  # the window of each piece
-    pieces = _bisected(g, lo, hi, _gauss(g, lo, hi)[1])
-    while True:
-        sums = np.array([np.bincount(win, part, n_windows)
-                         for part in (pieces.value, pieces.error, pieces.absval)])
-        total, est, absval = sums
-        # a NaN total or estimate closes its window, which then raises
-        meets = ~(est > np.maximum(1e-10 * np.abs(total), 1e-13 * absval))
-        closing = is_open & (meets | (count >= _MAX_PIECES) | (stalls >= _STALL_LIMIT))
-        if closing.any():
-            bad = np.flatnonzero(closing & ~(np.isfinite(total) & np.isfinite(est)))
-            if len(bad):
-                raise QuadratureError(
-                    f"quadrature of {label} is not finite on "
-                    f"[{lo[bad[0]]:g}, {hi[bad[0]]:g}]", math.inf)
-            out[:, closing] = sums[:, closing]
-            is_open &= ~closing
-            keep = is_open[win]
-            win = win[keep]
-            pieces = _Pieces(*(part[keep] for part in pieces))
-        if not len(win):
-            break
-        order = np.lexsort((pieces.error, win))
-        worst = order[np.append(win[order][1:] != win[order][:-1], True)]
-        split = win[worst]
-        old = _Pieces(*(part[worst] for part in pieces))
-        mid = 0.5 * (old.lo + old.hi)
-        new = _bisected(g, np.concatenate((old.lo, mid)), np.concatenate((mid, old.hi)),
-                        np.concatenate((old.left, old.right)))
-        keep = np.ones(len(win), dtype=bool)
-        keep[worst] = False
-        win = np.concatenate((win[keep], split, split))
-        pieces = _Pieces(*(np.concatenate((part[keep], added))
-                           for part, added in zip(pieces, new)))
-        m = len(split)
-        value = new.value[:m] + new.value[m:]
-        error = new.error[:m] + new.error[m:]
-        stalls[split] += ((np.abs(old.value - value) <= 1e-5 * np.abs(value))
-                          & (error >= 0.99 * old.error))
-        count[split] += 1
-    values, errors, absvals = out
-    error = float(errors.sum())
-    if error > max(1e-8 * abs(float(values.sum())), 1e-12 * float(absvals.sum())):
-        raise QuadratureError(
-            f"quadrature of {label} on [{lo[0]:g}, {hi[-1]:g}] did not converge "
-            f"(error estimate {error:.3e})", error)
-    return values
-
-
-def _riesz_quadrature(spec: IntegrandSpec, k: float, X: float) -> float:
-    lo, hi = _windows(0.0, X)
-    start = lo[-1]
-    h = X - start
-
-    def weighted(u):
-        if k >= 0:  # a bounded weight: bisection toward X is enough
-            return (1.0 - u / X) ** k * _sample(spec, u)
-        # on the last window, t = X - h v^(1/(k+1)) with v = (X - u)/h turns
-        # (X - t)^k dt into the constant h^(k+1)/(k+1) dv; t is computed from
-        # its distance to start (0 when X <= 50), so it keeps its digits there
-        t, w = u.copy(), (1.0 - u / X) ** k
-        tail = u > start
-        t[tail] = start - h * np.expm1(np.log1p((start - u[tail]) / h) / (k + 1.0))
-        w[tail] = (h / X) ** k / (k + 1.0)
-        return w * _sample(spec, t)
-
-    return float(compensated_prefix_sums(_quadrature_windows(weighted, lo, hi, spec.label))[-1])
+        return _quadrature.stitched_means(spec, grid)
+    return [_quadrature.riesz_quadrature(spec, k, X) for X in grid]
 
 
 def cesaro_integral(spec: IntegrandSpec, k: float, X_grid=None,
@@ -482,7 +319,7 @@ def primitive_limit(spec: IntegrandSpec, k: int, X_grid=None,
     if k == 0:
         samples = [spec.func(X) for X in grid]
     else:
-        samples = k * _riesz_means(spec, k - 1, grid) / grid
+        samples = [k * mean / X for mean, X in zip(_riesz_means(spec, k - 1, grid), grid)]
     return tail_judgement(samples, order=k, n_terms=len(grid), tol=tol)
 
 

@@ -61,7 +61,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from decimal import Decimal, localcontext
+from decimal import Decimal, Overflow, localcontext
 from functools import lru_cache
 from itertools import accumulate
 from typing import Optional
@@ -145,7 +145,7 @@ class PrimitiveState:
 
 
 def new_primitive_state(spec: StaircaseSpec, k: int) -> PrimitiveState:
-    k = require_order(k)
+    k = _bounded_order(k)
     return PrimitiveState(boundary=0, values=(0.0,) * (k + 1))
 
 
@@ -218,22 +218,26 @@ def _power(alpha: float, n: int, ln_n: Decimal) -> Decimal:
 
 def _fp_subtrahend(spec: StaircaseSpec, k: int, n: int) -> tuple[float, float]:
     """I_k(n) as a double-double (hi, lo).  Off the pole b = alpha+i+1 = 0,
-    n^-i F.p. int_0^n t^(alpha+i) dt is n^(alpha+1) / b for every i."""
+    n^-i F.p. int_0^n t^(alpha+i) dt is n^(alpha+1) / b for every i.  A
+    value past Decimal's range is past the float range too: (inf, nan)."""
     with localcontext() as ctx:
         ctx.prec = _FP_DIGITS + math.ceil(k * math.log10(2))  # C(k, i) cancel up to 2^k
         alpha, big_n = Decimal(spec.alpha), Decimal(n)
         ln_n = _ln(n, ctx.prec)
-        power = _power(spec.alpha, n, ln_n)
         total = Decimal(0)
-        for i in range(k + 1):
-            b = alpha + (i + 1)
-            if b == 0:
-                term = (ln_n * ln_n / 2 if spec.log_weight else ln_n) / big_n ** i
-            elif spec.log_weight:
-                term = power * (ln_n / b - 1 / (b * b))
-            else:
-                term = power / b
-            total += (-1) ** i * math.comb(k, i) * term
+        try:
+            power = _power(spec.alpha, n, ln_n)
+            for i in range(k + 1):
+                b = alpha + (i + 1)
+                if b == 0:
+                    term = (ln_n * ln_n / 2 if spec.log_weight else ln_n) / big_n ** i
+                elif spec.log_weight:
+                    term = power * (ln_n / b - 1 / (b * b))
+                else:
+                    term = power / b
+                total += (-1) ** i * math.comb(k, i) * term
+        except Overflow:
+            return math.inf, math.nan
         hi = float(total)
         return hi, float(total - Decimal(hi))
 
@@ -317,7 +321,7 @@ def advance_primitives(state: PrimitiveState, spec: StaircaseSpec,
                        k: int) -> PrimitiveState:
     """F_0 .. F_k at boundary n + 1, each from its closed-form sample:
     F_j(n+1) = (n+1)^j / j! times the order-j Riesz sample there."""
-    k = require_order(k)
+    k = _bounded_order(k)
     if len(state.values) != k + 1:
         raise ValueError(f"state carries {len(state.values) - 1} primitives, expected k={k}")
     n = state.boundary + 1
@@ -407,6 +411,14 @@ def _exact_evaluation(value: float, k: int, n_terms: int,
                             converged=converged)
 
 
+def _bounded_order(k) -> int:
+    """A staircase order as an int, refused above _MAX_ORDER."""
+    k = require_order(k)
+    if k > _MAX_ORDER:
+        raise ValueError(_UNBOUNDED.format(f"order k={k}"))
+    return k
+
+
 def _order_and_domain(k, X_max: float, tol: float) -> tuple[int, int]:
     """The order of a staircase limit and the last integer boundary up to
     X_max.  A bad order, X_max or tol is refused here, before any sample is
@@ -416,9 +428,7 @@ def _order_and_domain(k, X_max: float, tol: float) -> tuple[int, int]:
     require_tol(tol)
     if X_max < _FIRST_TOP:
         raise ValueError(f"X_max must be at least {_FIRST_TOP}, got {X_max:g}")
-    if k > _MAX_ORDER:
-        raise ValueError(_UNBOUNDED.format(f"order k={k}"))
-    return k, int(math.floor(X_max))
+    return _bounded_order(k), int(math.floor(X_max))
 
 
 def _ladder(n_max: int) -> list[int]:

@@ -115,6 +115,19 @@ def test_zeta_estimate_past_the_float_range_warns_nothing(capsys):
     assert "diagnostics.converged: false" in captured.out.splitlines()
 
 
+@pytest.mark.parametrize("command", ["zeta-estimate", "zeta-prime-estimate"])
+def test_an_estimate_past_the_decimal_range_is_a_record(capsys, command):
+    # n^(alpha+1) leaves Decimal's range as well as the float range
+    code = cli.run([command, "--alpha", "1000000.5", "--order", "2"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    lines = captured.out.splitlines()
+    assert lines[0] == f"command: {command}"
+    for line in ("result.float: nan", "diagnostics.error_estimate: inf",
+                 "diagnostics.converged: false"):
+        assert line in lines
+
+
 def test_cesaro_sum_alt_sign(capsys):
     code, (rec,) = run_json(capsys, ["cesaro-sum", "alt-sign", "--order", "1",
                                      "--terms", "10000", "--tol", "1e-3"])
@@ -538,11 +551,49 @@ sys.exit("the command loaded numpy" if "numpy" in sys.modules else code)
     pytest.param(["zeta-estimate", "--alpha-range", "0", "2", "0.5"],
                  id="zeta-estimate-range"),
     pytest.param(["zeta-prime-estimate", "--alpha", "0"], id="zeta-prime-estimate"),
+    # every order below the chain depth is read off the integrand's closed form
+    *(pytest.param(["cesaro-int", name, "--order", order], id=f"cesaro-int-{name}-{order}")
+      for name in ("sin", "cos", "exp-decay", "power-log") for order in ("0", "7")),
 ], ids=lambda argv: argv[0])
 def test_exact_subcommands_load_no_numpy(argv):
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    proc = subprocess.run([sys.executable, "-c", _NO_NUMPY_PROBE, *argv],
-                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
-                          text=True, timeout=60)
+    proc = _run_python("-c", _NO_NUMPY_PROBE, *argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith(f"command: {argv[0]}\n")
+
+
+def _run_python(*args: str) -> subprocess.CompletedProcess:
+    """Run ``python args...`` against this checkout's cesaro."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    return subprocess.run([sys.executable, *args],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=60)
+
+
+# main() as the console script runs it; a module the interpreter had loaded
+# before cesaro (a site hook's, say) does not count
+_LEAN_PROBE = """
+import sys
+before = set(sys.modules)
+from cesaro.cli import main
+code = main()
+loaded = sorted({"dataclasses", "logging"} & set(sys.modules) - before)
+sys.exit(f"the command loaded {loaded}" if loaded else code)
+"""
+
+
+@pytest.mark.parametrize("argv", [["zeta", "-7"], ["bernoulli", "30"],
+                                  ["faulhaber", "10", "1000"], ["pm-poly", "4", "1"]],
+                         ids=lambda argv: argv[0])
+def test_exact_subcommands_load_no_dataclasses_or_logging(argv):
+    proc = _run_python("-c", _LEAN_PROBE, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(f"command: {argv[0]}\n")
+
+
+def test_the_console_script_logs_a_skipped_alpha_on_stderr():
+    # logging is imported at the first warning, and main's format applies
+    proc = _run_python("-m", "cesaro.cli", "zeta-estimate", "--alpha-range", "-1", "-1", "1")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("WARNING skipping alpha=-1: ")
+    assert "error: no alpha in the requested range was usable" in proc.stderr

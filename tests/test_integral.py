@@ -131,32 +131,32 @@ def test_cumulative_quadrature_rejects_a_non_finite_integrand():
 
 _IMPORT_PROBE = """
 import math, sys
+
+def loaded():
+    return sorted({"numpy", "cesaro._quadrature", "scipy"} & set(sys.modules))
+
 import cesaro.cli
+if loaded():
+    sys.exit(f"import cesaro.cli loaded {loaded()}")
 I = cesaro.integral
-if "scipy" in sys.modules:
-    sys.exit("import cesaro.cli loaded scipy")
-if I._gauss_legendre.cache_info().currsize:
-    sys.exit("import cesaro.cli built the quadrature rule")
 for spec in (I.sin_wave(1.0), I.cos_wave(1.0), I.exp_decay(), I.power_log(0.5, 1),
              I.constant(2.0)):
     for k in range(8):
         I.riesz_mean(spec, k, 300.0)
     for k in range(3):
         I.primitive_limit(spec, k)
-if I._gauss_legendre.cache_info().currsize:
-    sys.exit("a closed-form order built the quadrature rule")
+if loaded():
+    sys.exit(f"a closed-form order loaded {loaded()}")
 value = I.riesz_mean(I.sampled(math.sin), 0.5, 300.0)
-if I._gauss_legendre.cache_info().currsize != 1:
-    sys.exit("quadrature ran without building its rule")
-if "scipy" in sys.modules:
-    sys.exit("quadrature loaded scipy")
+if loaded() != ["cesaro._quadrature", "numpy"]:
+    sys.exit(f"quadrature ran with {loaded()} loaded")
 print(value)
 """
 
 
 def test_quadrature_needs_no_scipy_and_builds_its_rule_on_first_use():
-    # closed forms and start-up never pay for the quadrature rule, and no
-    # path of the package loads scipy
+    # start-up and closed forms load neither numpy nor the quadrature module,
+    # the first quadrature loads both, and no path of the package loads scipy
     src = os.path.dirname(os.path.dirname(os.path.abspath(cesaro.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
@@ -484,6 +484,23 @@ def test_sampled_integrand_through_quadrature_grid():
     ev = integral.cesaro_integral(integral.sampled(math.sin, label="sin"),
                                   1, X_grid=grid, tol=1e-2)
     assert abs(ev.value - 1.0) < 1e-2
+
+
+@pytest.mark.parametrize("lo,hi,num", [
+    (1e2, 1e5, 16), (1e2, 1e4, 8), (1e1, 1e3, 8), (20.0, 2_000.0, 8),  # tests, bench
+    (1.0, 100.0, 16), (3.0, 3e3, 16), (1e4, 1e7, 16), (1e57, 1e60, 16),  # the CLI's
+])
+def test_default_grid_is_geometric_with_exact_ends(lo, hi, num):
+    # pure Python, so not numpy's geomspace bit for bit: numpy's power rounds
+    # differently from libm's in the last bits
+    import numpy as np
+
+    grid = integral.default_grid(lo, hi, num)
+    assert len(grid) == num and (grid[0], grid[-1]) == (lo, hi)
+    assert all(type(x) is float for x in grid)
+    assert all(b > a for a, b in zip(grid, grid[1:]))
+    for x, want in zip(grid, np.geomspace(lo, hi, num).tolist()):
+        assert abs(x - want) <= 1e-13 * want
 
 
 def test_grid_validation():

@@ -222,6 +222,21 @@ def test_tail_judgement_of_an_array_with_a_nan():
     assert ev.value == samples[-1] and type(ev.value) is float
 
 
+@pytest.mark.parametrize("bad", [None, math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("tail_count", [None, 3, 12])
+def test_tail_judgement_reads_a_list_as_the_array_it_holds(bad, tail_count):
+    samples = [0.5 + 1e-4 / (i + 1) for i in range(40)]
+    if bad is not None:
+        samples[-2] = bad
+    from_list = tail_judgement(samples, 2, 1000, 1e-3, tail_count)
+    from_array = tail_judgement(np.array(samples), 2, 1000, 1e-3, tail_count)
+    assert repr(from_list) == repr(from_array)  # nan != nan, so compare reprs
+    assert all(type(v) is float for v in (from_list.value, *from_list.trace))
+    tail = samples[-(tail_count or 10):]  # tail_window(40) is 10
+    assert from_list.error_estimate == (max(tail) - min(tail) if bad is None else math.inf)
+    assert from_list.converged is (bad is None)
+
+
 @pytest.mark.parametrize("n_terms", [series.MAX_SERIES_TERMS + 1, 10**12])
 def test_absurd_series_sizes_fail_before_any_work(n_terms):
     def term(n):

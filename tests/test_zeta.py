@@ -267,6 +267,17 @@ def test_weights_past_the_float_range_read_as_not_converged(call):
     assert not ev.converged and not math.isfinite(ev.value)
 
 
+@pytest.mark.parametrize("alpha", [3e5 + 0.5, 5e5 + 0.5, 1e6 + 0.5])
+@pytest.mark.parametrize("call", [zeta.zeta_via_cesaro, zeta.zeta_prime_via_cesaro])
+def test_a_subtrahend_past_the_decimal_range_reads_as_nan(call, alpha):
+    # n^(alpha+1) on the rungs leaves the float range from 3e5 and Decimal's
+    # from 5e5; either way every sample reads nan, as a record, not a raise
+    ev = call(alpha, k=2)
+    assert math.isnan(ev.value) and all(map(math.isnan, ev.trace))
+    assert ev.error_estimate == math.inf and not ev.converged
+    assert (ev.order, ev.n_terms) == (2, 256)
+
+
 @pytest.mark.parametrize("k", [0, 1, 3, 5])
 @pytest.mark.parametrize("alpha", [-1.5, 0.5])
 def test_riesz_samples_are_the_exact_sums_rounded_once(alpha, k):
@@ -343,8 +354,11 @@ def test_estimator_rejects_tiny_domains():
     lambda: zeta.zeta_prime_via_cesaro(0.5, k=513),
     lambda: zeta.lemma_witness(exact.pm_polynomial(3, 1), k=1000),
     lambda: zeta.lemma_witness(exact.pm_polynomial(3, 1), k=513),
+    lambda: zeta.new_primitive_state(_HALF, 100000),
+    lambda: zeta.advance_primitives(zeta.new_primitive_state(_HALF, 2), _HALF, 100000),
 ], ids=["default-order", "exact-degree-1e6", "exact-degree-801", "exact-degree-513",
-        "order-3000", "order-513", "prime-order-513", "lemma-1000", "lemma-513"])
+        "order-3000", "order-513", "prime-order-513", "lemma-1000", "lemma-513",
+        "new-state-100000", "advance-100000"])
 def test_orders_and_degrees_past_the_bound_fail_fast(call):
     # each of these would sum for seconds to hours, or need terabytes
     start = time.perf_counter()
