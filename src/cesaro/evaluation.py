@@ -10,7 +10,8 @@ when the order admits a limit.  Divergence is a result, never an exception.
 
 QuadratureError, which the integral layer re-exports, is defined here so the
 CLI can catch it without importing that layer.  This module imports no
-numpy: a judgement reads the tail of a list or of an array in pure Python.
+numpy: a judgement reads an array's tail through the array's own ``max`` and
+``min``, and a list's or a tuple's in pure Python.
 """
 from __future__ import annotations
 
@@ -96,7 +97,7 @@ def tail_window(n_samples: int) -> int:
 def tail_judgement(samples, order, n_terms, tol,
                    tail_count=None) -> CesaroEvaluation:
     """Build a CesaroEvaluation from a full sample sequence: a list, a tuple
-    or a float array, judged in pure Python either way.
+    or a float array; an array's tail is read by its own ``max`` and ``min``.
 
     ``tail_count`` samples from the end form the dispersion window; the
     default is ``tail_window(len(samples))``.  The reported value
@@ -107,16 +108,17 @@ def tail_judgement(samples, order, n_terms, tol,
     if tail_count is None:
         tail_count = tail_window(len(samples))
     tail_count = max(2, min(tail_count, len(samples)))
-    last = samples[-max(tail_count, TRACE_LEN):]
-    if hasattr(last, "tolist"):  # an array: its numbers, read at C speed
+    tail, last = samples[-tail_count:], samples[-TRACE_LEN:]
+    if hasattr(tail, "tolist"):  # an array: its own max and min, which propagate nan
+        high, low = float(tail.max()), float(tail.min())
+        finite = math.isfinite(high) and math.isfinite(low)
         last = last.tolist()
-    tail = last[-tail_count:]
-    if all(map(math.isfinite, tail)):
-        dispersion = float(max(tail)) - float(min(tail))
     else:
-        dispersion = math.inf
+        finite = all(map(math.isfinite, tail))
+        high, low = (float(max(tail)), float(min(tail))) if finite else (0.0, 0.0)
+    dispersion = high - low if finite else math.inf
     converged = math.isfinite(dispersion) and dispersion <= tol
-    trace = tuple(map(float, last[-TRACE_LEN:]))
+    trace = tuple(map(float, last))
     return CesaroEvaluation(
         value=trace[-1],
         order=order,

@@ -14,17 +14,22 @@ and no order of ``primitive_limit`` needs a chain that deep.
 The reader takes one of three paths.  An integer k below the chain depth
 integrates by parts k times into the closed form k! F_{k+1}(X)/X^k, read
 off the integrand's primitive chain (Estrada and Kanwal, *A Distributional
-Approach to Asymptotics*, 2002).  Order 0 off the chain
-integrates each segment of the X grid once and adds the segments by one
-prefix pass.  Every other order is quadrature over [0, X] at each X.
+Approach to Asymptotics*, 2002).  Any other integer k up to
+``_quadrature.MAX_DEGREE`` reads a numeric chain: one quadrature pass over
+the X grid, each ~50-wide window returning its moments
+m_j = int_w (c_w - t)^j f dt, j = 0..k, about its centre c_w, and each X
+the mean X^-k sum_w sum_j C(k, j) (X - c_w)^(k-j) m_j over the windows of
+[0, X] (order 0 is the plain sum).  Every other order is quadrature of the
+weighted integrand over [0, X] at each X, every X in one batch.
 
-Quadrature, in the private ``_quadrature`` module, splits its range into
-~50-wide windows and integrates every window in one numpy batch: a
-Gauss-Legendre rule on each piece, an error estimate from the same rule on
-its two halves, and each round a bisection of the worst piece of every
-window still short of its target, max(1e-10 |value|, 1e-13 int |g|).  It
-accepts a sum whose summed estimate is at most max(1e-8 |sum|,
-1e-12 int |g|), raises QuadratureError on a sum that fails it or is not
+Quadrature, in the private ``_quadrature`` module, integrates its windows in
+numpy batches: a Gauss-Legendre rule on each piece, an error estimate from
+the same rule on its two halves, and each round a bisection of the worst
+piece of every window still short of its target, max(1e-10 |value|,
+1e-13 int |g|) (for the numeric chain, for f and for f weighted for the X
+that ends the window's grid segment).  It accepts each X's sum whose summed
+estimate over [0, X] is at most max(1e-8 |sum|, 1e-12 int |g|), g the
+weighted integrand, raises QuadratureError on a sum that fails it or is not
 finite, and adds the windows by ``compensated_prefix_sums``.  No target has
 an absolute floor, so 2^m g gets exactly 2^m times the answer.  No path
 needs scipy.
@@ -258,7 +263,8 @@ def _validate_grid(grid) -> tuple[float, ...]:
 
 def riesz_mean(spec: IntegrandSpec, k: float, X: float) -> float:
     """int_0^X (1 - t/X)^k f(t) dt for real order k > -1: k! F_{k+1}(X)/X^k
-    at an integer k below the chain depth, quadrature at every other order."""
+    at an integer k below the chain depth, quadrature at every other order
+    (see ``_riesz_means``)."""
     require_finite(X=X)
     if X <= 0:
         raise ValueError("X must be positive")
@@ -267,8 +273,10 @@ def riesz_mean(spec: IntegrandSpec, k: float, X: float) -> float:
 
 def _riesz_means(spec: IntegrandSpec, k: float, grid: tuple) -> list[float]:
     """The order-k Riesz mean at each X of grid, a positive increasing tuple,
-    by the chain, by stitched segments (order 0) or by quadrature at each X.
-    Only the last two import ``_quadrature``, and numpy with it."""
+    by the closed-form chain, by the numeric chain (any other integer k up to
+    ``_quadrature.MAX_DEGREE``: the window moments of one quadrature pass
+    over the grid) or by quadrature at each X, every X in one batch.  Only
+    the last two import ``_quadrature``, and numpy with it."""
     require_finite(k=k)
     if k <= -1:
         raise ValueError(f"Riesz order must exceed -1, got {k}")
@@ -284,9 +292,9 @@ def _riesz_means(spec: IntegrandSpec, k: float, grid: tuple) -> list[float]:
         return means
     from . import _quadrature
 
-    if k == 0:
-        return _quadrature.stitched_means(spec, grid)
-    return [_quadrature.riesz_quadrature(spec, k, X) for X in grid]
+    if k == int(k) and k <= _quadrature.MAX_DEGREE:
+        return _quadrature.numeric_chain(spec, int(k), grid)
+    return _quadrature.riesz_quadrature(spec, k, grid)
 
 
 def cesaro_integral(spec: IntegrandSpec, k: float, X_grid=None,

@@ -107,12 +107,56 @@ def test_exp_array_form_quadrature_matches_the_scalar_one(k, X):
     assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
 
+_SAMPLED_AND_CLOSED = [
+    (integral.sampled(math.sin), integral.sin_wave(1.0)),
+    (integral.sampled(math.cos), integral.cos_wave(1.0)),
+    (integral.sampled(lambda t: math.exp(-t)), integral.exp_decay())]
+
+
 def test_integer_order_quadrature_matches_the_closed_form():
     # the rule corrects each node for its rounding to a double, which at
     # X = 1e5 is worth two orders of magnitude here
     for X in integral.default_grid():
         got = integral.riesz_mean(integral.sampled(math.sin), 1, X)
         assert abs(got - (X - math.sin(X)) / X) <= 1e-12, X
+    # the grid reader: every X from one pass of window moments
+    for sampled, closed in _SAMPLED_AND_CLOSED:
+        for k in (1, 2, 3, 5):
+            got = integral.cesaro_integral(sampled, k, _EIGHT).trace
+            want = integral.cesaro_integral(closed, k, _EIGHT).trace
+            for X, a, b in zip(_EIGHT, got, want):
+                assert abs(a - b) <= 1e-12, (closed.label, k, X)
+
+
+def _counted_sin():
+    calls = [0]
+
+    def f(t):
+        calls[0] += 1
+        return math.sin(t)
+    return integral.sampled(f), calls
+
+
+def test_integer_orders_sample_the_integrand_once_per_grid():
+    # every integer order off the chain reads the moments of one pass over
+    # the grid's windows, so it calls f no more often than order 0 does
+    spec, calls = _counted_sin()
+    integral.cesaro_integral(spec, 0)
+    base = calls[0]
+    for k in (1, 2, 5):
+        calls[0] = 0
+        integral.cesaro_integral(spec, k)
+        assert calls[0] <= 1.1 * base, (k, calls[0], base)
+
+
+@pytest.mark.parametrize("k,X,want", [
+    (-0.5, 7.3, "0x1.0b015e7feed1ap+1"), (-0.5, 1e4, "0x1.4820a9135b512p+6"),
+    (0.5, 7.3, "0x1.5ecd7dfe33097p-1"), (0.5, 1e4, "0x1.02048c6ebc0b2p+0"),
+    (2.5, 7.3, "0x1.e7506aaafd1cfp-1"), (2.5, 1e4, "0x1.fffffebb56590p-1")])
+def test_fractional_riesz_mean_at_one_point_is_pinned(k, X, want):
+    # a fractional order at one X integrates [0, X] alone, window for window
+    # as before the grid's X were batched together
+    assert integral.riesz_mean(integral.sampled(math.sin), k, X).hex() == want
 
 
 def _nan_beyond_ten(t):
@@ -423,13 +467,14 @@ def test_cumulative_quadrature_reports_jumpy_integrand():
 _EIGHT = integral.default_grid(num=8)
 
 
-@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("k", [2, 3, 4, 6])
 def test_primitive_limit_of_a_sampled_integrand_answers_beyond_order_one(k):
-    ev = integral.primitive_limit(integral.sampled(math.sin), k, _EIGHT)
-    want = integral.primitive_limit(integral.sin_wave(1.0), k, _EIGHT)
-    assert len(ev.trace) == len(_EIGHT)
-    for got, closed in zip(ev.trace, want.trace):
-        assert abs(got - closed) <= 1e-12, (k, got, closed)
+    for sampled, closed_spec in _SAMPLED_AND_CLOSED:
+        ev = integral.primitive_limit(sampled, k, _EIGHT)
+        want = integral.primitive_limit(closed_spec, k, _EIGHT)
+        assert len(ev.trace) == len(_EIGHT)
+        for got, closed in zip(ev.trace, want.trace):
+            assert abs(got - closed) <= 1e-12, (closed_spec.label, k, got, closed)
 
 
 @pytest.mark.parametrize("spec", [
@@ -439,7 +484,7 @@ def test_primitive_limit_of_a_sampled_integrand_answers_beyond_order_one(k):
     ids=lambda spec: spec.label)
 def test_primitive_limit_is_k_over_x_times_the_riesz_mean_one_order_down(spec):
     # Cauchy's formula: k! F_k(X) / X^k = (k/X) int_0^X (1 - t/X)^(k-1) f(t) dt;
-    # k = 1 on a sampled spec stitches grid segments, checked in the next test
+    # k = 1 on a sampled spec reads the order-0 grid reader, checked in the next test
     for k in (1, 2, 3) if spec.primitives else (2, 3):
         ev = integral.primitive_limit(spec, k, _EIGHT)
         for X, got in zip(_EIGHT, ev.trace):
@@ -447,15 +492,20 @@ def test_primitive_limit_is_k_over_x_times_the_riesz_mean_one_order_down(spec):
             assert got == pytest.approx(want, rel=1e-12), (k, X)
 
 
-def test_stitched_order_zero_matches_the_one_point_reader():
-    # cesaro_integral integrates each grid segment once; riesz_mean at one X
-    # integrates all of [0, X]
+@pytest.mark.parametrize("k", [0, 1, 2, 5, 8, -0.5, 0.5, 2.5])
+def test_grid_reader_matches_the_one_point_reader(k):
+    # cesaro_integral integrates the grid's stitched windows once (an integer
+    # order) or every X's windows in one batch (a fractional one); riesz_mean
+    # at one X integrates [0, X] alone
     spec = integral.sampled(math.sin)
     grid = integral.default_grid()
-    ev = integral.cesaro_integral(spec, 0, grid)
+    ev = integral.cesaro_integral(spec, k, grid)
     for X, got in zip(grid[-len(ev.trace):], ev.trace):
-        assert abs(got - integral.riesz_mean(spec, 0, X)) <= 1e-12, X
-        assert abs(got - (1.0 - math.cos(X))) <= 1e-9, X
+        want = integral.riesz_mean(spec, k, X)
+        bound = 1e-12 if k == int(k) else 1e-10 * max(1.0, abs(want))
+        assert abs(got - want) <= bound, X
+        if k == 0:
+            assert abs(got - (1.0 - math.cos(X))) <= 1e-9, X
 
 
 def test_primitive_limit_k_zero_is_plain_sampling():
