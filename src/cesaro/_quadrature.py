@@ -25,7 +25,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .accumulate import compensated_prefix_sums
 from .evaluation import QuadratureError
 
 _GAUSS_POINTS = 32
@@ -74,9 +73,7 @@ def _at_x(moments, rel, X, k: int):
 def riesz_quadrature(spec, k: float, grid: tuple) -> list[float]:
     """int_0^X (1 - t/X)^k f(t) dt at each X of grid, a positive increasing
     tuple, for real k > -1: the windows of every [0, X] integrated together,
-    each window weighted for its own X.  One X's windows stay in one batch,
-    so an X that fills a batch alone is integrated as riesz_mean at that X
-    alone integrates it."""
+    each window weighted for its own X."""
     bounds = [_windows(0.0, X) for X in grid]
     lo, hi = (np.concatenate(part) for part in zip(*bounds))
     counts = [len(a) for a, _ in bounds]
@@ -108,16 +105,16 @@ def riesz_quadrature(spec, k: float, grid: tuple) -> list[float]:
         t[rows], w[rows] = t_last, w_last
         return w * _sample(spec, t)
 
-    windows = _quadrature_windows(weighted, lo, hi, spec.label, runs=counts)[:, :, 0]
+    windows = _quadrature_windows(weighted, lo, hi, spec.label)[:, :, 0]
     return [_certified(spec.label, X, *windows[:, end - n:end])
             for X, n, end in zip(grid, counts, ends)]
 
 
 def _certified(label: str, X: float, values, errors, absvals) -> float:
-    """The sum of the window values over [0, X], added by one compensated
-    pass, if the summed estimate meets the acceptance rule
+    """The sum of the window values over [0, X], correctly rounded by
+    ``math.fsum``, if the summed estimate meets the acceptance rule
     max(1e-8 |sum|, 1e-12 int |g|); else QuadratureError."""
-    total = float(compensated_prefix_sums(values)[-1])
+    total = math.fsum(values.tolist())
     error = float(errors.sum())
     if error > max(1e-8 * abs(total), 1e-12 * float(absvals.sum())):
         raise QuadratureError(
@@ -254,9 +251,9 @@ def _bisected(g, lo: np.ndarray, hi: np.ndarray, win: np.ndarray, whole: np.ndar
 
 
 def _quadrature_windows(g, lo: np.ndarray, hi: np.ndarray, label: str, degree: int = 0,
-                        x_of=None, runs=None) -> np.ndarray:
+                        x_of=None) -> np.ndarray:
     """int g over each window [lo[i], hi[i]] by adaptive bisection, the
-    windows integrated together in batches.
+    windows integrated together in batches of _BATCH_WINDOWS.
 
     g maps nodes, an array with one row per piece, and win, the window of
     each row, to the integrand's values there.  Every window starts as one
@@ -270,25 +267,12 @@ def _quadrature_windows(g, lo: np.ndarray, hi: np.ndarray, label: str, degree: i
     holds for g weighted by (1 - t/X)^degree, X = x_of[i] the grid point
     that ends its segment, where the weight varies most across it.
 
-    runs, if given, are the lengths of the runs of windows that make up lo
-    and hi, each kept whole in one batch; a batch holds whole runs up to
-    _BATCH_WINDOWS windows, or one longer run.  Without runs, batches of
-    _BATCH_WINDOWS windows.  Returns an array of shape
-    (3, windows, degree + 1): each window's moments int_w (c - t)^j g dt
-    about its centre c, j = 0..degree, and the same moments of its pieces'
-    error estimates and of int |g|, each placed at its piece's midpoint.
-    The caller accepts the sums.
+    Returns an array of shape (3, windows, degree + 1): each window's
+    moments int_w (c - t)^j g dt about its centre c, j = 0..degree, and the
+    same moments of its pieces' error estimates and of int |g|, each placed
+    at its piece's midpoint.  The caller accepts the sums.
     """
-    if runs is None:
-        cuts = [*range(0, len(lo), _BATCH_WINDOWS), len(lo)]
-    else:
-        cuts, size = [0], 0
-        for run in runs:
-            if size and size + run > _BATCH_WINDOWS:
-                cuts.append(cuts[-1] + size)
-                size = 0
-            size += run
-        cuts.append(cuts[-1] + size)
+    cuts = [*range(0, len(lo), _BATCH_WINDOWS), len(lo)]
     return np.concatenate([
         _batch(lambda t, win, first=first: g(t, win + first), lo[first:last], hi[first:last],
                label, degree, None if x_of is None else x_of[first:last])

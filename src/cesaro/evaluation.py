@@ -4,9 +4,11 @@ The series and integral estimators sample a normalized quantity along a
 tail of indices or grid points and judge convergence against a tolerance by
 the dispersion (max - min) of the tail samples; the fitted staircase limits
 of ``zeta`` judge it by the gap between two extrapolations.  The exact
-staircase paths of ``zeta`` (integer alpha >= 0, ``lemma_witness``) sample
-nothing: they read the limit off an exact polynomial, and converge exactly
-when the order admits a limit.  Divergence is a result, never an exception.
+paths of ``zeta`` sample nothing: integer alpha >= 0 reads the limit off an
+exact polynomial and ``lemma_witness`` reads the mean of p, and each
+converges exactly when the order admits a limit.  Divergence is a result,
+never an exception.  MAX_ORDER bounds the integer orders of the staircase
+and series layers, whose work grows with the order.
 
 QuadratureError, which the integral layer re-exports, is defined here so the
 CLI can catch it without importing that layer.  This module imports no
@@ -21,6 +23,9 @@ from dataclasses import dataclass
 __all__ = ["CesaroEvaluation", "tail_judgement"]
 
 TRACE_LEN = 8
+# the largest order of a staircase limit or a (C, k) series mean, and of an
+# exact staircase's degree alpha + k; detect_order tries every order up to it
+MAX_ORDER = 512
 
 
 @dataclass(frozen=True)

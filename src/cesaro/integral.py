@@ -20,7 +20,8 @@ the X grid, each ~50-wide window returning its moments
 m_j = int_w (c_w - t)^j f dt, j = 0..k, about its centre c_w, and each X
 the mean X^-k sum_w sum_j C(k, j) (X - c_w)^(k-j) m_j over the windows of
 [0, X] (order 0 is the plain sum).  Every other order is quadrature of the
-weighted integrand over [0, X] at each X, every X in one batch.
+weighted integrand over [0, X] at each X, the windows of every X integrated
+together.
 
 Quadrature, in the private ``_quadrature`` module, integrates its windows in
 numpy batches: a Gauss-Legendre rule on each piece, an error estimate from
@@ -30,7 +31,7 @@ piece of every window still short of its target, max(1e-10 |value|,
 that ends the window's grid segment).  It accepts each X's sum whose summed
 estimate over [0, X] is at most max(1e-8 |sum|, 1e-12 int |g|), g the
 weighted integrand, raises QuadratureError on a sum that fails it or is not
-finite, and adds the windows by ``compensated_prefix_sums``.  No target has
+finite, and adds the windows of each X by ``math.fsum``.  No target has
 an absolute floor, so 2^m g gets exactly 2^m times the answer.  No path
 needs scipy.
 
@@ -275,7 +276,7 @@ def _riesz_means(spec: IntegrandSpec, k: float, grid: tuple) -> list[float]:
     """The order-k Riesz mean at each X of grid, a positive increasing tuple,
     by the closed-form chain, by the numeric chain (any other integer k up to
     ``_quadrature.MAX_DEGREE``: the window moments of one quadrature pass
-    over the grid) or by quadrature at each X, every X in one batch.  Only
+    over the grid) or by quadrature at each X, all of them in one pass.  Only
     the last two import ``_quadrature``, and numpy with it."""
     require_finite(k=k)
     if k <= -1:

@@ -17,8 +17,8 @@ Overflow in the terms propagates as inf through the partial sums.
 
 The terms, every prefix pass and the normalized tail are float64 arrays;
 only ``iterated_partial_sums`` returns a list.  More than MAX_SERIES_TERMS
-terms, or an order whose normalization leaves the float range, is refused
-before any term is called.
+terms, an order above ``evaluation.MAX_ORDER`` (512), or an order whose
+normalization leaves the float range, is refused before any term is called.
 """
 from __future__ import annotations
 
@@ -29,7 +29,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .accumulate import compensated_prefix_sums
-from .evaluation import CesaroEvaluation, require_order, require_tol, tail_judgement
+from .evaluation import (MAX_ORDER, CesaroEvaluation, require_order, require_tol,
+                         tail_judgement)
 
 __all__ = [
     "SeriesSpec",
@@ -42,6 +43,15 @@ DEFAULT_TOL = 1e-6
 MAX_SERIES_TERMS = 10**8  # about 0.8 GB per float64 pass
 _TERMS_PER_CHUNK = 1 << 16
 _BEYOND_FLOAT = "order k={} with n_terms={} needs a normalization beyond the float range"
+
+
+def _bounded_order(k, name: str = "order k") -> int:
+    """A (C, k) order as an int, refused above MAX_ORDER: each order is one
+    more prefix pass, and ``detect_order`` tries every order up to k_max."""
+    k = require_order(k)
+    if k > MAX_ORDER:
+        raise ValueError(f"{name}={k} is above {MAX_ORDER}, the most a (C, k) mean takes")
+    return k
 
 
 @dataclass(frozen=True)
@@ -111,7 +121,7 @@ def iterated_partial_sums(spec: SeriesSpec, k: int, n_terms: int) -> list[float]
     k = 0 gives the plain partial sums.  Every pass is a compensated prefix
     sum, so iterating does not amplify rounding drift.
     """
-    return _iterated_sums(spec, require_order(k), n_terms).tolist()
+    return _iterated_sums(spec, _bounded_order(k), n_terms).tolist()
 
 
 def cesaro_sum(spec: SeriesSpec, k: int, n_terms: int,
@@ -119,9 +129,10 @@ def cesaro_sum(spec: SeriesSpec, k: int, n_terms: int,
     """Evaluate the series at (C, k) with n_terms terms.
 
     The dispersion window is the last max(8, n_terms // 10) normalized
-    samples; the reported value is C^k at the final index.
+    samples; the reported value is C^k at the final index.  An order above
+    512 raises ValueError before any term is called.
     """
-    k = require_order(k)
+    k = _bounded_order(k)
     require_tol(tol)
     tail_count = max(8, n_terms // 10)
     if n_terms < tail_count or n_terms < 8:
@@ -143,8 +154,9 @@ def detect_order(spec: SeriesSpec, k_max: int, n_terms: int,
 
     Returns None when no order up to k_max converges (for instance for
     geometric growth, where every A^k_n outruns the n^k normalization).
+    A k_max above 512 raises ValueError before any term is called.
     """
-    for k in range(require_order(k_max) + 1):
+    for k in range(_bounded_order(k_max, "k_max") + 1):
         ev = cesaro_sum(spec, k, n_terms, tol=tol)
         if ev.converged:
             return k, ev

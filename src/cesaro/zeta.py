@@ -26,15 +26,13 @@ n^(alpha+1) while the sample is O(1), and I_k's alternating sum cancels by
 ulp, magnified as much), and is taken off exactly before the sample is
 rounded once.
 
-The Riesz sums of a list of boundaries come from one pass over m = 1..n_max
-in exact integers.  By the surjection identity (n-m)^k = sum_j j! S(k, j)
-C(n-m, j), S the Stirling numbers of the second kind, and sum_{m<=n} w(m)
-C(n-m, j) is the (j+1)-fold iterated prefix sum of the weights read at
-n - j.  Every float weight is a dyadic rational, so scaled to one power of
-two the weights are integers, and k + 1 integer prefix sums serve every
-boundary exactly.  Each sample is then the exact Riesz sum of the rounded
-weights minus I_k(n), rounded once.  That costs (k + 1) n_max integer
-additions.
+The Riesz sums of a list of boundaries come from one kernel, ``_riesz_sums``:
+by the surjection identity (n-m)^k = sum_j j! S(k, j) C(n-m, j), S the
+Stirling numbers of the second kind, k + 1 iterated prefix sums of the
+weights serve every boundary.  Every float weight is a dyadic rational, so
+scaled to one power of two the weights are integers and the sums exact.
+Each sample is the exact Riesz sum of the rounded weights minus I_k(n),
+rounded once, for (k + 1) n_max integer additions.
 
 The limit is not the sample at X_max but the constant of the sample's
 large-n expansion, whose exponents theory gives (Estrada and Kanwal, *A
@@ -50,11 +48,13 @@ higher boundaries help only until that noise overtakes the truncation
 error.  X_max and _TOP_RUNG cap the climb, and the cost follows tol, not
 X_max.
 
-Integer alpha >= 0 without the log weight takes the same identity in exact
-integers, with the Beta integral n^(alpha+k+1) alpha! k! / (alpha+k+1)! as
-its finite part; k! F_k(n) is then a polynomial in n, as in ``lemma_witness``,
-summed at n = 0..degree only.  Both exact paths report the limit itself,
-its n^k coefficient rounded once, and X_max only passes the shared checks.
+Integer alpha >= 0 without the log weight takes the same identity, through
+the same kernel, with the integer weights m^alpha and the Beta integral
+n^(alpha+k+1) alpha! k! / (alpha+k+1)! as its finite part; k! F_k(n) is
+then a polynomial in n, summed at n = 0..degree only, and the limit is its
+n^k coefficient rounded once.  ``lemma_witness`` reports the mean of p,
+the x^k coefficient of its own polynomial k! F_k(n).  On both exact paths
+X_max only passes the shared checks.
 """
 from __future__ import annotations
 
@@ -66,9 +66,9 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Optional
 
-from .evaluation import (TRACE_LEN, CesaroEvaluation, require_finite, require_order,
-                         require_tol)
-from .exact import PeriodicPolynomial, _periodic_primitives
+from .evaluation import (MAX_ORDER, TRACE_LEN, CesaroEvaluation, require_finite,
+                         require_order, require_tol)
+from .exact import PeriodicPolynomial, periodic_mean
 from .finite_part import (IllConditionedFitError, _weighted_fit, fp_log_power_integral,
                           fp_power_integral)
 
@@ -96,10 +96,9 @@ _FIT_RUNGS = 8  # rungs per fit window
 _FIT_COLUMNS = _FIT_RUNGS - 2  # the slowest decaying terms of the expansion, besides the constant
 _MERGE_GAP = 1e-3  # exponents closer than this share one column
 _STEEPEST = -13  # 16^-13 < eps: a term that decays faster is below every rung's resolution
-# the largest order k, and on the exact path the largest degree alpha + k: the
-# work grows as k^2 (float) and degree^2 (exact), a few seconds at this bound
-_MAX_ORDER = 512
-_UNBOUNDED = (f"{{}} is above {_MAX_ORDER}, the most a staircase limit takes; exact "
+# an order or exact degree alpha + k above MAX_ORDER; at it a float limit takes
+# about 0.3 s, an exact one up to 2 s (alpha = 511: degree-512 Newton differences)
+_UNBOUNDED = (f"{{}} is above {MAX_ORDER}, the most a staircase limit takes; exact "
               "zeta(-n) is `cesaro zeta -n` or zeta_neg_int(n)")
 
 
@@ -254,6 +253,29 @@ def _surjection_counts(k: int) -> list[int]:
     return row
 
 
+def _riesz_sums(weights: list[int], k: int, boundaries: list[int]) -> list[int]:
+    """sum_{m<=n} w(m) (n-m)^k at each boundary n, exactly, for the integer
+    weights w(1), w(2), ... in that list.
+
+    With A_1 the prefix sums of the weights and A_{j+1} those of A_j,
+    sum_{m<=n} w(m) C(n-m, j) = A_{j+1}(n - j), so by d^k = sum_j
+    j! S(k, j) C(d, j)
+
+        sum_{m<=n} w(m) (n-m)^k = sum_{j=0..k} j! S(k, j) A_{j+1}(n - j),
+
+    A(i) = 0 for i < 1: k + 1 prefix passes serve every boundary.  A term
+    that reads past the last weight is left out.
+    """
+    sums, level = [0] * len(boundaries), weights
+    for j, count in enumerate(_surjection_counts(k)):
+        level = list(accumulate(level))  # A_{j+1}
+        if count:
+            for b, n in enumerate(boundaries):
+                if 0 < n - j <= len(level):
+                    sums[b] += count * level[n - j - 1]
+    return sums
+
+
 def _weights(spec: StaircaseSpec, n_max: int) -> list[float]:
     """The float weights w(m) for m = 1..n_max, up to the first that leaves
     the float range (m^alpha grows with m, so every later one does too)."""
@@ -275,17 +297,10 @@ def _riesz_samples(spec: StaircaseSpec, k: int,
                    boundaries: list[int]) -> list[float]:
     """k! F_k(n) / n^k at each of the increasing boundaries n.
 
-    The Riesz sums of every boundary read k + 1 shared iterated prefix
-    sums.  With A_1 the prefix sums of the weights w(m) and A_{j+1} those of
-    A_j, sum_{m<=n} w(m) C(n-m, j) = A_{j+1}(n - j), so by d^k = sum_j
-    j! S(k, j) C(d, j)
-
-        sum_{m<=n} w(m) (n-m)^k = sum_{j=0..k} j! S(k, j) A_{j+1}(n - j),
-
-    A(i) = 0 for i < 1.  Each float weight is a / 2^p, so times the largest
-    2^p every weight is an integer and every A_j is exact.  Each sample
-    takes the double-double I_k(n) off the exact Riesz sum and is rounded
-    once.
+    Each float weight w(m) is a / 2^p, so times the largest 2^p every weight
+    is an integer, and ``_riesz_sums`` gives the Riesz sums of every
+    boundary exactly.  Each sample takes the double-double I_k(n) off the
+    exact Riesz sum and is rounded once.
 
     A sample that reads a weight past the float range is +inf, and one whose
     I_k(n) is past it is nan.  At k >= 1 the sum reads the weights up to
@@ -294,14 +309,7 @@ def _riesz_samples(spec: StaircaseSpec, k: int,
     weights = _weights(spec, boundaries[-1])
     ratios = [w.as_integer_ratio() for w in weights]
     den = max((d for _, d in ratios), default=1)
-    level = [a * (den // d) for a, d in ratios]
-    sums = [0] * len(boundaries)  # den times the Riesz sums
-    for j, count in enumerate(_surjection_counts(k)):
-        level = list(accumulate(level))  # A_{j+1}
-        if count:
-            for b, n in enumerate(boundaries):
-                if 0 < n - j <= len(level):
-                    sums[b] += count * level[n - j - 1]
+    sums = _riesz_sums([a * (den // d) for a, d in ratios], k, boundaries)  # times den
     samples = []
     for n, riesz in zip(boundaries, sums):
         hi, lo = _fp_subtrahend(spec, k, n)
@@ -379,21 +387,21 @@ def _exact_limit(alpha: int, k: int) -> float:
         scale k! F_k(n) = scale sum_{m<=n} m^alpha (n-m)^k - alpha! k! n^(alpha+k+1)
 
     is an integer polynomial in n of degree alpha + k (the n^(alpha+k+1)
-    terms cancel).  Its values at n = 0..alpha+k are summed directly, and
-    the limit of k! F_k(n) / n^k is its n^k coefficient over scale, rounded
-    once.  A non-zero coefficient above n^k, as below order alpha + 1, makes
-    the mean diverge, to an infinity of the sign of the highest one.  A
-    degree above _MAX_ORDER is refused before any sum.
+    terms cancel).  Its values at n = 0..alpha+k take the Riesz sums of the
+    integer weights m^alpha from ``_riesz_sums``, the float path's kernel,
+    and the limit of k! F_k(n) / n^k is its n^k coefficient over scale,
+    rounded once.  A non-zero coefficient above n^k, as below order
+    alpha + 1, makes the mean diverge, to an infinity of the sign of the
+    highest one.  A degree above MAX_ORDER is refused before any sum.
     """
     deg = alpha + k
-    if deg > _MAX_ORDER:
+    if deg > MAX_ORDER:
         raise ValueError(_UNBOUNDED.format(f"degree alpha + k = {deg}"))
     scale = math.factorial(deg + 1)
     fp = math.factorial(alpha) * math.factorial(k)  # scale * B(alpha+1, k+1)
-    w = [m ** alpha for m in range(deg + 1)]
-    t = [j ** k for j in range(deg + 1)]
-    head = [scale * sum(w[m] * t[n - m] for m in range(1, n + 1))
-            - fp * n ** (deg + 1) for n in range(deg + 1)]
+    ns = range(deg + 1)
+    riesz = _riesz_sums([m ** alpha for m in range(1, deg + 1)], k, ns)
+    head = [scale * s - fp * n ** (deg + 1) for n, s in zip(ns, riesz)]
     coeffs = _monomial_numerators(head, k)  # deg! times those of n^k .. n^deg
     top = next((c for c in reversed(coeffs[1:]) if c), 0)
     if top:
@@ -412,9 +420,9 @@ def _exact_evaluation(value: float, k: int, n_terms: int,
 
 
 def _bounded_order(k) -> int:
-    """A staircase order as an int, refused above _MAX_ORDER."""
+    """A staircase order as an int, refused above MAX_ORDER."""
     k = require_order(k)
-    if k > _MAX_ORDER:
+    if k > MAX_ORDER:
         raise ValueError(_UNBOUNDED.format(f"order k={k}"))
     return k
 
@@ -422,7 +430,7 @@ def _bounded_order(k) -> int:
 def _order_and_domain(k, X_max: float, tol: float) -> tuple[int, int]:
     """The order of a staircase limit and the last integer boundary up to
     X_max.  A bad order, X_max or tol is refused here, before any sample is
-    taken, and so is an order above _MAX_ORDER."""
+    taken, and so is an order above MAX_ORDER."""
     k = require_order(k)
     require_finite(X_max=X_max)
     require_tol(tol)
@@ -587,13 +595,13 @@ def lemma_witness(p: PeriodicPolynomial, k: int = 1, X_max: float = DEFAULT_XMAX
     that such functions are Cesaro-negligible.  With nonzero mean the same
     evaluation converges to the mean instead, which makes a handy control.
 
-    At an integer n, k! F_k(n) = k! P_k(n), P_k the degree-k polynomial from
-    ``_periodic_primitives``, so the limit is k! times P_k's x^k coefficient
-    (the mean of p), exact and rounded once, with error_estimate 0.  X_max
-    and tol are checked but unused.
+    At an integer n, k! F_k(n) is a polynomial of degree k whose x^k
+    coefficient is the mean of p, since each primitive adds the mean of the
+    periodic part to the polynomial one.  So the limit is
+    ``periodic_mean(p)`` at every order k >= 1, exact and rounded once, with
+    error_estimate 0.  X_max and tol are checked but unused.
     """
     k, _ = _order_and_domain(k, X_max, tol)
     if k == 0:
         raise ValueError("lemma_witness needs order k >= 1, got k=0")
-    P = _periodic_primitives(p, k)[-1][0]
-    return _exact_evaluation(_quotient(math.factorial(k) * P[k], 1), k, k + 1, True)
+    return _exact_evaluation(_quotient(periodic_mean(p), 1), k, k + 1, True)

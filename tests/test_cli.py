@@ -142,6 +142,13 @@ def test_cesaro_sum_beyond_the_float_range_exits_one(capsys):
     assert "order k=150 with n_terms=10000 needs a normalization beyond" in err
 
 
+def test_cesaro_sum_past_the_order_bound_exits_one(capsys):
+    assert cli.run(["cesaro-sum", "geometric", "--ratio", "0.5", "--terms", "10",
+                    "--order", "600"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: order k=600 is above 512, the most a (C, k) mean takes\n"
+
+
 def test_cesaro_int_sin(capsys):
     code, (rec,) = run_json(capsys, ["cesaro-int", "sin", "--freq", "2",
                                      "--order", "1"])

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -262,6 +263,28 @@ def test_a_normalization_beyond_the_float_range_fails_before_any_term(call, k, n
     with pytest.raises(ValueError, match=f"order k={k} with n_terms={n_terms} "):
         call(spec, k, n_terms)
     assert calls == []
+
+
+@pytest.mark.parametrize("call", [
+    lambda spec: series.detect_order(spec, 10**6, 10),
+    lambda spec: series.detect_order(spec, 513, 10),
+    lambda spec: series.cesaro_sum(spec, 600, 10),
+    lambda spec: series.iterated_partial_sums(spec, 513, 10),
+], ids=["detect-1e6", "detect-513", "cesaro-sum-600", "iterated-513"])
+def test_orders_past_the_bound_fail_before_any_term(call):
+    # detect_order's cost grows as k_max^2: 10**6 would run for months
+    def term(n):
+        raise AssertionError(f"term {n} was called")
+
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^(order k|k_max)=\d+ is above 512, "):
+        call(series.SeriesSpec(term))
+    assert time.perf_counter() - start < 0.01
+
+
+def test_the_order_bound_admits_512():
+    assert series.cesaro_sum(geometric(0.5), 512, 10).order == 512
+    assert len(series.iterated_partial_sums(geometric(0.5), 512, 10)) == 10
 
 
 def test_orders_inside_the_float_range_are_unchanged():

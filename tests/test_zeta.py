@@ -446,7 +446,8 @@ _LEMMA_CASES = [(f"P_{m} n={n}", exact.pm_polynomial(n, m))
 def test_lemma_witness_matches_the_unit_step_loop(label, p):
     # the limit at every order is the mean of p, int_0^1 p = sum c_i / (i+1)
     mean = float(sum(Fraction(c) / (i + 1) for i, c in enumerate(p.coeffs)))
-    for k in range(1, 4):
+    assert mean == float(exact.periodic_mean(p))
+    for k in (1, 2, 3, 7, 512):
         ev = zeta.lemma_witness(p, k=k)
         assert ev.value == mean and ev.trace == (mean,), k
         assert ev.converged and ev.error_estimate == 0.0 and ev.n_terms == k + 1, k
@@ -495,14 +496,17 @@ def test_exact_paths_answer_beyond_the_int64_range():
 
 
 def test_the_theorem_through_the_cesaro_route_at_high_n():
-    # zeta(-n) = -B_{n+1}/(n+1) at default order, the exact limit rounded once
-    bern = bernoulli_table_akiyama_tanigawa(61)
+    # zeta(-n) = -B_{n+1}/(n+1) at default order, the exact limit rounded
+    # once, and at orders n + 2 and n + 5 for n <= 40; n = 199 reads its
+    # polynomial of degree 399
+    bern = bernoulli_table_akiyama_tanigawa(200)
     start = time.perf_counter()
-    for n in range(61):
+    for n in [*range(61), 199]:
         want = -0.5 if n == 0 else float(-bern[n + 1] / (n + 1))
-        ev = zeta.zeta_via_cesaro(float(n), X_max=1e300)
-        assert ev.value == want, (n, ev.value, want)
-        assert ev.converged and ev.error_estimate == 0.0, n
+        for k in (None, n + 2, n + 5) if n <= 40 else (None,):
+            ev = zeta.zeta_via_cesaro(float(n), k, X_max=1e300)
+            assert ev.value == want, (n, k, ev.value, want)
+            assert ev.converged and ev.error_estimate == 0.0, (n, k)
     assert time.perf_counter() - start < 1.0
 
 
