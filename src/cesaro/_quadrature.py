@@ -1,20 +1,15 @@
 """The numpy quadrature behind ``integral``'s off-chain orders.
 
 ``integral`` imports this module only when an order is not read off a
-primitive chain, so every closed-form path runs without numpy.  Two readers
-serve it, each with one pass of ``_quadrature_windows`` over ~50-wide
-windows per X grid:
-
-- ``numeric_chain``, an integer order 0 <= k <= MAX_DEGREE: the grid's
-  stitched windows (every X a window edge) are integrated once, each
-  returning its moments m_j(w) = int_w (c_w - t)^j f dt, j = 0..k, about its
-  centre c_w, and each X reads X^-k sum_w sum_j C(k, j) (X - c_w)^(k-j) m_j(w)
-  over the windows of [0, X];
-- ``riesz_quadrature``, any other order: the weighted integrand
-  (1 - t/X)^k f over the windows of [0, X], every X's windows integrated
-  together.
-
-Either way each X's mean is accepted or refused over its own [0, X]; see
+primitive chain, so every closed-form path runs without numpy.  One reader,
+``riesz_means``, serves every such order k with one pass of
+``_quadrature_windows`` over the X grid's stitched ~50-wide windows (every X
+a window edge), each returning its moments m_j(w) = int_w (c_w - t)^j f dt
+about its centre c_w, j = 0..d: d = k for an integer 0 <= k <= MAX_DEGREE,
+else d = MAX_DEGREE.  Each X reads a window of [0, X] far from it as the
+binomial series X^-k sum_{j<=d} C(k, j) (X - c_w)^(k-j) m_j(w), exact where
+k = d, and integrates the few windows near it under the weight
+(1 - t/X)^k.  Each X's mean is accepted or refused over its own [0, X]; see
 ``_quadrature_windows`` and the ``integral`` module docstring for the rule.
 """
 from __future__ import annotations
@@ -28,7 +23,7 @@ import numpy as np
 from .evaluation import QuadratureError
 
 _GAUSS_POINTS = 32
-_MAX_WINDOWS = 4096  # windows per range: a grid segment, or [0, X]
+_MAX_WINDOWS = 4096  # windows per grid segment
 _BATCH_WINDOWS = 512  # windows per batch: fewer rounds, arrays that stay in cache
 _MAX_PIECES = 200  # pieces per quadrature window (QUADPACK's limit)
 _STALL_LIMIT = 6  # roundoff-limited bisections per window (QAG's count)
@@ -39,53 +34,68 @@ _EPS = math.ulp(1.0)
 MAX_DEGREE = 16
 
 
-def numeric_chain(spec, k: int, grid: tuple) -> list[float]:
+def riesz_means(spec, k: float, grid: tuple) -> list[float]:
     """int_0^X (1 - t/X)^k f(t) dt at each X of grid, a positive increasing
-    tuple, for an integer 0 <= k <= MAX_DEGREE: one pass over the grid's
-    stitched windows, each X's mean read off the window moments below it.
-
-    The error estimate and int |f| of each piece are weighted alike, by
-    (1 - t/X)^k at the piece's midpoint, so each X is accepted by the same
-    rule as a fractional order over [0, X]."""
+    tuple, for real k > -1: X reads its far windows off their moments, with
+    each piece's error estimate and int |f| weighted at its midpoint, and
+    integrates the windows near it under the weight."""
+    degree = int(k) if k == int(k) and 0 <= k <= MAX_DEGREE else MAX_DEGREE
     bounds = [_windows(a, X) for a, X in zip((0.0,) + grid, grid)]
     lo, hi = (np.concatenate(part) for part in zip(*bounds))
     counts = [len(a) for a, _ in bounds]
-    moments = _quadrature_windows(lambda t, win: _sample(spec, t), lo, hi, spec.label, k,
+    moments = _quadrature_windows(lambda t, win: _sample(spec, t), lo, hi, spec.label, degree,
                                   np.repeat(grid, counts))
-    centre = 0.5 * (lo + hi)
-    return [_certified(spec.label, X, *_at_x(moments[:, :n], (X - centre[:n]) / X, X, k))
-            for X, n in zip(grid, np.cumsum(counts))]
+    centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    # cut after u^d, the series of (1 - u)^k errs by about |C(k, d+1)| u^(d+1),
+    # u = h/(X - c) on a window of half-width h: a far window keeps that below
+    # 1e-16 (X - c >= 6.3 h at k = 0.5, 14 h at k = 20.5; any X - c at k = d)
+    reach = (abs(_binomials(k, degree + 1)[-1]) * 1e16) ** (1.0 / (degree + 1))
+    far_reads, near = [], []
+    for X, n in zip(grid, np.cumsum(counts)):
+        far = X - centre[:n] >= reach * half[:n]
+        far_reads.append(_at_x(moments[:, :n][:, far], (X - centre[:n][far]) / X, X, k))
+        near.append(np.flatnonzero(~far))
+    return [_certified(spec.label, X, *np.concatenate(parts, axis=1))
+            for X, *parts in zip(grid, far_reads, _near_windows(spec, k, grid, near, lo, hi))]
 
 
-def _at_x(moments, rel, X, k: int):
-    """sum_j C(k, j) rel^(k-j) m_j / X^j, m_j = moments[..., j]: the integral
-    of (1 - t/X)^k g over a stretch whose moments int (c - t)^j g dt about c
-    are m, with rel = (X - c)/X.  X^j is never formed, as it can overflow."""
+def _binomials(k: float, n: int) -> list[float]:
+    """C(k, j) for j = 0..n, k real: exact for an integer 0 <= k <= 16, whose
+    products C(k, j - 1) (k - j + 1) are integers below 2^53."""
+    row = [1.0]
+    for j in range(1, n + 1):
+        row.append(row[-1] * (k - j + 1) / j)
+    return row
+
+
+def _at_x(moments, rel, X, k: float):
+    """sum_j C(k, j) rel^(k-j) m_j / X^j, j = 0..d, m_j = moments[..., j]: the
+    integral of (1 - t/X)^k g over a stretch whose moments int (c - t)^j g dt
+    about c are m, rel = (X - c)/X, by the binomial series cut after j = d
+    (exact where k = d).  X^j is never formed, as it can overflow."""
+    degree = moments.shape[-1] - 1
     scaled = moments.copy()
-    for j in range(1, k + 1):
+    for j in range(1, degree + 1):
         scaled[..., j:] /= X
     acc = scaled[..., 0]
-    for j in range(1, k + 1):  # by Horner's rule in rel
-        acc = acc * rel + math.comb(k, j) * scaled[..., j]
-    return acc
+    for j, binomial in enumerate(_binomials(k, degree)[1:], 1):  # by Horner's rule in rel
+        acc = acc * rel + binomial * scaled[..., j]
+    return acc if k == degree else acc * rel ** (k - degree)
 
 
-def riesz_quadrature(spec, k: float, grid: tuple) -> list[float]:
-    """int_0^X (1 - t/X)^k f(t) dt at each X of grid, a positive increasing
-    tuple, for real k > -1: the windows of every [0, X] integrated together,
-    each window weighted for its own X."""
-    bounds = [_windows(0.0, X) for X in grid]
-    lo, hi = (np.concatenate(part) for part in zip(*bounds))
-    counts = [len(a) for a, _ in bounds]
-    ends = np.cumsum(counts)
-    starts = [a[-1] for a, _ in bounds]  # each X's last window starts here
-    X_of, start_of = np.repeat(grid, counts), np.repeat(starts, counts)
+def _near_windows(spec, k: float, grid: tuple, near: list, lo, hi) -> list:
+    """(1 - t/X)^k f over the windows near[i] of each X = grid[i], all
+    integrated together: a (3, windows) array of (value, error, int |g|) per
+    X.  For k < 0 the window that ends at X carries the weight's singularity."""
+    counts = [len(idx) for idx in near]
+    idx = np.concatenate(near)
+    if not len(idx):
+        return [np.empty((3, 0))] * len(grid)
+    X_of, start_of = np.repeat(grid, counts), lo[idx]
     h_of = X_of - start_of
-    is_last = np.zeros(len(lo), dtype=bool)
-    is_last[ends - 1] = True
+    is_last = hi[idx] == X_of
     # the constant weight (h/X)^k/(k+1) of the last window of X, h = X - start
-    tail_of = np.repeat([((X - a) / X) ** k / (k + 1.0) for X, a in zip(grid, starts)],
-                        counts)
+    tail_of = (h_of / X_of) ** k / (k + 1.0)
 
     def weighted(u, win):
         w = (1.0 - u / X_of[win][:, None]) ** k
@@ -105,9 +115,8 @@ def riesz_quadrature(spec, k: float, grid: tuple) -> list[float]:
         t[rows], w[rows] = t_last, w_last
         return w * _sample(spec, t)
 
-    windows = _quadrature_windows(weighted, lo, hi, spec.label)[:, :, 0]
-    return [_certified(spec.label, X, *windows[:, end - n:end])
-            for X, n, end in zip(grid, counts, ends)]
+    windows = _quadrature_windows(weighted, lo[idx], hi[idx], spec.label)[:, :, 0]
+    return np.split(windows, np.cumsum(counts)[:-1], axis=1)
 
 
 def _certified(label: str, X: float, values, errors, absvals) -> float:

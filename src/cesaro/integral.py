@@ -11,35 +11,30 @@ limit is the Cesaro limit of the *function* f.  By Cauchy's formula
 F_k(X) = int_0^X (X - t)^(k-1) f(t) dt / (k-1)!, that sample is k/X times
 the order k-1 Riesz mean, so all three read one reader, ``_riesz_means``,
 and no order of ``primitive_limit`` needs a chain that deep.
-The reader takes one of three paths.  An integer k below the chain depth
+The reader takes one of two paths.  An integer k below the chain depth
 integrates by parts k times into the closed form k! F_{k+1}(X)/X^k, read
 off the integrand's primitive chain (Estrada and Kanwal, *A Distributional
-Approach to Asymptotics*, 2002).  Any other integer k up to
-``_quadrature.MAX_DEGREE`` reads a numeric chain: one quadrature pass over
-the X grid, each ~50-wide window returning its moments
-m_j = int_w (c_w - t)^j f dt, j = 0..k, about its centre c_w, and each X
-the mean X^-k sum_w sum_j C(k, j) (X - c_w)^(k-j) m_j over the windows of
-[0, X] (order 0 is the plain sum).  Every other order is quadrature of the
-weighted integrand over [0, X] at each X, the windows of every X integrated
-together.
+Approach to Asymptotics*, 2002).  Every other order is one quadrature pass
+over the X grid: each ~50-wide window returns its moments about its centre
+to degree d (d = k for an integer k up to ``_quadrature.MAX_DEGREE``, else
+that degree), each X reads the windows of [0, X] off them by the binomial
+series of (X - t)^k, exact where k = d, and only the windows near X, where
+the cut series would err, take quadrature of the weighted integrand.
 
 Quadrature, in the private ``_quadrature`` module, integrates its windows in
 numpy batches: a Gauss-Legendre rule on each piece, an error estimate from
 the same rule on its two halves, and each round a bisection of the worst
 piece of every window still short of its target, max(1e-10 |value|,
-1e-13 int |g|) (for the numeric chain, for f and for f weighted for the X
-that ends the window's grid segment).  It accepts each X's sum whose summed
-estimate over [0, X] is at most max(1e-8 |sum|, 1e-12 int |g|), g the
-weighted integrand, raises QuadratureError on a sum that fails it or is not
-finite, and adds the windows of each X by ``math.fsum``.  No target has
-an absolute floor, so 2^m g gets exactly 2^m times the answer.  No path
-needs scipy.
+1e-13 int |g|) (in the moment pass, for f and for f (1 - t/X)^d).  It
+accepts each X's sum whose summed estimate over [0, X] is at most
+max(1e-8 |sum|, 1e-12 int |g|), g the weighted integrand, raises
+QuadratureError on a sum that fails it or is not finite, and adds the
+windows of each X by ``math.fsum``.  No target has an absolute floor, so
+2^m g gets exactly 2^m times the answer.  No path needs scipy.
 
-This module itself runs without numpy: the chain path, ``default_grid`` and
-the factories are pure Python.  numpy is imported, with ``_quadrature``,
-only for an order past the integrand's chain (and by ``from_primitives``,
-for its probe points), so ``cesaro-int`` at orders 0..MAX_CHAIN-1 loads
-none.
+The chain path, ``default_grid`` and the factories are pure Python: numpy
+is imported, with ``_quadrature``, only for an order past the integrand's
+chain, so ``cesaro-int`` at orders 0..MAX_CHAIN-1 loads none.
 
 The quadrature nodes of one call reach the integrand as one array.
 ``sin_wave``, ``cos_wave`` and ``exp_decay`` evaluate it in numpy, through
@@ -203,10 +198,10 @@ def from_primitives(func, primitives, label: str = "user") -> IntegrandSpec:
     pseudo-random points in [0.5, 20]; a wrong chain raises ValueError.  Two
     misses per pair are allowed, for a probe that lands on a kink or jump.
     """
-    import numpy as np
+    import random
 
-    rng = np.random.default_rng(20260815)
-    pts = np.exp(rng.uniform(math.log(0.5), math.log(20.0), size=32)).tolist()
+    rng = random.Random(20260815)
+    pts = [math.exp(rng.uniform(math.log(0.5), math.log(20.0))) for _ in range(32)]
     layers = (func, *primitives)
     h = 1e-5
     for lower, upper in zip(layers[:-1], layers[1:]):
@@ -274,10 +269,8 @@ def riesz_mean(spec: IntegrandSpec, k: float, X: float) -> float:
 
 def _riesz_means(spec: IntegrandSpec, k: float, grid: tuple) -> list[float]:
     """The order-k Riesz mean at each X of grid, a positive increasing tuple,
-    by the closed-form chain, by the numeric chain (any other integer k up to
-    ``_quadrature.MAX_DEGREE``: the window moments of one quadrature pass
-    over the grid) or by quadrature at each X, all of them in one pass.  Only
-    the last two import ``_quadrature``, and numpy with it."""
+    by the closed-form chain or by one quadrature pass over the grid's
+    windows; only the second imports ``_quadrature``, and numpy with it."""
     require_finite(k=k)
     if k <= -1:
         raise ValueError(f"Riesz order must exceed -1, got {k}")
@@ -291,11 +284,8 @@ def _riesz_means(spec: IntegrandSpec, k: float, grid: tuple) -> list[float]:
                 mean /= X
             means.append(kfact * mean)
         return means
-    from . import _quadrature
-
-    if k == int(k) and k <= _quadrature.MAX_DEGREE:
-        return _quadrature.numeric_chain(spec, int(k), grid)
-    return _quadrature.riesz_quadrature(spec, k, grid)
+    from ._quadrature import riesz_means
+    return riesz_means(spec, k, grid)
 
 
 def cesaro_integral(spec: IntegrandSpec, k: float, X_grid=None,

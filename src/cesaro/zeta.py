@@ -388,11 +388,14 @@ def _exact_limit(alpha: int, k: int) -> float:
 
     is an integer polynomial in n of degree alpha + k (the n^(alpha+k+1)
     terms cancel).  Its values at n = 0..alpha+k take the Riesz sums of the
-    integer weights m^alpha from ``_riesz_sums``, the float path's kernel,
-    and the limit of k! F_k(n) / n^k is its n^k coefficient over scale,
-    rounded once.  A non-zero coefficient above n^k, as below order
-    alpha + 1, makes the mean diverge, to an infinity of the sign of the
-    highest one.  A degree above MAX_ORDER is refused before any sum.
+    integer weights m^alpha from ``_riesz_sums``, the float path's kernel, at
+    the lower of the two orders: where k > alpha, the same sums are
+    sum_{d<=n} d^k (n-d)^alpha, the weights d^k at order alpha (less the
+    term d = n at alpha = 0).  The limit of k! F_k(n) / n^k is its n^k
+    coefficient over scale, rounded once.  A non-zero coefficient above n^k,
+    as below order alpha + 1, makes the mean diverge, to an infinity of the
+    sign of the highest one.  A degree above MAX_ORDER is refused before any
+    sum.
     """
     deg = alpha + k
     if deg > MAX_ORDER:
@@ -400,7 +403,10 @@ def _exact_limit(alpha: int, k: int) -> float:
     scale = math.factorial(deg + 1)
     fp = math.factorial(alpha) * math.factorial(k)  # scale * B(alpha+1, k+1)
     ns = range(deg + 1)
-    riesz = _riesz_sums([m ** alpha for m in range(1, deg + 1)], k, ns)
+    low, high = sorted((alpha, k))
+    riesz = _riesz_sums([m ** high for m in range(1, deg + 1)], low, ns)
+    if alpha == 0:  # the term d = n of sum_d d^k (n-d)^0, as 0^0 = 1
+        riesz = [s - n ** k for n, s in zip(ns, riesz)]
     head = [scale * s - fp * n ** (deg + 1) for n, s in zip(ns, riesz)]
     coeffs = _monomial_numerators(head, k)  # deg! times those of n^k .. n^deg
     top = next((c for c in reversed(coeffs[1:]) if c), 0)

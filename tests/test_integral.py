@@ -75,14 +75,24 @@ def test_riesz_mean_fractional_order_goes_through_quadrature():
     assert abs(v - 1.0) < 0.05
 
 
-@pytest.mark.parametrize("X", [1.0, 7.3, 300.0])
-@pytest.mark.parametrize("k", [-0.9, -0.5, 0.5, 2.5, 8.0])
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")  # 1e-14 is roundoff
+@pytest.mark.parametrize("X", [1.0, 7.3, 300.0, 1e4, 1e5])
+@pytest.mark.parametrize("k", [-0.9, -0.5, 0.5, 2.5, 8.0, 50.5])
 def test_riesz_quadrature_against_the_algebraic_weight_rule(k, X):
-    # scipy's QAWS treats the endpoint weight (X - t)^k exactly
+    # scipy's QAWS treats the endpoint weight (X - t)^k exactly; at large X,
+    # where most windows are read off their moments, it takes the last 100
+    # and QAWO integrates the smooth weight against sin up to there
     import scipy.integrate as sciint
 
-    want = sciint.quad(math.sin, 0.0, X, weight="alg", wvar=(0.0, k),
-                       limit=200)[0] / X ** k
+    if X <= 300.0:
+        want = sciint.quad(math.sin, 0.0, X, weight="alg", wvar=(0.0, k),
+                           limit=200)[0] / X ** k
+    else:
+        tight = dict(epsabs=1e-14, epsrel=1e-14, limit=200)
+        want = (sciint.quad(lambda t: ((X - t) / X) ** k, 0.0, X - 100.0,
+                            weight="sin", wvar=1.0, **tight)[0]
+                + sciint.quad(math.sin, X - 100.0, X, weight="alg", wvar=(0.0, k),
+                              **tight)[0] / X ** k)
     got = integral.riesz_mean(integral.sampled(math.sin), k, X)
     assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
@@ -137,25 +147,27 @@ def _counted_sin():
     return integral.sampled(f), calls
 
 
-def test_integer_orders_sample_the_integrand_once_per_grid():
-    # every integer order off the chain reads the moments of one pass over
-    # the grid's windows, so it calls f no more often than order 0 does
+def test_every_off_chain_order_samples_the_integrand_about_once_per_grid():
+    # every order off the chain reads the moments of one pass over the grid's
+    # windows: an integer order k <= 16 calls f no more often than order 0
+    # does, and any other order adds only the windows near each X
     spec, calls = _counted_sin()
     integral.cesaro_integral(spec, 0)
     base = calls[0]
-    for k in (1, 2, 5):
+    for k, bound in ((1, 1.1), (2, 1.1), (5, 1.1), (0.5, 1.25), (-0.5, 1.25), (2.5, 1.25),
+                     (17, 1.25)):
         calls[0] = 0
         integral.cesaro_integral(spec, k)
-        assert calls[0] <= 1.1 * base, (k, calls[0], base)
+        assert calls[0] <= bound * base, (k, calls[0], base)
 
 
 @pytest.mark.parametrize("k,X,want", [
     (-0.5, 7.3, "0x1.0b015e7feed1ap+1"), (-0.5, 1e4, "0x1.4820a9135b512p+6"),
     (0.5, 7.3, "0x1.5ecd7dfe33097p-1"), (0.5, 1e4, "0x1.02048c6ebc0b2p+0"),
-    (2.5, 7.3, "0x1.e7506aaafd1cfp-1"), (2.5, 1e4, "0x1.fffffebb56590p-1")])
+    (2.5, 7.3, "0x1.e7506aaafd1cfp-1"), (2.5, 1e4, "0x1.fffffebb565c4p-1")])
 def test_fractional_riesz_mean_at_one_point_is_pinned(k, X, want):
-    # a fractional order at one X integrates [0, X] alone, window for window
-    # as before the grid's X were batched together
+    # a fractional order at one X reads the windows of [0, X] alone: the far
+    # ones off their moments, the ones near X under the weight
     assert integral.riesz_mean(integral.sampled(math.sin), k, X).hex() == want
 
 
@@ -494,9 +506,8 @@ def test_primitive_limit_is_k_over_x_times_the_riesz_mean_one_order_down(spec):
 
 @pytest.mark.parametrize("k", [0, 1, 2, 5, 8, -0.5, 0.5, 2.5])
 def test_grid_reader_matches_the_one_point_reader(k):
-    # cesaro_integral integrates the grid's stitched windows once (an integer
-    # order) or every X's windows in one batch (a fractional one); riesz_mean
-    # at one X integrates [0, X] alone
+    # cesaro_integral reads every X off one pass over the grid's stitched
+    # windows; riesz_mean at one X reads the windows of [0, X] alone
     spec = integral.sampled(math.sin)
     grid = integral.default_grid()
     ev = integral.cesaro_integral(spec, k, grid)

@@ -145,6 +145,9 @@ def test_zeta_estimate_first_two_orders_are_exact_on_boundaries():
     ev1 = zeta.zeta_via_cesaro(1.0)
     assert ev1.value == pytest.approx(-1.0 / 12.0, abs=1e-15)
     assert ev1.error_estimate == 0.0
+    # an order far above alpha sums the weights d^k at order alpha
+    for n in (0, 1):
+        assert zeta.zeta_via_cesaro(float(n), 511).value == float(exact.zeta_neg_int(n)), n
 
 
 def test_zeta_estimate_against_euler_maclaurin_oracle():
