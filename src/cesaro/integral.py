@@ -15,22 +15,26 @@ The reader takes one of two paths.  An integer k below the chain depth
 integrates by parts k times into the closed form k! F_{k+1}(X)/X^k, read
 off the integrand's primitive chain (Estrada and Kanwal, *A Distributional
 Approach to Asymptotics*, 2002).  Every other order is one quadrature pass
-over the X grid: each ~50-wide window returns its moments about its centre
-to degree d (d = k for an integer k up to ``_quadrature.MAX_DEGREE``, else
-that degree), each X reads the windows of [0, X] off them by the binomial
-series of (X - t)^k, exact where k = d, and only the windows near X, where
-the cut series would err, take quadrature of the weighted integrand.
+over the windows of one lattice that no X decides, about 50 wide up to
+t = 206,400 and t/4096 wide past it, plus one window cut at each X of the
+grid: each window returns its moments about its centre to degree d (d = k
+for an integer k up to ``_quadrature.MAX_DEGREE``, else that degree), each X
+reads the windows of [0, X] off them by the binomial series of (X - t)^k,
+exact where k = d, and only the windows near X, where the cut series would
+err, take quadrature of the weighted integrand.  So X reads the same
+windows, bit for bit, in any grid and in ``riesz_mean`` alone.
 
 Quadrature, in the private ``_quadrature`` module, integrates its windows in
 numpy batches: a Gauss-Legendre rule on each piece, an error estimate from
 the same rule on its two halves, and each round a bisection of the worst
 piece of every window still short of its target, max(1e-10 |value|,
-1e-13 int |g|) (in the moment pass, for f and for f (1 - t/X)^d).  It
-accepts each X's sum whose summed estimate over [0, X] is at most
-max(1e-8 |sum|, 1e-12 int |g|), g the weighted integrand, raises
-QuadratureError on a sum that fails it or is not finite, and adds the
-windows of each X by ``math.fsum``.  No target has an absolute floor, so
-2^m g gets exactly 2^m times the answer.  No path needs scipy.
+1e-13 int |g|) (in the moment pass, for f and for f (1 - t/X)^d, X the
+window's upper end).  It accepts each X's sum whose summed estimate over
+[0, X] is at most max(1e-8 |sum|, 1e-12 int |g|), g the weighted
+integrand, raises QuadratureError on a sum that fails it or is not finite,
+and adds the windows of each X by ``math.fsum``.  No target has an
+absolute floor, so 2^m g gets exactly 2^m times the answer.  No path needs
+scipy.
 
 The chain path, ``default_grid`` and the factories are pure Python: numpy
 is imported, with ``_quadrature``, only for an order past the integrand's

@@ -162,13 +162,21 @@ def test_every_off_chain_order_samples_the_integrand_about_once_per_grid():
 
 
 @pytest.mark.parametrize("k,X,want", [
-    (-0.5, 7.3, "0x1.0b015e7feed1ap+1"), (-0.5, 1e4, "0x1.4820a9135b512p+6"),
-    (0.5, 7.3, "0x1.5ecd7dfe33097p-1"), (0.5, 1e4, "0x1.02048c6ebc0b2p+0"),
-    (2.5, 7.3, "0x1.e7506aaafd1cfp-1"), (2.5, 1e4, "0x1.fffffebb565c4p-1")])
+    (-0.5, 7.3, "0x1.0b015e7feed1ap+1"), (-0.5, 1e4, "0x1.4820a9135d356p+6"),
+    (0.5, 7.3, "0x1.5ecd7dfe33095p-1"), (0.5, 1e4, "0x1.02048c6ebcc4cp+0"),
+    (2.5, 7.3, "0x1.e7506aaafd1d1p-1"), (2.5, 1e4, "0x1.fffffebb57563p-1")])
 def test_fractional_riesz_mean_at_one_point_is_pinned(k, X, want):
     # a fractional order at one X reads the windows of [0, X] alone: the far
     # ones off their moments, the ones near X under the weight
     assert integral.riesz_mean(integral.sampled(math.sin), k, X).hex() == want
+
+
+@pytest.mark.parametrize("k", [0.5, 8])
+def test_exp_decay_off_the_chain_keeps_its_mass_at_a_huge_x(k):
+    # int_0^X (1 - t/X)^k e^-t dt = 1 - k/X + O(1/X^2); the windows near 0,
+    # where e^-t lives, are as narrow at X = 1e10 as at X = 1e3
+    X = 1e10
+    assert abs(integral.riesz_mean(integral.exp_decay(), k, X) - (1.0 - k / X)) <= 1e-12
 
 
 def _nan_beyond_ten(t):
@@ -504,19 +512,23 @@ def test_primitive_limit_is_k_over_x_times_the_riesz_mean_one_order_down(spec):
             assert got == pytest.approx(want, rel=1e-12), (k, X)
 
 
-@pytest.mark.parametrize("k", [0, 1, 2, 5, 8, -0.5, 0.5, 2.5])
+_GRID_READER_SPECS = (integral.sampled(math.sin), integral.sin_wave(1.0),
+                      integral.cos_wave(2.5), integral.exp_decay())
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 5, 8, 17, -0.5, 0.5, 2.5])
 def test_grid_reader_matches_the_one_point_reader(k):
-    # cesaro_integral reads every X off one pass over the grid's stitched
-    # windows; riesz_mean at one X reads the windows of [0, X] alone
-    spec = integral.sampled(math.sin)
-    grid = integral.default_grid()
-    ev = integral.cesaro_integral(spec, k, grid)
-    for X, got in zip(grid[-len(ev.trace):], ev.trace):
-        want = integral.riesz_mean(spec, k, X)
-        bound = 1e-12 if k == int(k) else 1e-10 * max(1.0, abs(want))
-        assert abs(got - want) <= bound, X
-        if k == 0:
-            assert abs(got - (1.0 - math.cos(X))) <= 1e-9, X
+    # an X reads the windows of one lattice below it and one window cut at X,
+    # whatever grid it sits in, so cesaro_integral's reading of each X is
+    # riesz_mean there bit for bit; the second grid's last X is past the
+    # lattice's uniform windows, which end at 206,400
+    for spec in _GRID_READER_SPECS:
+        for grid in (integral.default_grid(), integral.default_grid(1e3, 3e5, 12)):
+            ev = integral.cesaro_integral(spec, k, grid)
+            for X, got in zip(grid[-len(ev.trace):], ev.trace):
+                assert got == integral.riesz_mean(spec, k, X), (spec.label, grid[-1], X)
+                if k == 0 and spec is _GRID_READER_SPECS[0]:
+                    assert abs(got - (1.0 - math.cos(X))) <= 1e-9, X
 
 
 def test_primitive_limit_k_zero_is_plain_sampling():
@@ -723,13 +735,29 @@ _PM31 = exact.pm_polynomial(3, 1)
 @pytest.mark.parametrize("X", [2.5, 40.3, 1000.7, 12345.6, 1e5])
 def test_periodic_riesz_means_match_cauchys_formula(X):
     # every integer order of the chain is the closed form k! F_{k+1}(X)/X^k;
-    # quadrature cannot integrate these past about 50 periods
+    # quadrature cannot integrate these past a few dozen periods
     spec = integral.periodic_poly(_PM31)
     for k in range(1, integral.MAX_CHAIN):
         F = periodic_primitive(_PM31.coeffs, k + 1, X)
         want = float(math.factorial(k) * F / Fraction(X) ** k)
         got = integral.riesz_mean(spec, k, X)
         assert abs(got - want) <= 1e-12 * abs(want), (k, got, want)
+
+
+@pytest.mark.parametrize("X", [40.0, 128.0])
+@pytest.mark.parametrize("spec,k", [(integral.sampled(_PM31), 1), (integral.sampled(_PM31), 8),
+                                    (integral.periodic_poly(_PM31), 8)],
+                         ids=["sampled-k=1", "sampled-k=8", "periodic_poly-k=8"])
+def test_a_kinked_periodic_integrand_is_refused_or_right(spec, k, X):
+    # p({t}) has a kink at every integer; the quadrature may refuse it, but
+    # an answer must be Cauchy's formula
+    want = float(math.factorial(k) * periodic_primitive(_PM31.coeffs, k + 1, X)
+                 / Fraction(X) ** k)
+    try:
+        got = integral.riesz_mean(spec, k, X)
+    except integral.QuadratureError:
+        return
+    assert abs(got - want) <= 1e-9, (got, want)
 
 
 @pytest.mark.parametrize("k", range(integral.MAX_CHAIN))
