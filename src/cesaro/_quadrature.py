@@ -13,28 +13,43 @@ binomial series X^-k sum_{j<=d} C(k, j) (X - c_w)^(k-j) m_j(w), exact where
 k = d, and integrates the few windows near it under the weight
 (1 - t/X)^k.  Each X's mean is accepted or refused over its own [0, X]; see
 ``_quadrature_windows`` and the ``integral`` module docstring for the rule.
+
+Every piece of a window takes one Gauss-Kronrod pair (``_kronrod``): the
+65-node Kronrod rule K65 gives its value, int |g| and moments, and the gap to
+the 32-node Gauss rule G32 on every other node of the same 65 is its error
+estimate, as in QUADPACK's QAG (Piessens et al., *QUADPACK*, 1983).  A window
+that meets its target at once costs 65 integrand calls, and a bisection
+130: both new pieces take the pair afresh.
 """
 from __future__ import annotations
 
+import decimal
 import functools
+import itertools
 import math
+import operator
 from typing import NamedTuple
 
 import numpy as np
 
 from .evaluation import QuadratureError
 
-_GAUSS_POINTS = 32
+_GAUSS_POINTS = 32  # the nodes of the Gauss rule; the Kronrod rule has 2n + 1
 _WIDTH = 3225 / 64  # the lattice's uniform window width; see _lattice
 _UNIFORM = 4096  # the lattice's uniform windows, before they grow with t
 _BATCH_WINDOWS = 512  # windows per batch: fewer rounds, arrays that stay in cache
 _MAX_PIECES = 200  # pieces per quadrature window (QUADPACK's limit)
 _STALL_LIMIT = 6  # roundoff-limited bisections per window (QAG's count)
 _EPS = math.ulp(1.0)
-# the highest moment a window returns: the 32-point rule is exact on
-# (c - t)^j p(t) for deg p <= 63 - j, so up to here the rule that resolves f
-# on a piece still resolves its moments there
+# the highest moment a window returns: the K65 weights are exact on
+# (c - t)^j p(t) for deg p <= 97 - j, and a piece passes only where the G32
+# rule, exact to degree 63, agrees with them, so up to here the rule that
+# resolves f on a piece still resolves its moments there
 MAX_DEGREE = 16
+# the most windows one X may use, about 4096 (1 + ln(X/206,400)): 76,600 at
+# X = 1e13, and this cap near X = 6e18, where the moment pass's array of
+# 3 x 2^17 x 17 doubles takes 53 MB
+MAX_WINDOWS = 2**17
 
 
 def riesz_means(spec, k: float, grid: tuple) -> list[float]:
@@ -49,6 +64,8 @@ def riesz_means(spec, k: float, grid: tuple) -> list[float]:
     lo = np.concatenate((edges[:-1], edges[ends]))
     hi = np.concatenate((edges[1:], grid))
     moments = _quadrature_windows(lambda t, win: _sample(spec, t), lo, hi, spec.label, degree)
+    terms = np.moveaxis(moments, 2, 0).copy()  # C(k, j) m_j of every window, j first
+    terms *= np.array(_binomials(k, degree))[:, None, None]
     centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     # cut after u^d, the series of (1 - u)^k errs by about |C(k, d+1)| u^(d+1),
     # u = h/(X - c) on a window of half-width h: a far window keeps that below
@@ -65,7 +82,7 @@ def riesz_means(spec, k: float, grid: tuple) -> list[float]:
             far = X - centre[:n] >= reach * half[:n]
             n_far = n if far.all() else int(far.argmin())
             parts, near_idx = (slice(n_far),), [*range(n_far, n), cut]
-        far_reads.append([_at_x(moments[:, s], (X - centre[s]) / X, X, k) for s in parts])
+        far_reads.append([_at_x(terms[:, :, s], X, centre[s], k) for s in parts])
         near.append(np.array(near_idx, dtype=np.intp))
     return [_certified(spec.label, X, *np.concatenate([*reads, near_part], axis=1))
             for X, reads, near_part in zip(grid, far_reads,
@@ -78,12 +95,16 @@ def _lattice(X: float) -> np.ndarray:
     The edges below X are a prefix of those below any larger X, as the
     geometric ones are running products.  w = 3225/64 is no integer, and its
     first integer multiple is the 64th: windows on the integers let the
-    estimate that compares a piece with its halves miss period-1 kinks."""
+    error estimate miss period-1 kinks.  An X past MAX_WINDOWS windows is
+    refused with ValueError before any edge is built."""
     top = _UNIFORM * _WIDTH
+    grown = math.ceil(math.log(X / top) / math.log1p(1.0 / _UNIFORM)) + 2 if X > top else 0
+    if _UNIFORM + grown > MAX_WINDOWS:
+        raise ValueError(f"X = {X:g} needs {_UNIFORM + grown} quadrature windows, more "
+                         f"than the cap MAX_WINDOWS = {MAX_WINDOWS}")
     edges = np.arange(min(_UNIFORM, math.ceil(X / _WIDTH)) + 1) * _WIDTH
     if X > top:
-        ratios = np.full(math.ceil(math.log(X / top) / math.log1p(1.0 / _UNIFORM)) + 2,
-                         1.0 + 1.0 / _UNIFORM)
+        ratios = np.full(grown, 1.0 + 1.0 / _UNIFORM)
         ratios[0] = top
         edges = np.concatenate((edges[:-1], np.multiply.accumulate(ratios)))
     return edges[:np.searchsorted(edges, X)]
@@ -98,36 +119,26 @@ def _binomials(k: float, n: int) -> list[float]:
     return row
 
 
-def _at_x(moments, rel, X, k: float):
+def _at_x(terms, X, centre, k: float):
     """The integral of (1 - t/X)^k g over a stretch whose moments
-    int (c - t)^j g dt about c are m_j = moments[..., j], j = 0..d, and
-    rel = (X - c)/X: ``_series`` of m_j / X^j, each column formed as the
-    series reads it.  X^j is never formed, as it can overflow."""
-    def scaled():
-        for j in range(moments.shape[-1]):
-            column = moments[..., j]
-            for _ in range(j):
-                column = column / X
-            yield column
-    return _series(scaled(), rel, k, moments.shape[-1] - 1)
-
-
-def _series(scaled, rel, k: float, degree: int):
-    """sum_j C(k, j) rel^(k-j) s_j, j = 0..degree, s_j the j-th of the
-    iterable scaled, by Horner's rule in rel: the binomial series of
-    (1 - t/X)^k g over a stretch whose moments about c, over X^j, are s_j,
-    with rel = (X - c)/X, cut after j = degree (exact where k = degree)."""
-    scaled = iter(scaled)
-    acc = next(scaled)
-    for column, binomial in zip(scaled, _binomials(k, degree)[1:]):
-        acc = acc * rel + binomial * column
-    return acc if k == degree else acc * rel ** (k - degree)
+    m_j = int (c - t)^j g dt about c = centre give terms[j] = C(k, j) m_j,
+    j = 0..d: the binomial series rel^k sum_j C(k, j) m_j / (X - c)^j,
+    rel = (X - c)/X, cut after j = d (exact where k = d), by Horner's rule
+    in 1/(X - c).  X^j is never formed, as it can overflow; on a stretch of
+    half-width h <= X - c, |m_j| / (X - c)^j <= 2 h max |g|, so no step
+    overflows where m_0 does not."""
+    gap = X - centre
+    acc = terms[-1]
+    for term in terms[-2::-1]:
+        acc = acc / gap + term
+    return acc * (gap / X) ** k
 
 
 def _near_windows(spec, k: float, grid: tuple, near: list, lo, hi) -> list:
     """(1 - t/X)^k f over the windows near[i] of each X = grid[i], all
     integrated together: a (3, windows) array of (value, error, int |g|) per
-    X.  For k < 0 the window that ends at X carries the weight's singularity."""
+    X.  At a fractional k the window that ends at X is integrated in a
+    variable that smooths the weight's end there."""
     counts = [len(idx) for idx in near]
     idx = np.concatenate(near)
     if not len(idx):
@@ -135,25 +146,25 @@ def _near_windows(spec, k: float, grid: tuple, near: list, lo, hi) -> list:
     X_of, start_of = np.repeat(grid, counts), lo[idx]
     h_of = X_of - start_of
     is_last = hi[idx] == X_of
-    # the constant weight (h/X)^k/(k+1) of the last window of X, h = X - start
-    tail_of = (h_of / X_of) ** k / (k + 1.0)
+    # on the last window of X, t = X - h v^p with v = (X - u)/h, h = X - start,
+    # turns (1 - t/X)^k dt into p (h/X)^k v^(p(k+1)-1) du: a constant for
+    # k < 0 with p = 1/(k+1), and v^(2k+1) for k > 0 with p = 2, which the
+    # rule resolves far sooner than (X - t)^k (exactly at a half-integer k)
+    power, exponent = (1.0 / (k + 1.0), 0.0) if k < 0 else (2.0, 2.0 * k + 1.0)
+    tail_of = power * (h_of / X_of) ** k
 
     def weighted(u, win):
         w = (1.0 - u / X_of[win][:, None]) ** k
-        if k >= 0:  # a bounded weight: bisection toward X is enough
+        if k == int(k):  # a polynomial weight: bisection toward X is enough
             return w * _sample(spec, u)
-        # on the last window, t = X - h v^(1/(k+1)) with v = (X - u)/h turns
-        # (X - t)^k dt into the constant h^(k+1)/(k+1) dv; t is computed from
-        # its distance to start (0 when X <= w), so it keeps its digits there
+        # t is computed from its distance to start (0 when X <= w), so it
+        # keeps its digits there
         t = u.copy()
         rows = np.flatnonzero(is_last[win])
-        last = win[rows][:, None]
-        t_last, w_last = t[rows], w[rows]
-        tail = t_last > start_of[last]
-        start, h = (np.broadcast_to(part[last], tail.shape)[tail] for part in (start_of, h_of))
-        t_last[tail] = start - h * np.expm1(np.log1p((start - t_last[tail]) / h) / (k + 1.0))
-        w_last[tail] = np.broadcast_to(tail_of[last], tail.shape)[tail]
-        t[rows], w[rows] = t_last, w_last
+        X, start, h, tail = (np.broadcast_to(part[win[rows]][:, None], (len(rows), u.shape[1]))
+                             for part in (X_of, start_of, h_of, tail_of))
+        t[rows] = start - h * np.expm1(np.log1p((start - u[rows]) / h) * power)
+        w[rows] = tail * ((X - u[rows]) / h) ** exponent
         return w * _sample(spec, t)
 
     windows = _quadrature_windows(weighted, lo[idx], hi[idx], spec.label)[:, :, 0]
@@ -174,80 +185,127 @@ def _certified(label: str, X: float, values, errors, absvals) -> float:
 
 
 @functools.cache
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The Gauss-Legendre rule on [0, 1]: nodes, weights, and the matrix that
-    maps values at the nodes to the derivative there of their interpolating
-    polynomial.  Built on first use."""
-    from numpy.polynomial.legendre import leggauss
+def _kronrod() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Gauss-Kronrod pair G32/K65 on [0, 1]: the 65 Kronrod nodes u, which
+    hold the 32 Gauss-Legendre nodes at u[1::2]; their weights, a column for
+    the K65 rule and one for the G32 rule (0 off the Gauss nodes); and the
+    matrix that maps values at the nodes to the derivative there of their
+    interpolating polynomial (values @ matrix).  Built on first use.
 
-    x, w = leggauss(_GAUSS_POINTS)
-    diff = x[:, None] - x[None, :]
+    In y = u - 1/2 the monic Legendre polynomials on [0, 1] follow
+    p_(j+1) = y p_j - b_j p_(j-1).  Laurie's algorithm (*Calculation of
+    Gauss-Kronrod quadrature rules*, Math. Comp. 66, 1997) extends b, in
+    36-digit decimal, to the Jacobi matrix of a measure whose 65-point Gauss
+    rule is the Kronrod rule.  numpy's eigenvalues of that matrix seed one
+    Newton step on its characteristic polynomial p_65, and each weight is
+    ||p_64||^2 / (p_64 p_65') at the refined node, as for any Gauss rule;
+    the G32 weights read p_31 and p_32' off the same recurrence, whose
+    first 32 steps are Legendre's.  The rule is symmetric about y = 0, so
+    the nodes above it mirror those below.
+    """
+    n = _GAUSS_POINTS
+    with decimal.localcontext(decimal.Context(prec=36)):
+        b = _laurie(n, [decimal.Decimal(1)] + [decimal.Decimal(j * j) / (16 * j * j - 4)
+                                               for j in range(1, (3 * n + 1) // 2 + 1)])
+        off = np.sqrt(np.array(b[1:], dtype=float))
+        seed = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+        norms = list(itertools.accumulate(b, operator.mul))  # ||p_j||^2
+        ys, weights = [], []
+        for i, y in enumerate(seed[:n + 1].tolist()):
+            p, p_prime, _ = _monic(b, decimal.Decimal(y), 2 * n + 1)
+            y = decimal.Decimal(y) - p / p_prime
+            _, k_prime, k_before = _monic(b, y, 2 * n + 1)
+            _, g_prime, g_before = _monic(b, y, n)
+            ys.append(y)
+            weights.append((norms[2 * n] / (k_before * k_prime),
+                            norms[n - 1] / (g_before * g_prime) if i % 2 else 0))
+        half = decimal.Decimal(1) / 2
+        u = np.array([half + y for y in ys] + [half - y for y in ys[-2::-1]], dtype=float)
+        weights = np.array(weights + weights[-2::-1], dtype=float)
+    diff = u[:, None] - u[None, :]
     np.fill_diagonal(diff, 1.0)
     bary = 1.0 / diff.prod(axis=1)  # barycentric weights of the nodes
-    dmat = bary[None, :] / bary[:, None] / diff
-    np.fill_diagonal(dmat, 0.0)
-    np.fill_diagonal(dmat, -dmat.sum(axis=1))
-    rule = (0.5 * (1.0 + x), 0.5 * w, 2.0 * dmat)
+    deriv = bary[None, :] / bary[:, None] / diff
+    np.fill_diagonal(deriv, 0.0)
+    np.fill_diagonal(deriv, -deriv.sum(axis=1))
+    rule = (u, weights, deriv.T.copy())
     for part in rule:
         part.flags.writeable = False
+    return rule
+
+
+def _laurie(n: int, b: list) -> list:
+    """b_0..b_2n of the Jacobi-Kronrod matrix of order 2n + 1, from
+    b_0..b_(ceil 3n/2) of a measure symmetric about 0, whose monic
+    orthogonal polynomials follow p_(j+1) = y p_j - b_j p_(j-1): Laurie's
+    algorithm in the loops of Gautschi's ``r_kronrod``, where every diagonal
+    entry is 0 and stays so."""
+    b = b + [0] * (2 * n + 1 - len(b))
+    s, t = [0] * (n // 2 + 2), [0] * (n // 2 + 2)
+    t[1] = b[n + 1]
+    for m in range(n - 1):
+        acc = 0
+        for k in range((m + 1) // 2, -1, -1):
+            acc += b[k + n + 1] * s[k] - b[m - k] * s[k + 1]
+            s[k + 1] = acc
+        s, t = t, s
+    s[1:n // 2 + 2] = s[:n // 2 + 1]
+    for m in range(n - 1, 2 * n - 2):
+        acc = 0
+        for k in range(m + 1 - n, (m - 1) // 2 + 1):
+            j = n - 1 - (m - k)
+            acc += b[m - k] * s[j + 2] - b[k + n + 1] * s[j + 1]
+            s[j + 1] = acc
+        if m % 2:
+            b[(m + 1) // 2 + n + 1] = s[j + 1] / s[j + 2]
+        s, t = t, s
+    return b
+
+
+def _monic(b: list, y, degree: int) -> tuple:
+    """p_degree(y), its derivative and p_(degree-1)(y), for the monic
+    polynomials of the recurrence p_(j+1) = y p_j - b_j p_(j-1)."""
+    p, p_prime, before, before_prime = 1, 0, 0, 0
+    for beta in b[:degree]:
+        p, before, p_prime, before_prime = (y * p - beta * before, p,
+                                            p + y * p_prime - beta * before_prime, p_prime)
+    return p, p_prime, before
+
+
+@functools.cache
+def _rules(degree: int) -> np.ndarray:
+    """The weights applied to the 65 node values of a piece, a column each:
+    the K65 rule times (1/2 - u)^j, j = 0..degree, then the G32 rule times
+    the same, which give int ((mid - t)/width)^j g over a piece of that
+    width under each rule."""
+    u, weights, _ = _kronrod()
+    powers = (0.5 - u)[:, None] ** np.arange(degree + 1)
+    rule = np.column_stack((weights[:, :1] * powers, weights[:, 1:] * powers))
+    rule.flags.writeable = False
     return rule
 
 
 def _sample(spec, t: np.ndarray) -> np.ndarray:
     """The integrand at each node of the array t: one call of spec.array_func
     where the spec has one (sin_wave, cos_wave, exp_decay), else one scalar
-    call of spec.func per node."""
+    call of spec.func per node, which a memoryview hands out as Python
+    floats without a list of them all."""
     if spec.array_func is not None:
         return spec.array_func(t)
-    return np.fromiter(map(spec.func, t.ravel().tolist()), np.float64, t.size).reshape(t.shape)
-
-
-def _gauss(g, lo: np.ndarray, hi: np.ndarray, win: np.ndarray):
-    """The rule on each piece [lo, hi] of the vectorized integrand g, whose
-    window is win: the node values (one row per piece), their rounding term,
-    the rule's value and its value for |g|.
-
-    A node t = lo + (hi - lo) u is rounded to a double, by up to eps |t|,
-    which far from 0 is noise of that size in every value of g.  The TwoSum
-    residual r of that addition is exact, so the value adds the first-order
-    term sum w g'(t) r, with g' from the piece's interpolating polynomial;
-    the rounding term is g'(t) r at each node, per unit of u.
-    """
-    u, w, dmat = _gauss_legendre()
-    width = hi - lo
-    q = width[:, None] * u
-    t = lo[:, None] + q
-    bb = t - lo[:, None]
-    r = (lo[:, None] - (t - bb)) + (q - bb)
-    vals = g(t, win)
-    shift = _rows(vals, dmat.T) * r
-    value = np.einsum("pn,n->p", vals, w) * width + np.einsum("pn,n->p", shift, w)
-    return vals, shift, value, np.einsum("pn,n->p", np.abs(vals), w) * width
+    return np.fromiter(map(spec.func, memoryview(t.ravel())), np.float64, t.size).reshape(t.shape)
 
 
 def _rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b one row of a at a time.  A stacked matmul calls BLAS once per
-    row, so a row's product does not depend on the rows beside it, as in a
-    blocked a @ b it can, and it runs faster than np.einsum."""
+    """a @ b one row of a at a time, b one matrix or one per row.  A stacked
+    matmul calls BLAS once per row, so a row's product does not depend on
+    the rows beside it, as in a blocked a @ b it can, and it runs faster
+    than np.einsum."""
     return np.matmul(a[:, None, :], b)[:, 0]
 
 
-@functools.cache
-def _moment_rules(degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """The rule's weights times ((e - t)/width)^i, i = 1..degree, on a piece
-    of that width below the point e (e - t = width (1 - u)) and above it
-    (e - t = -width u)."""
-    u, w, _ = _gauss_legendre()
-    powers = np.arange(1, degree + 1)
-    return w[:, None] * (1.0 - u)[:, None] ** powers, w[:, None] * (-u)[:, None] ** powers
-
-
-def _moments(vals, shift, value, rule, width) -> np.ndarray:
-    """int ((e - t)/width)^i g over each piece of that width, i = 0..degree,
-    e the end of it that rule (a ``_moment_rules`` half) measures from:
-    value, the rule's own, then a small matrix product on the node values it
-    already took."""
-    return np.column_stack((value, _rows(vals, rule) * width[:, None] + _rows(shift, rule)))
+def _floored(gap, noise, floor):
+    """gap where it exceeds noise, else 0, and at least floor."""
+    return np.maximum(np.where(gap > noise, gap, 0.0), floor)
 
 
 class _Pieces(NamedTuple):
@@ -255,65 +313,70 @@ class _Pieces(NamedTuple):
 
     lo: np.ndarray
     hi: np.ndarray
-    value: np.ndarray  # the rule on the two halves, summed
-    error: np.ndarray
-    absval: np.ndarray  # the rule for |g| on the two halves, summed
-    left: np.ndarray  # the rule on each half: the whole-piece values
-    right: np.ndarray  # of the two pieces that bisecting this one makes
-    moments: np.ndarray  # int (mid - t)^i g on the two halves, i = 0..degree, a row each
-    w_error: np.ndarray  # the estimate, left and right for g (1 - t/X)^degree,
-    w_left: np.ndarray  # X the upper end of the piece's window
-    w_right: np.ndarray
+    value: np.ndarray  # the K65 rule
+    error: np.ndarray  # its estimate, |K65 - G32| with its floors
+    absval: np.ndarray  # the K65 rule for |g|
+    moments: np.ndarray  # int (mid - t)^i g, i = 0..degree, a row each
+    w_value: np.ndarray  # the K65 rule and the estimate for g (1 - t/X)^degree,
+    w_error: np.ndarray  # X the upper end of the piece's window
 
 
-def _bisected(g, lo: np.ndarray, hi: np.ndarray, win: np.ndarray, whole: np.ndarray,
-              w_whole: np.ndarray, top: np.ndarray, degree: int) -> _Pieces:
-    """The pieces [lo, hi] of windows win, whose rule values are whole, with
-    the rule on both halves of each, and the halves' moments to degree; the
-    same for g weighted by (1 - t/top)^degree, top the window's upper end,
-    whose rule values are w_whole.
+def _pieces(g, lo: np.ndarray, hi: np.ndarray, win: np.ndarray, top: np.ndarray,
+            degree: int) -> _Pieces:
+    """The G32/K65 pair on each piece [lo, hi] of the vectorized integrand g,
+    whose window is win, with the piece's moments about its midpoint to
+    degree; the same pair for g weighted by (1 - t/top)^degree, top the
+    window's upper end.  The value, int |g| and the moments come from the
+    K65 weights; the estimate is |K65 - G32|, and with moments the larger of
+    that and twice the gap of the two rules on (mid - t)/width g.
 
-    The estimate is the gap between whole and the halves' sum.  A node sits
-    an ulp or so off its ideal place, which can move a rule by about eps |t|
-    times the variation of g on the piece; a gap within twice that is
-    rounding, not truncation, and counts as zero.  Either way the estimate
-    is at least QUADPACK's rounding floor, 50 eps int |g|, and the weighted
-    estimate at least the estimate times the weight at the midpoint.  The
-    weighted gap matters where the rule is exact by symmetry: an f odd
-    about the midpoint of every piece integrates to 0 on each, while its
-    moments do not.
+    A node t = lo + (hi - lo) u is rounded to a double, by up to eps |t|,
+    which far from 0 is noise of that size in every value of g.  The TwoSum
+    residual r of that addition is exact, so each rule adds the first-order
+    term sum w g'(t) r, with g' from the piece's interpolating polynomial.
+    A node an ulp or so off its ideal place can still move a rule by about
+    eps |t| times the variation of g on the piece; a gap within twice that
+    is rounding, not truncation, and counts as zero.  Either way the
+    estimate is at least QUADPACK's rounding floor, 50 eps int |g|, and the
+    weighted estimate at least the estimate times the weight at the
+    midpoint.  The second gap and the weighted one matter where both rules
+    are exact by symmetry: an f odd about a piece's midpoint integrates to 0
+    under each, while its odd moments do not, and an estimate blind to them
+    would accept the moments of a window that runs out of pieces.
     """
-    m = len(lo)
-    mid = 0.5 * (lo + hi)
-    vals, shift, rule, abs_rule = _gauss(g, np.concatenate((lo, mid)),
-                                         np.concatenate((mid, hi)), np.concatenate((win, win)))
-    left, right = rule[:m], rule[m:]
-    value = left + right
-    gap = np.abs(whole - value)
-    variation = np.abs(np.diff(np.hstack((vals[:m], vals[m:])), axis=1)).sum(axis=1)
+    u, pair, deriv = _kronrod()
+    width = hi - lo
+    q = width[:, None] * u
+    t = lo[:, None] + q
+    r = t - lo[:, None]  # TwoSum: r = (lo - (t - bb)) + (q - bb), bb = t - lo
+    q -= r
+    np.subtract(t, r, out=r)
+    np.subtract(lo[:, None], r, out=r)
+    r += q
+    vals = g(t, win)
+    corrected = _rows(vals, deriv)
+    corrected *= r
+    corrected += vals * width[:, None]  # width g plus its rounding term, per node
+    sums = _rows(corrected, _rules(degree))
+    kronrod, gauss = sums[:, :degree + 1], sums[:, degree + 1:]
+    value = kronrod[:, 0]
+    absval = np.einsum("pn,n->p", np.abs(vals), pair[:, 0]) * width
+    variation = np.diff(vals, axis=1)
+    variation = np.abs(variation, out=variation).sum(axis=1)
     noise = 2.0 * _EPS * np.maximum(np.abs(lo), np.abs(hi)) * variation
-    absval = abs_rule[:m] + abs_rule[m:]
-    error = np.maximum(np.where(gap > noise, gap, 0.0), 50.0 * _EPS * absval)
+    gap = np.abs(value - gauss[:, 0])
+    if degree:  # the gap of g (mid - t)/width, which the odd moments need
+        gap = np.maximum(gap, 2.0 * np.abs(kronrod[:, 1] - gauss[:, 1]))
+    error = _floored(gap, noise, 50.0 * _EPS * absval)
     if not degree:  # the weight is 1
-        return _Pieces(lo, hi, value, error, absval, left, right, value[:, None],
-                       error, left, right)
-    lower, upper = _moment_rules(degree)
-    width = np.concatenate((mid - lo, hi - mid))
-    halves = np.concatenate((_moments(vals[:m], shift[:m], left, lower, width[:m]),
-                             _moments(vals[m:], shift[m:], right, upper, width[m:])))
-    rel, ratio = (top - mid) / top, width / np.tile(top, 2)
-
-    def scaled():  # the halves' moments about mid over top^j
-        power = 1.0
-        for column in halves.T:
-            yield column * power
-            power = power * ratio
-    w_left, w_right = np.split(_series(scaled(), np.tile(rel, 2), degree, degree), 2)
-    halves *= width[:, None] ** np.arange(degree + 1)
-    w_gap = np.abs(w_whole - (w_left + w_right))
-    w_error = np.maximum(np.where(w_gap > noise, w_gap, 0.0), error * rel ** degree)
-    return _Pieces(lo, hi, value, error, absval, left, right, halves[:m] + halves[m:],
-                   w_error, w_left, w_right)
+        return _Pieces(lo, hi, value, error, absval, value[:, None], value, error)
+    mid = 0.5 * (lo + hi)
+    both = sums.reshape(-1, 2, degree + 1) * width[:, None, None] ** np.arange(degree + 1)
+    moments = both[:, 0]
+    terms = np.moveaxis(both, 2, 0) * np.array(_binomials(degree, degree))[:, None, None]
+    w_value, w_gauss = _at_x(terms, top[:, None], mid[:, None], degree).T
+    w_error = _floored(np.abs(w_value - w_gauss), noise, error * ((top - mid) / top) ** degree)
+    return _Pieces(lo, hi, value, error, absval, moments, w_value, w_error)
 
 
 def _quadrature_windows(g, lo: np.ndarray, hi: np.ndarray, label: str,
@@ -323,16 +386,18 @@ def _quadrature_windows(g, lo: np.ndarray, hi: np.ndarray, label: str,
 
     g maps nodes, an array with one row per piece, and win, the window of
     each row, to the integrand's values there.  Every window starts as one
-    piece; each round bisects the worst piece of every window still open.  A
-    window closes when its summed estimate meets max(1e-10 |value|,
-    1e-13 int |g|), a target that scales with g; when it holds _MAX_PIECES
-    pieces; or after _STALL_LIMIT bisections that neither moved the piece's
-    value by 1e-5 relative nor shrank its estimate (QAG's roundoff test).  A
-    window whose value or estimate is not finite raises QuadratureError.
-    With moments (degree >= 1), a window also closes only once the target
-    holds for g weighted by (1 - t/X)^degree, X = hi[i] its own upper end,
-    where the weight varies most across it.  Every reduction runs row by
-    row, so a window's result does not depend on the windows beside it.
+    piece under the G32/K65 pair (``_pieces``); each round bisects the worst
+    piece of every window still open and takes the pair afresh on both
+    halves.  A window closes when its summed estimate meets
+    max(1e-10 |value|, 1e-13 int |g|), a target that scales with g; when it
+    holds _MAX_PIECES pieces; or after _STALL_LIMIT bisections that neither
+    moved the piece's value by 1e-5 relative nor shrank its estimate (QAG's
+    roundoff test).  A window whose value or estimate is not finite raises
+    QuadratureError.  With moments (degree >= 1), a window also closes only
+    once the target holds for g weighted by (1 - t/X)^degree, X = hi[i] its
+    own upper end, where the weight varies most across it.  Every reduction
+    runs row by row, so a window's result does not depend on the windows
+    beside it.
 
     Returns an array of shape (3, windows, degree + 1): each window's
     moments int_w (c - t)^j g dt about its centre c, j = 0..degree, and the
@@ -356,11 +421,7 @@ def _batch(g, lo: np.ndarray, hi: np.ndarray, label: str, degree: int, out) -> N
     count = np.ones(n_windows, dtype=np.int64)
     stalls = np.zeros(n_windows, dtype=np.int64)
     win = np.arange(n_windows)  # the window of each piece
-    vals, shift, whole, _ = _gauss(g, lo, hi, win)
-    # (1 - t/hi)^degree g over each window: its degree-th moment about hi
-    last = _moment_rules(degree)[0][:, degree - 1:]
-    w_whole = _moments(vals, shift, whole, last, hi - lo)[:, -1] * ((hi - lo) / hi) ** degree
-    pieces = _bisected(g, lo, hi, win, whole, w_whole, hi, degree)
+    pieces = _pieces(g, lo, hi, win, hi, degree)
     while True:
         sums = np.array([np.bincount(win, part, n_windows)
                          for part in (pieces.value, pieces.error, pieces.absval)])
@@ -371,7 +432,7 @@ def _batch(g, lo: np.ndarray, hi: np.ndarray, label: str, degree: int, out) -> N
             X = hi[win]
             w_total, w_est, w_absval = (
                 np.bincount(win, part, n_windows)
-                for part in (pieces.w_left + pieces.w_right, pieces.w_error,
+                for part in (pieces.w_value, pieces.w_error,
                              pieces.absval * ((X - 0.5 * (pieces.lo + pieces.hi)) / X) ** degree))
             meets &= ~(w_est > np.maximum(1e-10 * np.abs(w_total), 1e-13 * w_absval))
         closing = is_open & (meets | (count >= _MAX_PIECES) | (stalls >= _STALL_LIMIT))
@@ -395,9 +456,8 @@ def _batch(g, lo: np.ndarray, hi: np.ndarray, label: str, degree: int, out) -> N
         split = win[worst]
         old = _Pieces(*(part[worst] for part in pieces))
         mid = 0.5 * (old.lo + old.hi)
-        new = _bisected(g, np.concatenate((old.lo, mid)), np.concatenate((mid, old.hi)),
-                        np.concatenate((split, split)), np.concatenate((old.left, old.right)),
-                        np.concatenate((old.w_left, old.w_right)), np.tile(hi[split], 2), degree)
+        new = _pieces(g, np.concatenate((old.lo, mid)), np.concatenate((mid, old.hi)),
+                      np.concatenate((split, split)), np.tile(hi[split], 2), degree)
         keep = np.ones(len(win), dtype=bool)
         keep[worst] = False
         win = np.concatenate((win[keep], split, split))
@@ -407,7 +467,7 @@ def _batch(g, lo: np.ndarray, hi: np.ndarray, label: str, degree: int, out) -> N
         stalled = np.ones(m, dtype=bool)  # for g and for the weighted g alike
         for value, error, old_value, old_error in (
                 (new.value, new.error, old.value, old.error),
-                (new.w_left + new.w_right, new.w_error, old.w_left + old.w_right, old.w_error)):
+                (new.w_value, new.w_error, old.w_value, old.w_error)):
             value, error = value[:m] + value[m:], error[:m] + error[m:]
             stalled &= ((np.abs(old_value - value) <= 1e-5 * np.abs(value))
                         & (error >= 0.99 * old_error))
@@ -415,19 +475,35 @@ def _batch(g, lo: np.ndarray, hi: np.ndarray, label: str, degree: int, out) -> N
         count[split] += 1
 
 
+@functools.cache
+def _binomial_shift(degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """C(j, i) for i = 0..degree, j = 1..degree (0 where i > j), and the
+    power j - i of the shift that each one multiplies (0 where i > j)."""
+    i, j = np.arange(degree + 1)[:, None], np.arange(1, degree + 1)
+    pascal = np.array([[math.comb(b, a) for b in range(1, degree + 1)]
+                       for a in range(degree + 1)], dtype=float)
+    return pascal, np.maximum(j - i, 0)
+
+
 def _close_moments(out, closing, pieces: _Pieces, win, centre, degree: int) -> None:
     """Moments 1..degree of the closing windows, about their centres, into
-    out: each piece's moments moved from its midpoint by the binomial
-    theorem, and its error estimate and int |g| placed at its midpoint."""
+    out: each piece's moments mu_i moved from its midpoint by one binomial
+    shift, sum_i C(j, i) d^(j-i) mu_i with d = centre - midpoint, and its
+    error estimate and int |g| placed at its midpoint; each window's pieces
+    are summed in piece order, one ``np.bincount`` per row of out."""
     sel = closing[win]
     at, n_windows = win[sel], len(centre)
     d = centre[at] - 0.5 * (pieces.lo[sel] + pieces.hi[sel])
+    powers = np.cumprod(np.column_stack((np.ones_like(d), np.repeat(d[:, None], degree, 1))),
+                        axis=1)  # d^0..d^degree
     mu = pieces.moments[sel]
-    error, absval = pieces.error[sel], pieces.absval[sel]
-    for j in range(1, degree + 1):
-        acc = mu[:, 0]
-        for i in range(1, j + 1):  # sum_i C(j, i) d^(j-i) mu_i, by Horner's rule
-            acc = acc * d + math.comb(j, i) * mu[:, i]
-        dj = d ** j
-        for row, part in enumerate((acc, error * dj, absval * dj)):
-            out[row, closing, j] = np.bincount(at, part, n_windows)[closing]
+    moved = mu[:, 1:]
+    off = np.flatnonzero(d)  # a window of one piece is centred on it
+    if len(off):
+        pascal, exponent = _binomial_shift(degree)
+        moved[off] = _rows(mu[off], pascal * powers[off][:, exponent])
+    slot = (at[:, None] * degree + np.arange(degree)).ravel()
+    for row, part in enumerate((moved, pieces.error[sel, None] * powers[:, 1:],
+                                pieces.absval[sel, None] * powers[:, 1:])):
+        out[row, closing, 1:] = np.bincount(slot, part.ravel(), n_windows * degree).reshape(
+            n_windows, degree)[closing]

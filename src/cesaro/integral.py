@@ -25,11 +25,12 @@ err, take quadrature of the weighted integrand.  So X reads the same
 windows, bit for bit, in any grid and in ``riesz_mean`` alone.
 
 Quadrature, in the private ``_quadrature`` module, integrates its windows in
-numpy batches: a Gauss-Legendre rule on each piece, an error estimate from
-the same rule on its two halves, and each round a bisection of the worst
-piece of every window still short of its target, max(1e-10 |value|,
-1e-13 int |g|) (in the moment pass, for f and for f (1 - t/X)^d, X the
-window's upper end).  It accepts each X's sum whose summed estimate over
+numpy batches: the Gauss-Kronrod pair G32/K65 on each piece, whose 65-node
+Kronrod rule gives the value and whose gap |K65 - G32| to the Gauss rule on
+32 of the same nodes is the error estimate, and each round a bisection of
+the worst piece of every window still short of its target, max(1e-10
+|value|, 1e-13 int |g|) (in the moment pass, for f and for f (1 - t/X)^d,
+X the window's upper end).  It accepts each X's sum whose summed estimate over
 [0, X] is at most max(1e-8 |sum|, 1e-12 int |g|), g the weighted
 integrand, raises QuadratureError on a sum that fails it or is not finite,
 and adds the windows of each X by ``math.fsum``.  No target has an

@@ -1,8 +1,10 @@
+import decimal
 import functools
 import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -161,10 +163,46 @@ def test_every_off_chain_order_samples_the_integrand_about_once_per_grid():
         assert calls[0] <= bound * base, (k, calls[0], base)
 
 
+def test_a_window_that_closes_at_once_calls_the_integrand_65_times():
+    # the default grid's top X = 1e5 has 1984 lattice windows below it, and
+    # each of its 16 X cuts one more: 2000 windows, each one G32/K65 piece
+    spec, calls = _counted_sin()
+    integral.cesaro_integral(spec, 0)
+    assert calls[0] == 130_000
+
+
+def test_the_kronrod_rule_holds_the_gauss_rule_and_integrates_to_its_degree():
+    # K65 is exact to degree 97, and G32 on the odd nodes to degree 63; the
+    # shifted Legendre polynomials are summed in 40-digit decimal at the
+    # rule's own doubles, so only the rule's rounding shows
+    from numpy.polynomial.legendre import leggauss
+
+    from cesaro._quadrature import _kronrod
+
+    u, weights, _ = _kronrod()
+    assert len(u) == 65 and all(0.0 < a < b < 1.0 for a, b in zip(u, u[1:]))
+    # a node near 0 holds more digits than (1 + x)/2 can, so the ulp is 1/2's
+    for node, x in zip(u[1::2], leggauss(32)[0]):
+        assert abs(node - 0.5 * (1.0 + x)) <= 2 * math.ulp(0.5), (node, x)
+    assert (weights[:, 0] > 0).all() and (weights[1::2, 1] > 0).all()
+    assert (weights[::2, 1] == 0).all()
+    with decimal.localcontext(decimal.Context(prec=40)):
+        for column, degree in ((0, 97), (1, 63)):
+            sums = [0] * (degree + 1)
+            for node, weight in zip(u.tolist(), weights[:, column].tolist()):
+                x, w = 2 * decimal.Decimal(node) - 1, decimal.Decimal(weight)
+                before, p = 0, 1
+                for j in range(degree + 1):
+                    sums[j] += w * p
+                    before, p = p, ((2 * j + 1) * x * p - j * before) / (j + 1)
+            for j, total in enumerate(sums):
+                assert abs(total - (j == 0)) <= decimal.Decimal("1e-15"), (column, j, total)
+
+
 @pytest.mark.parametrize("k,X,want", [
-    (-0.5, 7.3, "0x1.0b015e7feed1ap+1"), (-0.5, 1e4, "0x1.4820a9135d356p+6"),
-    (0.5, 7.3, "0x1.5ecd7dfe33095p-1"), (0.5, 1e4, "0x1.02048c6ebcc4cp+0"),
-    (2.5, 7.3, "0x1.e7506aaafd1d1p-1"), (2.5, 1e4, "0x1.fffffebb57563p-1")])
+    (-0.5, 7.3, "0x1.0b015e7feed25p+1"), (-0.5, 1e4, "0x1.4820a9135d458p+6"),
+    (0.5, 7.3, "0x1.5ecd7dfdfbc9bp-1"), (0.5, 1e4, "0x1.02048c6ebde3bp+0"),
+    (2.5, 7.3, "0x1.e7506aaaf7fc4p-1"), (2.5, 1e4, "0x1.fffffebb56a0ap-1")])
 def test_fractional_riesz_mean_at_one_point_is_pinned(k, X, want):
     # a fractional order at one X reads the windows of [0, X] alone: the far
     # ones off their moments, the ones near X under the weight
@@ -177,6 +215,16 @@ def test_exp_decay_off_the_chain_keeps_its_mass_at_a_huge_x(k):
     # where e^-t lives, are as narrow at X = 1e10 as at X = 1e3
     X = 1e10
     assert abs(integral.riesz_mean(integral.exp_decay(), k, X) - (1.0 - k / X)) <= 1e-12
+
+
+def test_an_x_past_the_window_cap_is_refused_before_any_window():
+    # 1e300 would take 2.8 million windows; the quadrature module is loaded
+    # first, so the time is the refusal's alone
+    integral.riesz_mean(integral.exp_decay(), 8, 100.0)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"X = 1e\+300 .* MAX_WINDOWS = 131072"):
+        integral.riesz_mean(integral.exp_decay(), 8, 1e300)
+    assert time.perf_counter() - start < 0.1
 
 
 def _nan_beyond_ten(t):
