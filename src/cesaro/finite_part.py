@@ -224,9 +224,8 @@ def _weighted_fit(columns, values, cond_limit: float = 1e12):
         r_col.append(diag)
         r.append(r_col)
     misfit, z = _orthogonalize(list(map(mul, values, weights)), q)
-    r_inv = [_back_substitute(r[:j + 1], [0] * j + [1]) for j in range(len(r))]  # columns
     condition = math.sqrt(sum(sum(map(mul, col, col)) for col in r)
-                          * sum(sum(map(mul, col, col)) for col in r_inv))
+                          * sum(sum(map(mul, col, col)) for col in _inverse_columns(r)))
     if condition > cond_limit:
         raise IllConditionedFitError(
             f"finite-part fit is ill-conditioned (cond={condition:.3e}); "
@@ -245,6 +244,21 @@ def _orthogonalize(a, q):
         a = [x - p * y for x, y in zip(a, u)]
         projections.append(p)
     return a, projections
+
+
+def _inverse_columns(r):
+    """The columns of R^-1, for the upper-triangular R given by its columns:
+    column j is the back-substitution of R x = e_j, x_j = 1 / r_jj, then
+    x_i = (0 - sum_{l=i+1..j} r_il x_l) / r_ii upwards, read along the rows
+    of R."""
+    rows = [[col[i] for col in r[i:]] for i in range(len(r))]  # rows[i][l - i] = r_il
+    inverse = []
+    for j in range(len(r)):
+        x = [0] * j + [1 / r[j][j]]
+        for i in reversed(range(j)):
+            x[i] = (0 - sum(map(mul, rows[i][1:j - i + 1], x[i + 1:j + 1]))) / rows[i][0]
+        inverse.append(x)
+    return inverse
 
 
 def _back_substitute(r, z):

@@ -19,12 +19,15 @@ At a boundary the sample is a Riesz mean of the weights w(m) = m^alpha
     I_k(n) = sum_{i=0..k} C(k,i) (-1)^i n^-i F.p. int_0^n t^(alpha+i) [ln t] dt,
 
 with the finite part ln n (or (ln n)^2 / 2) at alpha + i = -1, so the poles
-alpha = -2 .. -(k+1) need no other formula.  Both terms grow like
-n^(alpha+1) while the sample is O(1), and I_k's alternating sum cancels by
-1e3..1e4 more, up to 2^k at order k.  So I_k is computed in ``decimal`` at
-40 + k log10(2) digits, alpha + i too (in float it moves n^(alpha+i) by an
-ulp, magnified as much), and is taken off exactly before the sample is
-rounded once.
+alpha = -2 .. -(k+1) need no other formula.  Every term carries
+n^(alpha+1) (at the pole n^-i is n^(alpha+1)), so I_k(n) = n^(alpha+1)
+(A + B ln n + C ln^2 n) with constants A, B, C free of n.  Both terms of
+the sample grow like n^(alpha+1) while the sample is O(1), and the
+alternating sums of A, B and C cancel by 1e3..1e4 more, up to 2^k at order
+k.  So the constants are summed once per call in ``decimal`` at 40 + k
+log10(2) digits, alpha + i too (in float it moves n^(alpha+i) by an ulp,
+magnified as much); each boundary then takes n^(alpha+1) and ln n at those
+digits, and I_k(n) is taken off exactly before the sample is rounded once.
 
 The Riesz sums of a list of boundaries come from one kernel, ``_riesz_sums``:
 by the surjection identity (n-m)^k = sum_j j! S(k, j) C(n-m, j), S the
@@ -181,16 +184,6 @@ def _two_three(n: int) -> Optional[tuple[int, int]]:
     return (a, b) if rest == 1 else None
 
 
-def _ln(n: int, prec: int) -> Decimal:
-    """ln n to about prec digits (the current context's): a ln 2 + b ln 3
-    when n = 2^a 3^b, else ``Decimal.ln``."""
-    rung = _two_three(n)
-    if rung is None:
-        return Decimal(n).ln()
-    ln2, ln3 = _ln2_ln3(prec)
-    return rung[0] * ln2 + rung[1] * ln3
-
-
 @lru_cache(maxsize=64)
 def _rung_bases(alpha: float, prec: int) -> tuple[Decimal, Decimal]:
     """2^(alpha+1) and 3^(alpha+1) to prec digits."""
@@ -201,44 +194,78 @@ def _rung_bases(alpha: float, prec: int) -> tuple[Decimal, Decimal]:
         return (e * ln2).exp(), (e * ln3).exp()
 
 
-def _power(alpha: float, n: int, ln_n: Decimal) -> Decimal:
-    """n^(alpha+1) to about the current context's digits: on n = 2^a 3^b,
-    (2^(alpha+1))^a (3^(alpha+1))^b from two exps cached per alpha and
-    precision, else exp((alpha+1) ln n).  The product runs at _GUARD more
-    digits, so its a + b roundings stay below the context's last digit."""
+def _power_ln(alpha: float, n: int) -> tuple[Decimal, Decimal]:
+    """n^(alpha+1) and ln n to about the current context's digits.  On a rung
+    n = 2^a 3^b, factored once, ln n is a ln 2 + b ln 3 and n^(alpha+1) is
+    (2^(alpha+1))^a (3^(alpha+1))^b, from constants cached per precision
+    (and alpha); the product runs at _GUARD more digits, so its a + b
+    roundings stay below the context's last digit.  Any other n takes
+    ``Decimal.ln`` and exp((alpha+1) ln n)."""
     rung = _two_three(n)
     if rung is None:
-        return ((Decimal(alpha) + 1) * ln_n).exp()
+        ln_n = Decimal(n).ln()
+        return ((Decimal(alpha) + 1) * ln_n).exp(), ln_n
+    a, b = rung
     with localcontext() as ctx:
+        ln2, ln3 = _ln2_ln3(ctx.prec)
+        ln_n = a * ln2 + b * ln3
         ctx.prec += _GUARD
         two, three = _rung_bases(alpha, ctx.prec)
-        return two ** rung[0] * three ** rung[1]
+        return two ** a * three ** b, ln_n
+
+
+def _subtrahend_coefficients(spec: StaircaseSpec, k: int) -> tuple[Decimal, Decimal, Decimal]:
+    """(A, B, C) with I_k(n) = n^(alpha+1) (A + B ln n + C ln^2 n) at every
+    n, summed over i = 0..k in the current context.
+
+    Off the pole b = alpha+i+1 = 0, n^-i F.p. int_0^n t^(alpha+i) dt is
+    n^(alpha+1) / b, and with the log weight n^(alpha+1) (ln n / b - 1/b^2);
+    on it, the term is n^-i ln n, or n^-i ln^2 n / 2, and n^-i = n^(alpha+1).
+    """
+    alpha = Decimal(spec.alpha)
+    a = b = c = Decimal(0)
+    for i in range(k + 1):
+        binom = (-1) ** i * math.comb(k, i)
+        pole = alpha + (i + 1)
+        if pole == 0:
+            if spec.log_weight:
+                c = binom / Decimal(2)
+            else:
+                b = Decimal(binom)
+        elif spec.log_weight:
+            q = binom / pole
+            a, b = a - q / pole, b + q
+        else:
+            a += binom / pole
+    return a, b, c
+
+
+def _subtrahends(spec: StaircaseSpec, k: int,
+                 boundaries: list[int]) -> list[tuple[float, float]]:
+    """I_k(n) at each boundary n as a double-double (hi, lo).  Its
+    coefficients are summed once, at 40 + k log10(2) digits, since the
+    C(k, i) cancel up to 2^k; each boundary then costs n^(alpha+1), ln n
+    and a few products.  A value past Decimal's range is past the float
+    range too: (inf, nan)."""
+    pairs = []
+    with localcontext() as ctx:
+        ctx.prec = _FP_DIGITS + math.ceil(k * math.log10(2))
+        a, b, c = _subtrahend_coefficients(spec, k)
+        for n in boundaries:
+            try:
+                power, ln_n = _power_ln(spec.alpha, n)
+                total = power * (a + ln_n * (b + ln_n * c))
+            except Overflow:
+                pairs.append((math.inf, math.nan))
+                continue
+            hi = float(total)
+            pairs.append((hi, float(total - Decimal(hi))))
+    return pairs
 
 
 def _fp_subtrahend(spec: StaircaseSpec, k: int, n: int) -> tuple[float, float]:
-    """I_k(n) as a double-double (hi, lo).  Off the pole b = alpha+i+1 = 0,
-    n^-i F.p. int_0^n t^(alpha+i) dt is n^(alpha+1) / b for every i.  A
-    value past Decimal's range is past the float range too: (inf, nan)."""
-    with localcontext() as ctx:
-        ctx.prec = _FP_DIGITS + math.ceil(k * math.log10(2))  # C(k, i) cancel up to 2^k
-        alpha, big_n = Decimal(spec.alpha), Decimal(n)
-        ln_n = _ln(n, ctx.prec)
-        total = Decimal(0)
-        try:
-            power = _power(spec.alpha, n, ln_n)
-            for i in range(k + 1):
-                b = alpha + (i + 1)
-                if b == 0:
-                    term = (ln_n * ln_n / 2 if spec.log_weight else ln_n) / big_n ** i
-                elif spec.log_weight:
-                    term = power * (ln_n / b - 1 / (b * b))
-                else:
-                    term = power / b
-                total += (-1) ** i * math.comb(k, i) * term
-        except Overflow:
-            return math.inf, math.nan
-        hi = float(total)
-        return hi, float(total - Decimal(hi))
+    """I_k(n) at one boundary n, as ``_riesz_samples`` takes it off there."""
+    return _subtrahends(spec, k, [n])[0]
 
 
 def _surjection_counts(k: int) -> list[int]:
@@ -308,11 +335,11 @@ def _riesz_samples(spec: StaircaseSpec, k: int,
     """
     weights = _weights(spec, boundaries[-1])
     ratios = [w.as_integer_ratio() for w in weights]
-    den = max((d for _, d in ratios), default=1)
-    sums = _riesz_sums([a * (den // d) for a, d in ratios], k, boundaries)  # times den
+    top = max((d for _, d in ratios), default=1).bit_length()
+    den = 1 << (top - 1)  # every denominator is a power of two
+    sums = _riesz_sums([a << (top - d.bit_length()) for a, d in ratios], k, boundaries)
     samples = []
-    for n, riesz in zip(boundaries, sums):
-        hi, lo = _fp_subtrahend(spec, k, n)
+    for n, riesz, (hi, lo) in zip(boundaries, sums, _subtrahends(spec, k, boundaries)):
         if not (math.isfinite(hi) and math.isfinite(lo)):
             samples.append(math.nan)
         elif n - (k > 0) > len(weights):
@@ -362,15 +389,22 @@ def _monomial_numerators(values: list[int], k: int) -> list[int]:
     = n (n-1) ... (n-i+1) = sum_j s(i, j) n^j, s the signed Stirling numbers
     of the first kind (Graham, Knuth and Patashnik, *Concrete Mathematics*,
     6.1), so d! c_j = sum_i Delta^i(0) (d! / i!) s(i, j), all in integers.
+    Each round multiplies by (n - i), s(i+1, j) = s(i, j-1) - i s(i, j),
+    which moves a column up by one at most; so of row i only the columns
+    j >= k - (d - i) can still reach n^k, and the row keeps those alone.
     """
-    numerators = [0] * (len(values) - k)
-    row, weight = [1], math.factorial(len(values) - 1)  # s(i, .) and d! / i!
-    for i in range(len(values)):
+    d = len(values) - 1
+    numerators = [0] * (d + 1 - k)
+    row, low, weight = [1], 0, math.factorial(d)  # s(i, j) for j = low..i, and d! / i!
+    for i in range(d + 1):
         newton = values[0] * weight
         for j in range(k, i + 1):
-            numerators[j - k] += newton * row[j]
+            numerators[j - k] += newton * row[j - low]
         values = [b - a for a, b in zip(values, values[1:])]
-        row = [a - i * b for a, b in zip([0] + row, row + [0])]  # times (n - i)
+        if low < k - d + i + 1:  # column low is no longer needed
+            row, low = [a - i * b for a, b in zip(row, row[1:] + [0])], low + 1
+        else:
+            row = [a - i * b for a, b in zip([0] + row, row + [0])]
         weight //= i + 1
     return numerators
 
@@ -488,24 +522,26 @@ def _expansion_exponents(spec: StaircaseSpec, k: int) -> list[tuple[float, int]]
 
 
 def _window_fits(rungs: list[int], samples: list[float],
-                 exponents: list[tuple[float, int]]) -> tuple[float, float]:
+                 exponents: list[tuple[float, int]],
+                 below: Optional[float] = None) -> tuple[float, float]:
     """The constant fitted on the top window of rungs, and its gap to the
-    constant fitted on the window one rung lower.  A window holds
-    _FIT_RUNGS rungs and fits the exponents, _FIT_COLUMNS at most, besides
-    the constant; the columns of both windows are built once.  A non-finite
-    sample or an ill-conditioned fit reads as (the last sample, inf)."""
+    constant fitted on the window one rung lower, or to ``below``, that
+    window's fit when the caller has it.  A window holds _FIT_RUNGS rungs
+    and fits the exponents, _FIT_COLUMNS at most, besides the constant; the
+    columns of both windows are built once.  A non-finite sample or an
+    ill-conditioned fit reads as (the last sample, inf)."""
     n, y = rungs[-_FIT_RUNGS - 1:], samples[-_FIT_RUNGS - 1:]
     if not all(math.isfinite(v) for v in y):
         return samples[-1], math.inf
     columns = [[r ** e * math.log(r) ** b for r in n] for e, b in exponents]
     columns.append([1.0] * len(n))
     fits = []
-    for window in (slice(1, None), slice(None, -1)):
+    for window in [slice(1, None)] + ([slice(None, -1)] if below is None else []):
         try:
             fits.append(_weighted_fit([c[window] for c in columns], y[window])[0][-1])
         except IllConditionedFitError:
             return samples[-1], math.inf
-    gap = abs(fits[0] - fits[1])
+    gap = abs(fits[0] - (fits[1] if below is None else below))
     return fits[0], gap if math.isfinite(gap) else math.inf
 
 
@@ -519,7 +555,9 @@ def _extrapolated_evaluation(spec: StaircaseSpec, k: int, n_max: int,
     tol / 10, still shrinking, and the rung is at most n_max and _TOP_RUNG:
     a float sample carries noise of about eps n^(alpha+1/2), so past the
     point where the gap grows, climbing makes the fit worse.  There the fit
-    below is kept, with the larger of its two gaps as its error.
+    below is kept, with the larger of its two gaps as its error.  After a
+    climb the lower window is the former top one, the same rungs, columns
+    and samples, so its fit is not made again.
 
     An order k <= alpha never converges: there the staircase's order-k
     Cesaro mean does not exist, though its samples can settle, since the
@@ -534,7 +572,7 @@ def _extrapolated_evaluation(spec: StaircaseSpec, k: int, n_max: int,
     value, gap = _window_fits(rungs[:top], samples, exponents)
     while tol / 10 < gap < math.inf and top < len(rungs):
         samples += _riesz_samples(spec, k, rungs[top:top + 1])
-        v, g = _window_fits(rungs[:top + 1], samples, exponents)
+        v, g = _window_fits(rungs[:top + 1], samples, exponents, below=value)
         if not g < gap:
             gap = max(gap, g)
             break

@@ -5,6 +5,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from cesaro import exact, integral, series, zeta
@@ -671,7 +672,7 @@ def test_rung_powers_keep_every_digit_of_the_subtrahend(alpha, k):
             want = ((Decimal(alpha) + 1) * Decimal(n).ln()).exp()
         with localcontext() as ctx:
             ctx.prec = prec
-            got = zeta._power(alpha, n, zeta._ln(n, prec))
+            got, _ = zeta._power_ln(alpha, n)
         with localcontext() as ctx:
             ctx.prec = prec + 30
             assert abs(got - want) <= abs(want).scaleb(-prec), n
@@ -778,3 +779,171 @@ def test_the_ladder_climbs_only_as_far_as_tol_asks():
     want = euler_maclaurin_zeta_decimal(-0.5)
     assert abs(tight.value - want) < abs(loose.value - want)
     assert tight.converged and abs(tight.value - want) <= 1e-9
+
+
+# records of the fitted staircase limit, every float as hex: the value, the
+# error_estimate, n_terms, converged and the trace.  Non-integer alpha, both
+# weights, k = 0, the poles alpha + i + 1 = 0 at (-2, 1), (-3, 2) and the log
+# weight's (-2, 2), the two climbs past rung 256 and a high order
+_PINNED_RECORDS = [
+    ('zeta_via_cesaro', 0.3903, {'X_max': 100000.0},
+     '-0x1.015fd75153d8ap-2', '0x1.1000000000000p-50', 256, True,
+     ('-0x1.fccfb4d9ebaaap-3', '-0x1.fe4ce1ab37bb6p-3', '-0x1.ffc948ab01935p-3',
+      '-0x1.0043982edf50fp-2', '-0x1.00a2724594bc3p-2', '-0x1.00d1d585f3565p-2',
+      '-0x1.0101322a4d08cp-2', '-0x1.0118ddfc6650ep-2')),
+    ('zeta_via_cesaro', 3.4265, {'X_max': 100000.0},
+     '0x1.4ebd06b1b4947p-8', '0x1.e7d6e32600000p-29', 256, True,
+     ('0x1.6f4533155f842p-8', '0x1.68008828aff23p-8', '0x1.602c4907f50ccp-8',
+      '0x1.5c0b4d5c834a6p-8', '0x1.57c4b142bd352p-8', '0x1.5592d29835759p-8',
+      '0x1.5356d25706878p-8', '0x1.5234daa1b491ap-8')),
+    ('zeta_prime_via_cesaro', 0.0, {'X_max': 10000.0},
+     '-0x1.d67f1c864be92p-1', '0x1.4800000000000p-47', 256, True,
+     ('-0x1.cd5148c915b54p-1', '-0x1.cf3a8efe5afe8p-1', '-0x1.d14a7bb21f2b8p-1',
+      '-0x1.d2668b4bd40e4p-1', '-0x1.d395ef3592163p-1', '-0x1.d437ae1444f65p-1',
+      '-0x1.d4e3173d1c4f5p-1', '-0x1.d53dd24fb02c8p-1')),
+    ('zeta_prime_via_cesaro', 3.0, {'X_max': 10000.0},
+     '0x1.607d9b283d59ap-8', '0x1.a9d39f1600000p-29', 256, True,
+     ('0x1.04412098ed6e7p-8', '0x1.1c055e8944e7cp-8', '0x1.33617f26b6f5ap-8',
+      '0x1.3ee24ee228bbdp-8', '0x1.4a40801e71e15p-8', '0x1.4fe12dd023c8dp-8',
+      '0x1.557731e084884p-8', '0x1.583ddca615efbp-8')),
+    ('zeta_via_cesaro', -0.5152, {'k': 0, 'X_max': 1000000.0},
+     '-0x1.859a519d2b7f1p+0', '0x1.4000000000000p-48', 256, True,
+     ('-0x1.6ccbcec5807f4p+0', '-0x1.7031b27e24664p+0', '-0x1.7436ea8f689ecp+0',
+      '-0x1.769a6456cffadp+0', '-0x1.796ce65c4a177p+0', '-0x1.7b19bb9d2b93ap+0',
+      '-0x1.7d1418dafbbf2p+0', '-0x1.7e407ea94431bp+0')),
+    ('zeta_via_cesaro', -2.0, {'k': 0, 'X_max': 1000000.0},
+     '0x1.a51a6625307d0p+0', '0x1.c000000000000p-50', 256, True,
+     ('0x1.a5527f7fd695ep+0', '0x1.a53a10d41ea96p+0', '0x1.a52885c09d844p+0',
+      '0x1.a5225b7aa7f32p+0', '0x1.a51df135026a7p+0', '0x1.a51c64cfdc38fp+0',
+      '0x1.a51b494e46c0cp+0', '0x1.a51ae5fa85db1p+0')),
+    ('zeta_via_cesaro', -2.0, {'k': 1},
+     '0x1.a51a6625307cfp+0', '0x1.8000000000000p-50', 256, True,
+     ('0x1.9ef1d21113fe0p+0', '0x1.a07c183e9c75ep+0', '0x1.a2064201dbe26p+0',
+      '0x1.a2cb4f3066c97p+0', '0x1.a39058d0f4d28p+0', '0x1.a3f2dcaabfa3fp+0',
+      '0x1.a4556012c5394p+0', '0x1.a486a1a7f7b09p+0')),
+    ('zeta_via_cesaro', -3.0, {'k': 2},
+     '0x1.33ba004f00623p+0', '0x1.0000000000000p-51', 256, True,
+     ('0x1.10e4246c69c7fp+0', '0x1.198d4b06bfc92p+0', '0x1.223ea73572c64p+0',
+      '0x1.269a6964557c6p+0', '0x1.2af838f839486p+0', '0x1.2d27e5c80b2fbp+0',
+      '0x1.2f5815f11d039p+0', '0x1.30705f471de4ap+0')),
+    ('zeta_prime_via_cesaro', -2.0, {'k': 2},
+     '-0x1.e00653256ab82p-1', '0x1.2000000000000p-50', 256, True,
+     ('-0x1.e3f2c73eae1b9p-1', '-0x1.e2d074de90b54p-1', '-0x1.e1c84618ba76dp-1',
+      '-0x1.e14dfc0a5fb53p-1', '-0x1.e0da3add67a60p-1', '-0x1.e0a2cd9b39534p-1',
+      '-0x1.e06d02912e025p-1', '-0x1.e052b9e133588p-1')),
+    ('zeta_via_cesaro', 2.5, {'tol': 1e-12},
+     '0x1.17152d5e341aep-7', '0x1.659019c000000p-33', 384, False,
+     ('0x1.045d997d90bfcp-7', '0x1.0ab72ca89cf94p-7', '0x1.0dd9b34ebe807p-7',
+      '0x1.10f511c926969p-7', '0x1.127ffc90e5617p-7', '0x1.140902236d9e5p-7',
+      '0x1.14cccb844d44ep-7', '0x1.15901727de09ap-7')),
+    ('zeta_prime_via_cesaro', 2.2623, {'tol': 0.0},
+     '-0x1.02c492a7986e1p-6', '0x1.5ff1fd0000000p-31', 512, False,
+     ('-0x1.0d9f18c7b6ab5p-6', '-0x1.0af422fd043a5p-6', '-0x1.08417adf1729ep-6',
+      '-0x1.06e53b9f7b795p-6', '-0x1.0587045765ff8p-6', '-0x1.04d729e05e31ap-6',
+      '-0x1.0426cefb6982dp-6', '-0x1.03ce710ae67dbp-6')),
+    ('zeta_via_cesaro', 0.5, {'k': 40},
+     '-0x1.a9c041e913b92p-3', '0x1.5390757c00000p-24', 256, True,
+     ('-0x1.42da39ae29da8p-3', '-0x1.5e64b4ccd5c9dp-3', '-0x1.7941cece1bc65p-3',
+      '-0x1.862e95c79cfe7p-3', '-0x1.92a2a087faab6p-3', '-0x1.98a7ab111920bp-3',
+      '-0x1.9e8576c03102ap-3', '-0x1.a164c3b9079b6p-3')),
+]
+
+
+@pytest.mark.parametrize("name,alpha,kwargs,value,error,n_terms,converged,trace",
+                         _PINNED_RECORDS)
+def test_fitted_records_are_pinned_bit_for_bit(name, alpha, kwargs, value, error, n_terms,
+                                                converged, trace):
+    ev = getattr(zeta, name)(alpha, **kwargs)
+    assert (ev.value.hex(), ev.error_estimate.hex(), ev.n_terms, ev.converged) == (
+        value, error, n_terms, converged)
+    assert tuple(t.hex() for t in ev.trace) == trace
+
+
+def _subtrahend_terms(alpha: float, k: int, log_weight: bool) -> list[tuple[int, Fraction]]:
+    """(j, term) for the terms of A (j = 0), B (1) and C (2) in I_k(n) =
+    n^(alpha+1) (A + B ln n + C ln^2 n), exact: a float alpha is a dyadic
+    rational."""
+    terms = []
+    for i in range(k + 1):
+        s = (-1) ** i * math.comb(k, i)
+        b = Fraction(alpha) + i + 1
+        if b == 0:  # n^-i = n^(alpha+1)
+            terms.append((2, Fraction(s, 2)) if log_weight else (1, Fraction(s)))
+        elif log_weight:
+            terms += [(0, -s / b ** 2), (1, s / b)]
+        else:
+            terms.append((0, s / b))
+    return terms
+
+
+@pytest.mark.parametrize("log_weight", [False, True])
+@pytest.mark.parametrize("k", [0, 1, 2, 5, 40, 150])
+@pytest.mark.parametrize("alpha", [-3.0, -2.5, -2.0, 0.0, 0.5, 3.4265, 6.5])
+def test_subtrahend_coefficients_are_the_exact_sums(alpha, k, log_weight):
+    # the Decimal A, B and C, summed once per call at 40 + k log10(2) digits,
+    # keep 38 digits of the larger of the constant and its terms' size past a
+    # 2^k cancellation.  Relative to the constant alone they keep fewer where
+    # it cancels further, as A = B(alpha+1, k+1) does at large alpha and k
+    # (9e-32 at alpha = 6.5, k = 150), like the per-boundary sum they replace
+    terms = _subtrahend_terms(alpha, k, log_weight)
+    with localcontext() as ctx:
+        ctx.prec = 40 + math.ceil(k * math.log10(2))
+        got = zeta._subtrahend_coefficients(zeta.StaircaseSpec(alpha, log_weight), k)
+    for j, constant in enumerate(got):
+        want = sum(t for c, t in terms if c == j)
+        size = max(abs(want), sum(abs(t) for c, t in terms if c == j) / 2 ** k)
+        assert abs(Fraction(constant) - want) <= size / 10 ** 38, j
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 5, 40, 150])
+@pytest.mark.parametrize("alpha", [0, 1, 2, 3, 6])
+def test_integer_alpha_subtrahends_are_the_beta_integral(alpha, k):
+    # n^-k int_0^n t^alpha (n-t)^k dt = n^(alpha+1) alpha! k! / (alpha+k+1)!:
+    # hi + lo within 1e-32 of it on every rung, about the double-double's
+    # resolution, plus the constant's own error bound from the test above
+    # (1.2e-31 relative at alpha = 6, k = 150)
+    spec = zeta.StaircaseSpec(float(alpha))
+    beta = Fraction(math.factorial(alpha) * math.factorial(k), math.factorial(alpha + k + 1))
+    size = sum(abs(t) for _, t in _subtrahend_terms(alpha, k, False)) / 2 ** k
+    rungs = zeta._ladder(4096)
+    for n, (hi, lo) in zip(rungs, zeta._subtrahends(spec, k, rungs)):
+        want = n ** (alpha + 1) * beta
+        bound = want / 10 ** 32 + n ** (alpha + 1) * size / 10 ** 38
+        assert abs(Fraction(hi) + Fraction(lo) - want) <= bound, n
+
+
+@pytest.mark.parametrize("call,alpha,tol,top,fits", [
+    (zeta.zeta_prime_via_cesaro, 2.2623, 0.0, 512, 4),
+    (zeta.zeta_via_cesaro, 2.5, 1e-12, 384, 3)])
+def test_a_climb_fits_only_the_new_window(monkeypatch, call, alpha, tol, top, fits):
+    # after a climb the lower window is the former top one, whose fit is
+    # kept: two fits for the first ladder, then one per rung climbed
+    made = []
+    fit = zeta._weighted_fit
+
+    def counted(*args):
+        made.append(args)
+        return fit(*args)
+
+    monkeypatch.setattr(zeta, "_weighted_fit", counted)
+    ev = call(alpha, tol=tol)
+    rungs = zeta._ladder(top)
+    assert ev.n_terms == top and len(made) == fits == 2 + len(rungs) - rungs.index(256) - 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-10 ** 40, 10 ** 40), min_size=1, max_size=13))
+def test_monomial_numerators_match_lagrange_interpolation(values):
+    # d! times the coefficients of the polynomial through (n, values[n]),
+    # n = 0..d, by Lagrange's formula in Fraction, for every k <= d
+    d = len(values) - 1
+    coeffs = [Fraction(0)] * (d + 1)
+    for m, v in enumerate(values):
+        basis = [Fraction(1)]  # prod_{n != m} (x - n) / (m - n), lowest power first
+        for n in range(d + 1):
+            if n != m:
+                basis = [(a - n * b) / (m - n) for a, b in zip([0] + basis, basis + [0])]
+        coeffs = [c + v * b for c, b in zip(coeffs, basis)]
+    for k in range(d + 1):
+        assert zeta._monomial_numerators(values, k) == [math.factorial(d) * c
+                                                        for c in coeffs[k:]], k
