@@ -29,8 +29,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .accumulate import compensated_prefix_sums
-from .evaluation import (MAX_ORDER, CesaroEvaluation, require_order, require_tol,
-                         tail_judgement)
+from .evaluation import (MAX_ORDER, CesaroEvaluation, require_finite, require_order,
+                         require_tol, tail_judgement)
 
 __all__ = [
     "SeriesSpec",
@@ -54,6 +54,15 @@ def _bounded_order(k, name: str = "order k") -> int:
     return k
 
 
+def _term_count(n_terms) -> int:
+    """A number of terms as an int: finite, non-negative and integral (1e4
+    is 10000)."""
+    require_finite(n_terms=n_terms)
+    if n_terms < 0 or n_terms != int(n_terms):
+        raise ValueError(f"n_terms must be a non-negative integer, got {n_terms!r}")
+    return int(n_terms)
+
+
 @dataclass(frozen=True)
 class SeriesSpec:
     """A series given by its term generator.
@@ -69,26 +78,41 @@ class SeriesSpec:
     label: str = ""
 
     def terms(self, n_terms: int) -> np.ndarray:
-        """a_0 .. a_{n_terms-1} as a float64 array: float(term(n)), inf where
-        the term or its conversion overflows.  Each term is called once."""
+        """a_0 .. a_{n_terms-1} as a float64 array: float(term(n)), +inf
+        where the term's call overflows, and an infinity of the term's sign
+        where its conversion does.  Each term is called once."""
+        n_terms = _term_count(n_terms)
         if n_terms > MAX_SERIES_TERMS:
             raise ValueError(f"n_terms={n_terms} exceeds MAX_SERIES_TERMS = "
                              f"{MAX_SERIES_TERMS:.0e}")
         out = np.zeros(n_terms)
-        # list.extend keeps the values read before an OverflowError, and the
-        # map resumes after the index that raised; np.fromiter would lose them
         for lo in range(max(self.start, 0), n_terms, _TERMS_PER_CHUNK):
             hi = min(lo + _TERMS_PER_CHUNK, n_terms)
-            values = map(float, map(self.term, range(lo, hi)))
-            chunk: list[float] = []
-            while True:
-                try:
-                    chunk.extend(values)
-                    break
-                except OverflowError:
-                    chunk.append(math.inf)
-            out[lo:hi] = chunk
+            out[lo:hi] = _floats(map(self.term, range(lo, hi)))
         return out
+
+
+def _floats(calls) -> list[float]:
+    """float(v) for each value v of the term calls: +inf where a call raises
+    OverflowError, and an infinity of v's sign where float(v) does.
+
+    list.extend keeps the values read before an OverflowError, and the map
+    resumes after the index that raised; np.fromiter would lose them.  The
+    raw values are kept, one chunk at a time, for the sign."""
+    raw: list = []
+    while True:
+        try:
+            raw.extend(calls)
+            break
+        except OverflowError:
+            raw.append(math.inf)
+    values, floats = map(float, raw), []
+    while True:
+        try:
+            floats.extend(values)
+            return floats
+        except OverflowError:
+            floats.append(math.inf if raw[len(floats)] > 0 else -math.inf)
 
 
 def _iterated_sums(spec: SeriesSpec, k: int, n_terms: int) -> np.ndarray:
@@ -121,7 +145,7 @@ def iterated_partial_sums(spec: SeriesSpec, k: int, n_terms: int) -> list[float]
     k = 0 gives the plain partial sums.  Every pass is a compensated prefix
     sum, so iterating does not amplify rounding drift.
     """
-    return _iterated_sums(spec, _bounded_order(k), n_terms).tolist()
+    return _iterated_sums(spec, _bounded_order(k), _term_count(n_terms)).tolist()
 
 
 def cesaro_sum(spec: SeriesSpec, k: int, n_terms: int,
@@ -134,6 +158,7 @@ def cesaro_sum(spec: SeriesSpec, k: int, n_terms: int,
     """
     k = _bounded_order(k)
     require_tol(tol)
+    n_terms = _term_count(n_terms)
     tail_count = max(8, n_terms // 10)
     if n_terms < tail_count or n_terms < 8:
         raise ValueError(f"n_terms={n_terms} leaves no tail window to judge convergence")
@@ -156,7 +181,8 @@ def detect_order(spec: SeriesSpec, k_max: int, n_terms: int,
     geometric growth, where every A^k_n outruns the n^k normalization).
     A k_max above 512 raises ValueError before any term is called.
     """
-    for k in range(_bounded_order(k_max, "k_max") + 1):
+    k_max, n_terms = _bounded_order(k_max, "k_max"), _term_count(n_terms)
+    for k in range(k_max + 1):
         ev = cesaro_sum(spec, k, n_terms, tol=tol)
         if ev.converged:
             return k, ev

@@ -33,9 +33,11 @@ The Riesz sums of a list of boundaries come from one kernel, ``_riesz_sums``:
 by the surjection identity (n-m)^k = sum_j j! S(k, j) C(n-m, j), S the
 Stirling numbers of the second kind, k + 1 iterated prefix sums of the
 weights serve every boundary.  Every float weight is a dyadic rational, so
-scaled to one power of two the weights are integers and the sums exact.
-Each sample is the exact Riesz sum of the rounded weights minus I_k(n),
-rounded once, for (k + 1) n_max integer additions.
+times 2^(53 - e), e the exponent of the least non-zero weight, each is an
+integer and the sums are exact; where the weights span more than the float
+range, so that the product overflows, the scale is their largest
+denominator.  Each sample is the exact Riesz sum of the rounded weights
+minus I_k(n), rounded once, for (k + 1) n_max integer additions.
 
 The limit is not the sample at X_max but the constant of the sample's
 large-n expansion, whose exponents theory gives (Estrada and Kanwal, *A
@@ -64,10 +66,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from decimal import Decimal, Overflow, localcontext
+from decimal import Decimal, Overflow, getcontext, localcontext
 from functools import lru_cache
 from itertools import accumulate
-from typing import Optional
+from typing import Callable, Optional
 
 from .evaluation import (MAX_ORDER, TRACE_LEN, CesaroEvaluation, require_finite,
                          require_order, require_tol)
@@ -194,24 +196,36 @@ def _rung_bases(alpha: float, prec: int) -> tuple[Decimal, Decimal]:
         return (e * ln2).exp(), (e * ln3).exp()
 
 
-def _power_ln(alpha: float, n: int) -> tuple[Decimal, Decimal]:
-    """n^(alpha+1) and ln n to about the current context's digits.  On a rung
-    n = 2^a 3^b, factored once, ln n is a ln 2 + b ln 3 and n^(alpha+1) is
+def _power_ln(alpha: float) -> Callable[[int], tuple[Decimal, Decimal]]:
+    """The reader of n^(alpha+1) and ln n to about the current context's
+    digits, with its constants fetched once.  On a rung n = 2^a 3^b,
+    factored once, ln n is a ln 2 + b ln 3 and n^(alpha+1) is
     (2^(alpha+1))^a (3^(alpha+1))^b, from constants cached per precision
     (and alpha); the product runs at _GUARD more digits, so its a + b
-    roundings stay below the context's last digit.  Any other n takes
+    roundings stay below the context's last digit.  Any other n, and every
+    n where 2^(alpha+1) or 3^(alpha+1) leaves Decimal's range, takes
     ``Decimal.ln`` and exp((alpha+1) ln n)."""
-    rung = _two_three(n)
-    if rung is None:
-        ln_n = Decimal(n).ln()
-        return ((Decimal(alpha) + 1) * ln_n).exp(), ln_n
-    a, b = rung
-    with localcontext() as ctx:
-        ln2, ln3 = _ln2_ln3(ctx.prec)
+    ctx = getcontext()
+    prec = ctx.prec
+    ln2, ln3 = _ln2_ln3(prec)
+    try:
+        two, three = _rung_bases(alpha, prec + _GUARD)
+    except Overflow:
+        two = None
+
+    def read(n: int) -> tuple[Decimal, Decimal]:
+        rung = _two_three(n) if two is not None else None
+        if rung is None:
+            ln_n = Decimal(n).ln()
+            return ((Decimal(alpha) + 1) * ln_n).exp(), ln_n
+        a, b = rung
         ln_n = a * ln2 + b * ln3
-        ctx.prec += _GUARD
-        two, three = _rung_bases(alpha, ctx.prec)
-        return two ** a * three ** b, ln_n
+        ctx.prec = prec + _GUARD
+        try:
+            return two ** a * three ** b, ln_n
+        finally:
+            ctx.prec = prec
+    return read
 
 
 def _subtrahend_coefficients(spec: StaircaseSpec, k: int) -> tuple[Decimal, Decimal, Decimal]:
@@ -251,9 +265,10 @@ def _subtrahends(spec: StaircaseSpec, k: int,
     with localcontext() as ctx:
         ctx.prec = _FP_DIGITS + math.ceil(k * math.log10(2))
         a, b, c = _subtrahend_coefficients(spec, k)
+        power_ln = _power_ln(spec.alpha)
         for n in boundaries:
             try:
-                power, ln_n = _power_ln(spec.alpha, n)
+                power, ln_n = power_ln(n)
                 total = power * (a + ln_n * (b + ln_n * c))
             except Overflow:
                 pairs.append((math.inf, math.nan))
@@ -305,11 +320,18 @@ def _riesz_sums(weights: list[int], k: int, boundaries: list[int]) -> list[int]:
 
 def _weights(spec: StaircaseSpec, n_max: int) -> list[float]:
     """The float weights w(m) for m = 1..n_max, up to the first that leaves
-    the float range (m^alpha grows with m, so every later one does too)."""
+    the float range (m^alpha grows with m, so every later one does too).
+    Where n_max^alpha < 2^1000 none can, even times ln m, and one
+    comprehension makes them all."""
+    alpha, ms = spec.alpha, range(1, n_max + 1)
+    if alpha * math.log2(n_max) < 1000:
+        if spec.log_weight:
+            return [m ** alpha * math.log(m) for m in ms]
+        return [m ** alpha for m in ms]
     weights = []
-    for m in range(1, n_max + 1):
+    for m in ms:
         try:
-            w = float(m) ** spec.alpha
+            w = m ** alpha
         except OverflowError:
             break
         if spec.log_weight:
@@ -320,24 +342,43 @@ def _weights(spec: StaircaseSpec, n_max: int) -> list[float]:
     return weights
 
 
+def _integer_weights(weights: list[float]) -> tuple[list[int], int]:
+    """The weights times one power of two, as integers, and that power.
+
+    With e the exponent of the least non-zero weight (every weight is >= 0),
+    each w(m) = M 2^(e_m - 53), M an integer and e_m >= e, so w(m)
+    2^(53 - e) is an integer, made exactly by ``math.ldexp``.  Where the
+    weights span more than the float range, that product overflows, and the
+    power is the largest denominator of the weights' ``as_integer_ratio``.
+    """
+    scale = max(0, 53 - math.frexp(min(filter(None, weights), default=1.0))[1])
+    try:
+        return [int(math.ldexp(w, scale)) for w in weights], 1 << scale
+    except OverflowError:
+        ratios = [w.as_integer_ratio() for w in weights]
+        top = max(d for _, d in ratios).bit_length()  # every denominator is a power of two
+        return [a << (top - d.bit_length()) for a, d in ratios], 1 << (top - 1)
+
+
 def _riesz_samples(spec: StaircaseSpec, k: int,
                    boundaries: list[int]) -> list[float]:
     """k! F_k(n) / n^k at each of the increasing boundaries n.
 
-    Each float weight w(m) is a / 2^p, so times the largest 2^p every weight
-    is an integer, and ``_riesz_sums`` gives the Riesz sums of every
-    boundary exactly.  Each sample takes the double-double I_k(n) off the
-    exact Riesz sum and is rounded once.
+    Each float weight w(m) is a dyadic rational, so times one power of two,
+    2^(53 - e) with e the exponent of the least non-zero weight, every weight
+    is an integer (``_integer_weights``; past a span of the float range,
+    |alpha| above about 121 at n = 256, the power is their largest
+    denominator), and ``_riesz_sums`` gives the Riesz sums of every boundary
+    exactly.  Each sample takes the double-double I_k(n) off the exact Riesz
+    sum and is rounded once.
 
     A sample that reads a weight past the float range is +inf, and one whose
     I_k(n) is past it is nan.  At k >= 1 the sum reads the weights up to
     n - 1 only, since the term m = n has weight (n-n)^k = 0.
     """
     weights = _weights(spec, boundaries[-1])
-    ratios = [w.as_integer_ratio() for w in weights]
-    top = max((d for _, d in ratios), default=1).bit_length()
-    den = 1 << (top - 1)  # every denominator is a power of two
-    sums = _riesz_sums([a << (top - d.bit_length()) for a, d in ratios], k, boundaries)
+    integers, den = _integer_weights(weights)
+    sums = _riesz_sums(integers, k, boundaries)
     samples = []
     for n, riesz, (hi, lo) in zip(boundaries, sums, _subtrahends(spec, k, boundaries)):
         if not (math.isfinite(hi) and math.isfinite(lo)):
@@ -514,11 +555,14 @@ def _expansion_exponents(spec: StaircaseSpec, k: int) -> list[tuple[float, int]]
     terms = [(-j, 0) for j in range(1, min(k, _FIT_COLUMNS) + 1)]
     for l in endpoint:
         terms += [(spec.alpha - l, b) for b in ((0, 1) if spec.log_weight else (0,))]
-    columns = []
-    for e, b in sorted(terms, key=lambda t: (-t[0], -t[1])):
-        if _STEEPEST <= e < 0 and all(b != c or abs(e - d) >= _MERGE_GAP for d, c in columns):
+    columns, last = [], {}  # slowest first, so last[b], the last e taken with b, is the nearest
+    for e, b in sorted(terms, reverse=True):
+        if _STEEPEST <= e < 0 and last.get(b, math.inf) - e >= _MERGE_GAP:
             columns.append((e, b))
-    return columns[:_FIT_COLUMNS]
+            last[b] = e
+            if len(columns) == _FIT_COLUMNS:
+                break
+    return columns
 
 
 def _window_fits(rungs: list[int], samples: list[float],
@@ -533,7 +577,8 @@ def _window_fits(rungs: list[int], samples: list[float],
     n, y = rungs[-_FIT_RUNGS - 1:], samples[-_FIT_RUNGS - 1:]
     if not all(math.isfinite(v) for v in y):
         return samples[-1], math.inf
-    columns = [[r ** e * math.log(r) ** b for r in n] for e, b in exponents]
+    columns = [[r ** e * math.log(r) for r in n] if b else [r ** e for r in n]
+               for e, b in exponents]
     columns.append([1.0] * len(n))
     fits = []
     for window in [slice(1, None)] + ([slice(None, -1)] if below is None else []):

@@ -187,6 +187,26 @@ def test_each_term_is_called_once_and_overflow_reads_inf(term, n_terms):
     assert got.tolist() == want  # 2.0 ** n reads inf from n = 1024 on
 
 
+def test_an_overflowing_conversion_keeps_the_terms_sign():
+    # float() of an int past the float range raises OverflowError: the term
+    # reads as an infinity of its own sign, while a term whose call raises
+    # (2.0 ** n) reads +inf; each term is still called once
+    calls = []
+
+    def term(n):
+        calls.append(n)
+        return (-1) ** n * 10**400 if n % 3 else 2.0 ** (1021 + n)
+
+    got = series.SeriesSpec(term).terms(9)
+    assert calls == list(range(9))
+    assert got.tolist() == [2.0 ** 1021, -math.inf, math.inf, math.inf, math.inf,
+                            -math.inf, math.inf, -math.inf, math.inf]
+    assert series.SeriesSpec(lambda n: -(10**400)).terms(3).tolist() == [-math.inf] * 3
+    for bad in (None, 1j):
+        with pytest.raises(TypeError):
+            series.SeriesSpec(lambda n, bad=bad: bad).terms(3)
+
+
 @pytest.mark.parametrize("exact,twin", [
     (lambda n: Fraction((-1) ** n, n + 1), lambda n: (-1.0) ** n / (n + 1)),
     (lambda n: (-1) ** n * n * n, lambda n: (-1.0) ** n * n * n),
@@ -251,6 +271,35 @@ def test_absurd_series_sizes_fail_before_any_work(n_terms):
     for call in calls:
         with pytest.raises(ValueError, match="MAX_SERIES_TERMS"):
             call()
+
+
+_TERM_COUNT_CALLS = {
+    "terms": lambda spec, n: spec.terms(n),
+    "iterated": lambda spec, n: series.iterated_partial_sums(spec, 1, n),
+    "cesaro-sum": lambda spec, n: series.cesaro_sum(spec, 1, n),
+    "detect-order": lambda spec, n: series.detect_order(spec, 2, n),
+}
+
+
+@pytest.mark.parametrize("name", list(_TERM_COUNT_CALLS))
+@pytest.mark.parametrize("n_terms", [1.5, math.nan, math.inf, -math.inf, -3])
+def test_a_bad_term_count_is_refused_by_name(name, n_terms):
+    def term(n):
+        raise AssertionError(f"term {n} was called")
+
+    with pytest.raises(ValueError, match="^n_terms "):
+        _TERM_COUNT_CALLS[name](series.SeriesSpec(term), n_terms)
+
+
+@pytest.mark.parametrize("name", list(_TERM_COUNT_CALLS))
+def test_an_integral_float_term_count_counts_as_its_int(name):
+    # 1e4 is 10000 terms, as 2.0 is order 2
+    call = _TERM_COUNT_CALLS[name]
+    got, want = call(alt_sign(), 1e4), call(alt_sign(), 10_000)
+    if name in ("terms", "iterated"):
+        assert len(got) == 10_000 and list(got) == list(want)
+    else:
+        assert got == want
 
 
 @pytest.mark.parametrize("call,k,n_terms", [

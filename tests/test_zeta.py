@@ -282,13 +282,30 @@ def test_a_subtrahend_past_the_decimal_range_reads_as_nan(call, alpha):
     assert (ev.order, ev.n_terms) == (2, 256)
 
 
+def test_rung_bases_past_the_decimal_range_leave_boundary_one_finite():
+    # at alpha = 3e6 + 0.5, 3^(alpha+1) is past Decimal's range, so every
+    # boundary takes exp((alpha+1) ln n): I_2(1) is A = B(alpha+1, 3), while
+    # from n = 2 on n^(alpha+1) is past the float range or Decimal's
+    a = 3e6 + 0.5
+    spec = zeta.StaircaseSpec(a)
+    hi, lo = zeta._fp_subtrahend(spec, 2, 1)
+    assert hi == pytest.approx(2 / ((a + 1) * (a + 2) * (a + 3)), rel=1e-15)
+    for n in (2, 16, 256):
+        assert not all(map(math.isfinite, zeta._fp_subtrahend(spec, 2, n))), n
+
+
 @pytest.mark.parametrize("k", [0, 1, 3, 5])
-@pytest.mark.parametrize("alpha", [-1.5, 0.5])
+@pytest.mark.parametrize("alpha", [-1.5, 0.5, -135.0, 130.5])
 def test_riesz_samples_are_the_exact_sums_rounded_once(alpha, k):
     # each sample is (sum_{m<=n} w(m) (n-m)^k - n^k (hi + lo)) / n^k, summed
     # directly in exact arithmetic from the float weights and I_k's
-    # double-double, then rounded once: no iterated prefix sum, no identity
-    ns = list(range(1, 301))
+    # double-double, then rounded once: no iterated prefix sum, no identity.
+    # At alpha = -135 the weights run normal, then subnormal, then 0 (plain
+    # ones become integers by their largest denominator, log ones by one
+    # power of two); at 130.5 (n <= 200, every weight finite) the plain ones
+    # span past 2^970 and take the largest denominator; the log weight's
+    # w(1) = 0 is in every case
+    ns = list(range(1, 201 if alpha > 100 else 301))
     for log_weight in (False, True):
         spec = zeta.StaircaseSpec(alpha, log_weight)
         w = [Fraction(float(m) ** alpha * (math.log(m) if log_weight else 1.0)) for m in ns]
@@ -299,6 +316,26 @@ def test_riesz_samples_are_the_exact_sums_rounded_once(alpha, k):
             hi, lo = zeta._fp_subtrahend(spec, k, n)
             want = (riesz - n ** k * (Fraction(hi) + Fraction(lo))) / n ** k
             assert repr(got) == repr(float(want)), (log_weight, n)
+
+
+@pytest.mark.parametrize("alpha,log_weight,n_max,fallback", [
+    (0.5, False, 256, False), (-2.0, True, 256, False), (-120.5, False, 256, False),
+    (-135.0, True, 300, False), (-150.5, True, 4096, False), (130.5, True, 200, False),
+    (-135.0, False, 300, True), (-150.5, False, 256, True), (130.5, False, 200, True)])
+def test_integer_weights_are_the_weights_times_one_power_of_two(alpha, log_weight,
+                                                                n_max, fallback):
+    # one power of two, 2^(53 - e) with e the exponent of the least non-zero
+    # weight (at least 2^0: the log weight's at 130.5 are integers), makes
+    # every weight an integer, subnormal and 0 weights too; where that
+    # overflows, for plain weights from 1 down to a subnormal or up to
+    # 2^997, the scale is the largest denominator instead
+    weights = zeta._weights(zeta.StaircaseSpec(alpha, log_weight), n_max)
+    integers, den = zeta._integer_weights(weights)
+    assert [Fraction(i, den) for i in integers] == list(map(Fraction, weights))
+    if fallback:
+        assert den == max(Fraction(w).denominator for w in weights)
+    else:
+        assert den == 2 ** max(0, 53 - math.frexp(min(w for w in weights if w))[1])
 
 
 def test_zeta_prime_trace_negation_is_consistent():
@@ -672,7 +709,7 @@ def test_rung_powers_keep_every_digit_of_the_subtrahend(alpha, k):
             want = ((Decimal(alpha) + 1) * Decimal(n).ln()).exp()
         with localcontext() as ctx:
             ctx.prec = prec
-            got, _ = zeta._power_ln(alpha, n)
+            got, _ = zeta._power_ln(alpha)(n)
         with localcontext() as ctx:
             ctx.prec = prec + 30
             assert abs(got - want) <= abs(want).scaleb(-prec), n
