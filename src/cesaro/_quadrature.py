@@ -23,18 +23,14 @@ that meets its target at once costs 65 integrand calls, and a bisection
 """
 from __future__ import annotations
 
-import decimal
 import functools
-import itertools
 import math
-import operator
 from typing import NamedTuple
 
 import numpy as np
 
 from .evaluation import QuadratureError
 
-_GAUSS_POINTS = 32  # the nodes of the Gauss rule; the Kronrod rule has 2n + 1
 _WIDTH = 3225 / 64  # the lattice's uniform window width; see _lattice
 _UNIFORM = 4096  # the lattice's uniform windows, before they grow with t
 _BATCH_WINDOWS = 512  # windows per batch: fewer rounds, arrays that stay in cache
@@ -184,44 +180,61 @@ def _certified(label: str, X: float, values, errors, absvals) -> float:
     return total
 
 
+# the 65 nodes of K65 on [0, 1], increasing; the G32 nodes are _NODES[1::2]
+_NODES = (
+    0.0002270489378177607, 0.0013680690752592183, 0.0036859823685140435, 0.007194244227365833,
+    0.011844858192668097, 0.017618872206246784, 0.024522657575669408, 0.03254696203113015,
+    0.041661366674317836, 0.05183942211697394, 0.0630651155273447, 0.07531619313371501,
+    0.08855852493197434, 0.1027581020160288, 0.11788587400109815, 0.13390894062985517,
+    0.15078672110239474, 0.1684778665348924, 0.186943531149088, 0.20614212137961885,
+    0.22602684290042377, 0.2465500455338853, 0.2676653457590039, 0.2893243619346823,
+    0.31147528942293945, 0.33406569885893617, 0.3570437707052701, 0.38035631887393145,
+    0.40394819550842875, 0.42776401920860174, 0.4517486515615528, 0.4758461671561308, 0.5,
+    0.5241538328438692, 0.5482513484384471, 0.5722359807913983, 0.5960518044915712,
+    0.6196436811260685, 0.6429562292947298, 0.6659343011410638, 0.6885247105770606,
+    0.7106756380653176, 0.7323346542409961, 0.7534499544661147, 0.7739731570995763,
+    0.7938578786203812, 0.813056468850912, 0.8315221334651076, 0.8492132788976052,
+    0.8660910593701449, 0.8821141259989018, 0.8972418979839712, 0.9114414750680256,
+    0.9246838068662849, 0.9369348844726553, 0.9481605778830261, 0.9583386333256821,
+    0.9674530379688698, 0.9754773424243306, 0.9823811277937532, 0.9881551418073319,
+    0.9928057557726342, 0.996314017631486, 0.9986319309247408, 0.9997729510621822,
+)
+# the K65 weights of nodes 0..32; nodes 64..32 take the same
+_K65_WEIGHTS = (
+    0.000611680408975736, 0.0017134093878861856, 0.002920868539583347, 0.004086252019265834,
+    0.005211993699403409, 0.006338027403327201, 0.007468051803043014, 0.008574902604892127,
+    0.009649385715163406, 0.010704456592410958, 0.011743329836081663, 0.012752847740447326,
+    0.013726049211105202, 0.01466847834481033, 0.015581662780986869, 0.0164575388219518,
+    0.017291061372366516, 0.01808488473782115, 0.0188395653228067, 0.019549710066653306,
+    0.02021174618518655, 0.020827009992821527, 0.021395557798223372, 0.021913772015069874,
+    0.02237931937488347, 0.022792913282273536, 0.023154378369012858, 0.023461484140851807,
+    0.02371303093694119, 0.023909454368494235, 0.024050484592728873, 0.024135096537888694,
+    0.02416319199328388,
+)
+# the G32 weights of nodes 1, 3, ..., 31; nodes 63, 61, ..., 33 take the same
+_G32_WEIGHTS = (
+    0.003509305004735048, 0.008137197365452835, 0.01269603265463103, 0.017136931456510716,
+    0.02141794901111334, 0.025499029631188087, 0.029342046739267772, 0.032911111388180925,
+    0.03617289705442425, 0.039096947893535156, 0.041655962113473374, 0.043826046502201906,
+    0.045586939347881945, 0.04692219954040228, 0.04781936003963743, 0.0482700442573639,
+)
+
+
 @functools.cache
 def _kronrod() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The Gauss-Kronrod pair G32/K65 on [0, 1]: the 65 Kronrod nodes u, which
     hold the 32 Gauss-Legendre nodes at u[1::2]; their weights, a column for
     the K65 rule and one for the G32 rule (0 off the Gauss nodes); and the
     matrix that maps values at the nodes to the derivative there of their
-    interpolating polynomial (values @ matrix).  Built on first use.
+    interpolating polynomial (values @ matrix).
 
-    In y = u - 1/2 the monic Legendre polynomials on [0, 1] follow
-    p_(j+1) = y p_j - b_j p_(j-1).  Laurie's algorithm (*Calculation of
-    Gauss-Kronrod quadrature rules*, Math. Comp. 66, 1997) extends b, in
-    36-digit decimal, to the Jacobi matrix of a measure whose 65-point Gauss
-    rule is the Kronrod rule.  numpy's eigenvalues of that matrix seed one
-    Newton step on its characteristic polynomial p_65, and each weight is
-    ||p_64||^2 / (p_64 p_65') at the refined node, as for any Gauss rule;
-    the G32 weights read p_31 and p_32' off the same recurrence, whose
-    first 32 steps are Legendre's.  The rule is symmetric about y = 0, so
-    the nodes above it mirror those below.
+    The tables come from Laurie's algorithm (Math. Comp. 66, 1997) in 36-digit
+    decimal and one Newton step per node, each value rounded once to a double.
     """
-    n = _GAUSS_POINTS
-    with decimal.localcontext(decimal.Context(prec=36)):
-        b = _laurie(n, [decimal.Decimal(1)] + [decimal.Decimal(j * j) / (16 * j * j - 4)
-                                               for j in range(1, (3 * n + 1) // 2 + 1)])
-        off = np.sqrt(np.array(b[1:], dtype=float))
-        seed = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
-        norms = list(itertools.accumulate(b, operator.mul))  # ||p_j||^2
-        ys, weights = [], []
-        for i, y in enumerate(seed[:n + 1].tolist()):
-            p, p_prime, _ = _monic(b, decimal.Decimal(y), 2 * n + 1)
-            y = decimal.Decimal(y) - p / p_prime
-            _, k_prime, k_before = _monic(b, y, 2 * n + 1)
-            _, g_prime, g_before = _monic(b, y, n)
-            ys.append(y)
-            weights.append((norms[2 * n] / (k_before * k_prime),
-                            norms[n - 1] / (g_before * g_prime) if i % 2 else 0))
-        half = decimal.Decimal(1) / 2
-        u = np.array([half + y for y in ys] + [half - y for y in ys[-2::-1]], dtype=float)
-        weights = np.array(weights + weights[-2::-1], dtype=float)
+    u = np.array(_NODES)
+    weights = np.zeros((len(u), 2))
+    weights[:, 0] = _K65_WEIGHTS + _K65_WEIGHTS[-2::-1]
+    weights[1::2, 1] = _G32_WEIGHTS + _G32_WEIGHTS[::-1]
     diff = u[:, None] - u[None, :]
     np.fill_diagonal(diff, 1.0)
     bary = 1.0 / diff.prod(axis=1)  # barycentric weights of the nodes
@@ -232,44 +245,6 @@ def _kronrod() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for part in rule:
         part.flags.writeable = False
     return rule
-
-
-def _laurie(n: int, b: list) -> list:
-    """b_0..b_2n of the Jacobi-Kronrod matrix of order 2n + 1, from
-    b_0..b_(ceil 3n/2) of a measure symmetric about 0, whose monic
-    orthogonal polynomials follow p_(j+1) = y p_j - b_j p_(j-1): Laurie's
-    algorithm in the loops of Gautschi's ``r_kronrod``, where every diagonal
-    entry is 0 and stays so."""
-    b = b + [0] * (2 * n + 1 - len(b))
-    s, t = [0] * (n // 2 + 2), [0] * (n // 2 + 2)
-    t[1] = b[n + 1]
-    for m in range(n - 1):
-        acc = 0
-        for k in range((m + 1) // 2, -1, -1):
-            acc += b[k + n + 1] * s[k] - b[m - k] * s[k + 1]
-            s[k + 1] = acc
-        s, t = t, s
-    s[1:n // 2 + 2] = s[:n // 2 + 1]
-    for m in range(n - 1, 2 * n - 2):
-        acc = 0
-        for k in range(m + 1 - n, (m - 1) // 2 + 1):
-            j = n - 1 - (m - k)
-            acc += b[m - k] * s[j + 2] - b[k + n + 1] * s[j + 1]
-            s[j + 1] = acc
-        if m % 2:
-            b[(m + 1) // 2 + n + 1] = s[j + 1] / s[j + 2]
-        s, t = t, s
-    return b
-
-
-def _monic(b: list, y, degree: int) -> tuple:
-    """p_degree(y), its derivative and p_(degree-1)(y), for the monic
-    polynomials of the recurrence p_(j+1) = y p_j - b_j p_(j-1)."""
-    p, p_prime, before, before_prime = 1, 0, 0, 0
-    for beta in b[:degree]:
-        p, before, p_prime, before_prime = (y * p - beta * before, p,
-                                            p + y * p_prime - beta * before_prime, p_prime)
-    return p, p_prime, before
 
 
 @functools.cache

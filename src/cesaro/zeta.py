@@ -278,11 +278,6 @@ def _subtrahends(spec: StaircaseSpec, k: int,
     return pairs
 
 
-def _fp_subtrahend(spec: StaircaseSpec, k: int, n: int) -> tuple[float, float]:
-    """I_k(n) at one boundary n, as ``_riesz_samples`` takes it off there."""
-    return _subtrahends(spec, k, [n])[0]
-
-
 def _surjection_counts(k: int) -> list[int]:
     """j! S(k, j) for j = 0..k, S the Stirling numbers of the second kind:
     the maps of a k-set onto a j-set, so d^k = sum_j j! S(k, j) C(d, j) for

@@ -202,10 +202,17 @@ def test_the_kronrod_rule_holds_the_gauss_rule_and_integrates_to_its_degree():
 @pytest.mark.parametrize("k,X,want", [
     (-0.5, 7.3, "0x1.0b015e7feed25p+1"), (-0.5, 1e4, "0x1.4820a9135d458p+6"),
     (0.5, 7.3, "0x1.5ecd7dfdfbc9bp-1"), (0.5, 1e4, "0x1.02048c6ebde3bp+0"),
-    (2.5, 7.3, "0x1.e7506aaaf7fc4p-1"), (2.5, 1e4, "0x1.fffffebb56a0ap-1")])
+    (2.5, 7.3, "0x1.e7506aaaf7fc4p-1"), (2.5, 1e4, "0x1.fffffebb56a0ap-1"),
+    (0, 7.3, "0x1.e54bef6ebfc6ep-2"), (0, 1e4, "0x1.f3c07447621cfp+0"),
+    (1, 7.3, "0x1.c45a5a2b955c8p-1"), (1, 1e4, "0x1.000200bc61672p+0"),
+    (8, 7.3, "0x1.a3b94817717fap-2"), (8, 1e4, "0x1.ffffed35a3542p-1"),
+    (17, 7.3, "0x1.1a8a135f7734fp-3"), (17, 1e4, "0x1.ffffa4bb6d4eap-1")])
 def test_fractional_riesz_mean_at_one_point_is_pinned(k, X, want):
-    # a fractional order at one X reads the windows of [0, X] alone: the far
-    # ones off their moments, the ones near X under the weight
+    # every order of a sampled integrand is off the chain, and one X reads
+    # the windows of [0, X] alone: the far ones off their moments, the ones
+    # near X under the weight.  The integer orders take the other paths:
+    # k = 0 no moments, k = 1 and 8 every window off its moments (k = d),
+    # and k = 17, past MAX_DEGREE, its near windows under the weight
     assert integral.riesz_mean(integral.sampled(math.sin), k, X).hex() == want
 
 

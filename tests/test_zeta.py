@@ -288,10 +288,10 @@ def test_rung_bases_past_the_decimal_range_leave_boundary_one_finite():
     # from n = 2 on n^(alpha+1) is past the float range or Decimal's
     a = 3e6 + 0.5
     spec = zeta.StaircaseSpec(a)
-    hi, lo = zeta._fp_subtrahend(spec, 2, 1)
+    (hi, lo), *rest = zeta._subtrahends(spec, 2, [1, 2, 16, 256])
     assert hi == pytest.approx(2 / ((a + 1) * (a + 2) * (a + 3)), rel=1e-15)
-    for n in (2, 16, 256):
-        assert not all(map(math.isfinite, zeta._fp_subtrahend(spec, 2, n))), n
+    for n, pair in zip((2, 16, 256), rest):
+        assert not all(map(math.isfinite, pair)), n
 
 
 @pytest.mark.parametrize("k", [0, 1, 3, 5])
@@ -311,9 +311,9 @@ def test_riesz_samples_are_the_exact_sums_rounded_once(alpha, k):
         w = [Fraction(float(m) ** alpha * (math.log(m) if log_weight else 1.0)) for m in ns]
         den = max(f.denominator for f in w)
         num = [f.numerator * (den // f.denominator) for f in w]
-        for n, got in zip(ns, zeta._riesz_samples(spec, k, ns)):
+        for n, got, (hi, lo) in zip(ns, zeta._riesz_samples(spec, k, ns),
+                                    zeta._subtrahends(spec, k, ns)):
             riesz = Fraction(sum(num[m - 1] * (n - m) ** k for m in range(1, n + 1)), den)
-            hi, lo = zeta._fp_subtrahend(spec, k, n)
             want = (riesz - n ** k * (Fraction(hi) + Fraction(lo))) / n ** k
             assert repr(got) == repr(float(want)), (log_weight, n)
 
@@ -690,10 +690,10 @@ def test_ladder_logs_match_the_decimal_ln_route(monkeypatch, alpha, k, log_weigh
     # exp at each n
     spec = zeta.StaircaseSpec(alpha, log_weight)
     rungs = zeta._ladder(10**6)
-    got = [zeta._fp_subtrahend(spec, k, n) for n in rungs]
+    got = zeta._subtrahends(spec, k, rungs)
     monkeypatch.setattr(zeta, "_two_three", lambda n: None)
-    for n, pair in zip(rungs, got):
-        want = sum(map(Decimal, zeta._fp_subtrahend(spec, k, n)))
+    for n, pair, by_ln in zip(rungs, got, zeta._subtrahends(spec, k, rungs)):
+        want = sum(map(Decimal, by_ln))
         assert abs(sum(map(Decimal, pair)) - want) <= Decimal("1e-30") * abs(want), n
 
 
