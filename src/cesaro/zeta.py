@@ -55,11 +55,12 @@ X_max.
 
 Integer alpha >= 0 without the log weight takes the same identity, through
 the same kernel, with the integer weights m^alpha and the Beta integral
-n^(alpha+k+1) alpha! k! / (alpha+k+1)! as its finite part; k! F_k(n) is
-then a polynomial in n, summed at n = 0..degree only, and the limit is its
-n^k coefficient rounded once.  ``lemma_witness`` reports the mean of p,
-the x^k coefficient of its own polynomial k! F_k(n).  On both exact paths
-X_max only passes the shared checks.
+n^(alpha+k+1) alpha! k! / (alpha+k+1)! as its finite part; for an integer
+scale, P(n) = scale k! F_k(n) is then an integer polynomial, summed at
+n = 0..degree only, and the limit is Delta^k P(0) / (k! scale), or the sign
+of the highest non-zero difference above k.  ``lemma_witness`` reports the
+mean of p, the x^k coefficient of its own polynomial k! F_k(n).  On both
+exact paths X_max only passes the shared checks.
 """
 from __future__ import annotations
 
@@ -102,7 +103,7 @@ _FIT_COLUMNS = _FIT_RUNGS - 2  # the slowest decaying terms of the expansion, be
 _MERGE_GAP = 1e-3  # exponents closer than this share one column
 _STEEPEST = -13  # 16^-13 < eps: a term that decays faster is below every rung's resolution
 # an order or exact degree alpha + k above MAX_ORDER; at it a float limit takes
-# about 0.3 s, an exact one up to 2 s (alpha = 511: degree-512 Newton differences)
+# about 0.3 s, an exact one up to 0.5 s (alpha = 255, k = 257: the Riesz sums)
 _UNBOUNDED = (f"{{}} is above {MAX_ORDER}, the most a staircase limit takes; exact "
               "zeta(-n) is `cesaro zeta -n` or zeta_neg_int(n)")
 
@@ -417,55 +418,26 @@ def _quotient(v, d: int) -> float:
         return math.inf if v > 0 else -math.inf
 
 
-def _monomial_numerators(values: list[int], k: int) -> list[int]:
-    """d! c_j for j = k..d, c_j the coefficients of the polynomial of degree
-    <= d through the integers values[n] at n = 0..d.
-
-    Newton's form reads values[n] = sum_i Delta^i(0) C(n, i), and i! C(n, i)
-    = n (n-1) ... (n-i+1) = sum_j s(i, j) n^j, s the signed Stirling numbers
-    of the first kind (Graham, Knuth and Patashnik, *Concrete Mathematics*,
-    6.1), so d! c_j = sum_i Delta^i(0) (d! / i!) s(i, j), all in integers.
-    Each round multiplies by (n - i), s(i+1, j) = s(i, j-1) - i s(i, j),
-    which moves a column up by one at most; so of row i only the columns
-    j >= k - (d - i) can still reach n^k, and the row keeps those alone.
-    """
-    d = len(values) - 1
-    numerators = [0] * (d + 1 - k)
-    row, low, weight = [1], 0, math.factorial(d)  # s(i, j) for j = low..i, and d! / i!
-    for i in range(d + 1):
-        newton = values[0] * weight
-        for j in range(k, i + 1):
-            numerators[j - k] += newton * row[j - low]
-        values = [b - a for a, b in zip(values, values[1:])]
-        if low < k - d + i + 1:  # column low is no longer needed
-            row, low = [a - i * b for a, b in zip(row, row[1:] + [0])], low + 1
-        else:
-            row = [a - i * b for a, b in zip([0] + row, row + [0])]
-        weight //= i + 1
-    return numerators
-
-
 def _exact_limit(alpha: int, k: int) -> float:
-    """Integer alpha >= 0: the order-k limit from the Riesz identity in exact
-    integers.
+    """Integer alpha >= 0: the order-k limit of the Riesz identity, in integers.
 
     The float sum cancels quantities of size ~n^(alpha+1), so for alpha >= 4
     roundoff swamps the limit by X ~ 1e4.  For integer alpha the finite part
     is a Beta integral, n^k I_k(n) = n^(alpha+k+1) alpha! k! / (alpha+k+1)!,
     so with scale = (alpha+k+1)!
 
-        scale k! F_k(n) = scale sum_{m<=n} m^alpha (n-m)^k - alpha! k! n^(alpha+k+1)
+        P(n) = scale k! F_k(n) = scale sum_{m<=n} m^alpha (n-m)^k - alpha! k! n^(alpha+k+1)
 
-    is an integer polynomial in n of degree alpha + k (the n^(alpha+k+1)
-    terms cancel).  Its values at n = 0..alpha+k take the Riesz sums of the
-    integer weights m^alpha from ``_riesz_sums``, the float path's kernel, at
-    the lower of the two orders: where k > alpha, the same sums are
-    sum_{d<=n} d^k (n-d)^alpha, the weights d^k at order alpha (less the
-    term d = n at alpha = 0).  The limit of k! F_k(n) / n^k is its n^k
-    coefficient over scale, rounded once.  A non-zero coefficient above n^k,
-    as below order alpha + 1, makes the mean diverge, to an infinity of the
-    sign of the highest one.  A degree above MAX_ORDER is refused before any
-    sum.
+    is an integer polynomial (the n^(alpha+k+1) terms cancel).  Its values
+    at n = 0..alpha+k take the Riesz sums of the integer weights m^alpha from
+    ``_riesz_sums``, the float path's kernel, at the lower of the two orders:
+    where k > alpha, the same sums are sum_{d<=n} d^k (n-d)^alpha, the
+    weights d^k at order alpha (less the term d = n at alpha = 0).  The
+    limit is c_k / scale, c_j the n^j coefficient of P; if P has degree D,
+    Delta^D P(0) = D! c_D != 0 and Delta^i P(0) = 0 for i > D.  So the limit
+    is Delta^k P(0) / (k! scale), rounded once, or the sign of the highest
+    non-zero difference above k, to whose infinity the mean diverges (as
+    below order alpha + 1).  A degree above MAX_ORDER is refused first.
     """
     deg = alpha + k
     if deg > MAX_ORDER:
@@ -477,12 +449,15 @@ def _exact_limit(alpha: int, k: int) -> float:
     riesz = _riesz_sums([m ** high for m in range(1, deg + 1)], low, ns)
     if alpha == 0:  # the term d = n of sum_d d^k (n-d)^0, as 0^0 = 1
         riesz = [s - n ** k for n, s in zip(ns, riesz)]
-    head = [scale * s - fp * n ** (deg + 1) for n, s in zip(ns, riesz)]
-    coeffs = _monomial_numerators(head, k)  # deg! times those of n^k .. n^deg
-    top = next((c for c in reversed(coeffs[1:]) if c), 0)
+    values = [scale * s - fp * n ** (deg + 1) for n, s in zip(ns, riesz)]
+    diffs = []  # Delta^i P(0) for i = 0..deg
+    while values:
+        diffs.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    top = next((d for d in reversed(diffs[k + 1:]) if d), 0)
     if top:
         return math.inf if top > 0 else -math.inf
-    return _quotient(coeffs[0], math.factorial(deg) * scale)
+    return _quotient(diffs[k], math.factorial(k) * scale)
 
 
 def _exact_evaluation(value: float, k: int, n_terms: int,
@@ -505,14 +480,14 @@ def _bounded_order(k) -> int:
 
 def _order_and_domain(k, X_max: float, tol: float) -> tuple[int, int]:
     """The order of a staircase limit and the last integer boundary up to
-    X_max.  A bad order, X_max or tol is refused here, before any sample is
-    taken, and so is an order above MAX_ORDER."""
-    k = require_order(k)
+    X_max.  A bad order, or one above MAX_ORDER, is refused first, then a bad
+    X_max or tol, all before any sample is taken."""
+    k = _bounded_order(k)
     require_finite(X_max=X_max)
     require_tol(tol)
     if X_max < _FIRST_TOP:
         raise ValueError(f"X_max must be at least {_FIRST_TOP}, got {X_max:g}")
-    return _bounded_order(k), int(math.floor(X_max))
+    return k, int(math.floor(X_max))
 
 
 def _ladder(n_max: int) -> list[int]:

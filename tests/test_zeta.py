@@ -5,7 +5,6 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from cesaro import exact, integral, series, zeta
@@ -397,11 +396,16 @@ def test_estimator_rejects_tiny_domains():
     lambda: zeta.lemma_witness(exact.pm_polynomial(3, 1), k=513),
     lambda: zeta.new_primitive_state(_HALF, 100000),
     lambda: zeta.advance_primitives(zeta.new_primitive_state(_HALF, 2), _HALF, 100000),
+    lambda: zeta.zeta_via_cesaro(0.5, k=513, X_max=10.0),
+    lambda: zeta.zeta_via_cesaro(0.5, k=513, X_max=math.nan, tol=-1.0),
+    lambda: zeta.lemma_witness(exact.pm_polynomial(3, 1), k=513, X_max=math.inf),
 ], ids=["default-order", "exact-degree-1e6", "exact-degree-801", "exact-degree-513",
         "order-3000", "order-513", "prime-order-513", "lemma-1000", "lemma-513",
-        "new-state-100000", "advance-100000"])
+        "new-state-100000", "advance-100000", "order-513-small-xmax",
+        "order-513-nan-xmax-bad-tol", "lemma-513-inf-xmax"])
 def test_orders_and_degrees_past_the_bound_fail_fast(call):
-    # each of these would sum for seconds to hours, or need terabytes
+    # each of these would sum for seconds to hours, or need terabytes; the
+    # order is refused before X_max and tol are read
     start = time.perf_counter()
     with pytest.raises(ValueError, match=r"^(order k=|degree alpha \+ k = )\d+ is above 512, "
                                          r".*`cesaro zeta -n` or zeta_neg_int\(n\)$"):
@@ -468,7 +472,7 @@ def _limit_by_interpolation(alpha: int, k: int) -> float:
     return float(coeffs[k])
 
 
-@pytest.mark.parametrize("alpha", range(8))
+@pytest.mark.parametrize("alpha", range(10))
 def test_exact_path_matches_the_unit_step_loop(alpha):
     for k in range(1, alpha + 4):
         ev = zeta.zeta_via_cesaro(float(alpha), k=k)
@@ -556,6 +560,18 @@ def test_divergence_beyond_the_float_range_is_a_result():
     ev = zeta.zeta_via_cesaro(3.0, k=1, X_max=1e300)
     assert ev.value == -math.inf
     assert ev.converged is False
+
+
+def test_divergence_at_degree_512_reads_its_sign_fast():
+    # far below order alpha + 1 the highest non-zero forward difference of P
+    # (degree alpha + 1, up to 512) gives the sign; converting P to every
+    # monomial coefficient took about 3.8 s for these two
+    start = time.perf_counter()
+    for alpha, k in [(511, 1), (450, 62)]:
+        ev = zeta.zeta_via_cesaro(float(alpha), k=k)
+        assert ev.value == -math.inf, (alpha, k)
+        assert ev.converged is False and ev.error_estimate == math.inf, (alpha, k)
+    assert time.perf_counter() - start < 1.0
 
 
 _ALT_SIGN = series.SeriesSpec(lambda n: (-1.0) ** n)
@@ -966,21 +982,3 @@ def test_a_climb_fits_only_the_new_window(monkeypatch, call, alpha, tol, top, fi
     ev = call(alpha, tol=tol)
     rungs = zeta._ladder(top)
     assert ev.n_terms == top and len(made) == fits == 2 + len(rungs) - rungs.index(256) - 1
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.integers(-10 ** 40, 10 ** 40), min_size=1, max_size=13))
-def test_monomial_numerators_match_lagrange_interpolation(values):
-    # d! times the coefficients of the polynomial through (n, values[n]),
-    # n = 0..d, by Lagrange's formula in Fraction, for every k <= d
-    d = len(values) - 1
-    coeffs = [Fraction(0)] * (d + 1)
-    for m, v in enumerate(values):
-        basis = [Fraction(1)]  # prod_{n != m} (x - n) / (m - n), lowest power first
-        for n in range(d + 1):
-            if n != m:
-                basis = [(a - n * b) / (m - n) for a, b in zip([0] + basis, basis + [0])]
-        coeffs = [c + v * b for c, b in zip(coeffs, basis)]
-    for k in range(d + 1):
-        assert zeta._monomial_numerators(values, k) == [math.factorial(d) * c
-                                                        for c in coeffs[k:]], k
