@@ -16,9 +16,11 @@ sampled values of g on a decreasing eps grid and reports the constant.
 The fit, here and in the staircase limits of ``zeta``, is one pure-Python
 weighted least-squares solver: modified Gram-Schmidt with the right-hand
 side as an extra column (Bjorck, *BIT* 7, 1967), on rows scaled by
-1/max(1, |y|) and columns scaled to unit norm.  Its condition number is
-||R||_F ||R^-1||_F of that normalized design, the Frobenius-norm one: never
-below the 2-norm condition number and at most the column count times it.
+1/max(1, |y|) and columns scaled to unit norm.  One back-substitution
+along R's rows gives both the coefficients and each column of R^-1.  Its
+condition number is ||R||_F ||R^-1||_F of that normalized design, the
+Frobenius-norm one: never below the 2-norm condition number and at most the
+column count times it.
 """
 from __future__ import annotations
 
@@ -138,8 +140,8 @@ def extract_finite_part(g, basis, eps_grid,
     g         callable sampled on the grid
     basis     iterable of (a, b) exponent pairs, distinct, (0, 0) excluded
               (the constant column is always present and is the answer)
-    eps_grid  strictly decreasing positive values spanning >= 3 decades,
-              with at least 2 * (len(basis) + 1) points
+    eps_grid  strictly decreasing finite positive values spanning >= 3
+              decades, with at least 2 * (len(basis) + 1) points
 
     The fit is weighted least squares: rows are scaled by 1/max(1, |g|) so
     the divergent end does not drown the constant, and columns are scaled to
@@ -154,6 +156,8 @@ def extract_finite_part(g, basis, eps_grid,
     if (0.0, 0) in basis:
         raise ValueError("(0, 0) is the constant term, not a divergent basis element")
     eps = [float(e) for e in eps_grid]
+    if not all(math.isfinite(e) for e in eps):
+        raise ValueError("eps grid must hold finite points only")
     if len(eps) < 2 * (len(basis) + 1):
         raise ValueError(
             f"eps grid needs at least {2 * (len(basis) + 1)} points for "
@@ -196,8 +200,9 @@ def _weighted_fit(columns, values, cond_limit: float = 1e12):
     the small ones, and the scaled columns to unit norm.  Modified
     Gram-Schmidt on that design, with the right-hand side y as one more
     column (Bjorck, *BIT* 7, 1967), gives R, the projections z = Q^T y and
-    the misfit y - Q z; back-substitution solves R c = z.  The condition
-    number is ||R||_F ||R^-1||_F: an upper bound on the 2-norm condition
+    the misfit y - Q z.  One back-substitution along R's rows solves R c = z
+    and, on the unit vectors, gives each column of R^-1 for the condition
+    number ||R||_F ||R^-1||_F: an upper bound on the 2-norm condition
     number, at most the column count times it.  A column that vanishes on
     the rows or is not finite, a rank deficit, or a condition number beyond
     ``cond_limit`` raises IllConditionedFitError instead of returning
@@ -224,13 +229,15 @@ def _weighted_fit(columns, values, cond_limit: float = 1e12):
         r_col.append(diag)
         r.append(r_col)
     misfit, z = _orthogonalize(list(map(mul, values, weights)), q)
+    rows = [[col[i] for col in r[i:]] for i in range(len(r))]  # rows[i][l - i] = r_il
+    inverse = (_back_substitute(rows, [0] * j + [1]) for j in range(len(r)))
     condition = math.sqrt(sum(sum(map(mul, col, col)) for col in r)
-                          * sum(sum(map(mul, col, col)) for col in _inverse_columns(r)))
+                          * sum(sum(map(mul, col, col)) for col in inverse))
     if condition > cond_limit:
         raise IllConditionedFitError(
             f"finite-part fit is ill-conditioned (cond={condition:.3e}); "
             "separate the basis exponents or widen the eps grid", condition)
-    coefs = _back_substitute(r, z)
+    coefs = _back_substitute(rows, z)
     return ([c / norm for c, norm in zip(coefs, norms)],
             math.sqrt(sum(map(mul, misfit, misfit)) / len(misfit)), condition)
 
@@ -246,25 +253,11 @@ def _orthogonalize(a, q):
     return a, projections
 
 
-def _inverse_columns(r):
-    """The columns of R^-1, for the upper-triangular R given by its columns:
-    column j is the back-substitution of R x = e_j, x_j = 1 / r_jj, then
-    x_i = (0 - sum_{l=i+1..j} r_il x_l) / r_ii upwards, read along the rows
-    of R."""
-    rows = [[col[i] for col in r[i:]] for i in range(len(r))]  # rows[i][l - i] = r_il
-    inverse = []
-    for j in range(len(r)):
-        x = [0] * j + [1 / r[j][j]]
-        for i in reversed(range(j)):
-            x[i] = (0 - sum(map(mul, rows[i][1:j - i + 1], x[i + 1:j + 1]))) / rows[i][0]
-        inverse.append(x)
-    return inverse
-
-
-def _back_substitute(r, z):
-    """x with R x = z, for the upper-triangular R given by its columns
-    (column j holds rows 0..j)."""
-    x = [0] * len(z)
+def _back_substitute(rows, z):
+    """x with R x = z on the leading len(z) rows and columns of the
+    upper-triangular R, given by its rows (rows[i][l - i] = r_il): from the
+    bottom up, x_i = (z_i - sum_{l=i+1..} r_il x_l) / r_ii."""
+    x = list(z)
     for i in reversed(range(len(z))):
-        x[i] = (z[i] - sum(r[l][i] * x[l] for l in range(i + 1, len(z)))) / r[i][i]
+        x[i] = (z[i] - sum(map(mul, rows[i][1:len(z) - i], x[i + 1:]))) / rows[i][0]
     return x

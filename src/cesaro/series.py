@@ -159,9 +159,9 @@ def cesaro_sum(spec: SeriesSpec, k: int, n_terms: int,
     k = _bounded_order(k)
     require_tol(tol)
     n_terms = _term_count(n_terms)
-    tail_count = max(8, n_terms // 10)
-    if n_terms < tail_count or n_terms < 8:
+    if n_terms < 8:
         raise ValueError(f"n_terms={n_terms} leaves no tail window to judge convergence")
+    tail_count = max(8, n_terms // 10)
     try:
         float(math.comb(n_terms - 1 + k, k))  # the largest divisor
     except OverflowError:

@@ -368,19 +368,18 @@ def _riesz_samples(spec: StaircaseSpec, k: int,
     exactly.  Each sample takes the double-double I_k(n) off the exact Riesz
     sum and is rounded once.
 
-    A sample that reads a weight past the float range is +inf, and one whose
-    I_k(n) is past it is nan.  At k >= 1 the sum reads the weights up to
-    n - 1 only, since the term m = n has weight (n-n)^k = 0.
+    A sample that reads a weight past the float range, or whose I_k(n) is
+    past it, is nan: its true value can be finite and of either sign.  At
+    k >= 1 the sum reads the weights up to n - 1 only, since the term m = n
+    has weight (n-n)^k = 0.
     """
     weights = _weights(spec, boundaries[-1])
     integers, den = _integer_weights(weights)
     sums = _riesz_sums(integers, k, boundaries)
     samples = []
     for n, riesz, (hi, lo) in zip(boundaries, sums, _subtrahends(spec, k, boundaries)):
-        if not (math.isfinite(hi) and math.isfinite(lo)):
+        if not (math.isfinite(hi) and math.isfinite(lo)) or n - (k > 0) > len(weights):
             samples.append(math.nan)
-        elif n - (k > 0) > len(weights):
-            samples.append(math.inf)
         else:
             (a, d), (c, e) = hi.as_integer_ratio(), lo.as_integer_ratio()
             common = max(den, d, e)  # every denominator is a power of two

@@ -172,6 +172,24 @@ def test_extract_rejects_bad_grids():
                                tuple(np.geomspace(1e-2, 5e-3, 24)))
 
 
+@pytest.mark.parametrize("basis,eps", [
+    ([(1, 0)], (math.inf,) + GRID), ([], (math.inf,) + GRID),
+    ([(1, 0)], GRID[:5] + (math.nan,) + GRID[5:])],
+    ids=["inf first point", "inf point, empty basis", "nan point"])
+def test_extract_refuses_nonfinite_eps_points_before_sampling(basis, eps):
+    # refused by the grid check, not by a math domain error, silently, or
+    # as a fault of g: g is never called
+    calls = []
+
+    def g(e):
+        calls.append(e)
+        return 1.0 / e
+
+    with pytest.raises(ValueError, match="eps grid must hold finite points only"):
+        fp.extract_finite_part(g, basis, eps)
+    assert calls == []
+
+
 def test_extract_flags_near_dependent_basis():
     # eps^-1e-9 ln(1/e) vs ln(1/e): columns nearly parallel on any grid
     with pytest.raises(fp.IllConditionedFitError) as err:
@@ -259,6 +277,19 @@ def test_extraction_matches_numpy_lstsq(label):
     e = np.asarray(eps)
     columns = [e ** -a * np.log(1.0 / e) ** b for a, b in basis] + [np.ones_like(e)]
     _assert_matches_lstsq(dec.finite_part, dec.condition, columns, [g(x) for x in eps])
+
+
+@pytest.mark.parametrize("label,pins", [
+    ("bench t^-1.55", ("-0x1.d1745d1745d15p+0", "0x1.7645563513844p-52", "0x1.3dfbceb7fb943p+1")),
+    ("bench t^-1 ln t", ("-0x1.757e38f14c7c4p-54", "0x1.7104f058baea4p-51",
+                         "0x1.458ba02ae9bc6p+1")),
+    ("bench t^-2 ln t", ("-0x1.ffffffffffffap-1", "0x1.d4ba6e3d86b05p-53",
+                         "0x1.42ff5ccfc86c3p+3"))])
+def test_bench_extractions_are_pinned_bit_for_bit(label, pins):
+    # finite part, residual and condition number of the fit, to the last bit
+    g, basis, eps = _EXTRACT_CASES[label]
+    dec = fp.extract_finite_part(g, basis, eps)
+    assert tuple(map(float.hex, (dec.finite_part, dec.residual, dec.condition))) == pins
 
 
 @pytest.mark.parametrize("alpha,log_weight,k", [

@@ -270,6 +270,19 @@ def test_weights_past_the_float_range_read_as_not_converged(call):
     assert not ev.converged and not math.isfinite(ev.value)
 
 
+def test_a_sample_that_reads_a_weight_past_the_float_range_is_nan():
+    # 48^200.5 is past the float range, yet the samples' values (weights
+    # m^alpha taken exactly) are finite and of either sign: about -1.2e240 at
+    # k = 100, +2.5e265 at k = 60; at alpha = 130.25, k = 132 > alpha, the
+    # top rung's is +6.2e115
+    spec = zeta.StaircaseSpec(200.5)
+    for k in (100, 60):
+        assert all(map(math.isnan, zeta._riesz_samples(spec, k, [48]))), k
+    ev = zeta.zeta_via_cesaro(130.25)
+    assert math.isnan(ev.value) and math.isnan(ev.trace[-1])
+    assert ev.error_estimate == math.inf and not ev.converged
+
+
 @pytest.mark.parametrize("alpha", [3e5 + 0.5, 5e5 + 0.5, 1e6 + 0.5])
 @pytest.mark.parametrize("call", [zeta.zeta_via_cesaro, zeta.zeta_prime_via_cesaro])
 def test_a_subtrahend_past_the_decimal_range_reads_as_nan(call, alpha):
