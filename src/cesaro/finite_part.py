@@ -138,8 +138,9 @@ def extract_finite_part(g, basis, eps_grid,
     """Fit g(eps) ~ sum_i c_i eps^-a_i (ln 1/eps)^b_i + A and return A.
 
     g         callable sampled on the grid
-    basis     iterable of (a, b) exponent pairs, distinct, (0, 0) excluded
-              (the constant column is always present and is the answer)
+    basis     iterable of (a, b) exponent pairs, a finite and b integral
+              (2.0 reads as 2), distinct, (0, 0) excluded (the constant
+              column is always present and is the answer)
     eps_grid  strictly decreasing finite positive values spanning >= 3
               decades, with at least 2 * (len(basis) + 1) points
 
@@ -150,7 +151,10 @@ def extract_finite_part(g, basis, eps_grid,
     leaves the float range, raises IllConditionedFitError instead of
     returning a garbage constant.
     """
-    basis = [(float(a), int(b)) for a, b in basis]
+    basis = [(float(a), b) for a, b in basis]
+    if not all(math.isfinite(a) and b % 1 == 0 for a, b in basis):
+        raise ValueError("each basis pair (a, b) needs a finite a and an integral b")
+    basis = [(a, int(b)) for a, b in basis]
     if len(set(basis)) != len(basis):
         raise ValueError("divergent basis pairs must be distinct")
     if (0.0, 0) in basis:

@@ -24,10 +24,10 @@ n^(alpha+1) (at the pole n^-i is n^(alpha+1)), so I_k(n) = n^(alpha+1)
 (A + B ln n + C ln^2 n) with constants A, B, C free of n.  Both terms of
 the sample grow like n^(alpha+1) while the sample is O(1), and the
 alternating sums of A, B and C cancel by 1e3..1e4 more, up to 2^k at order
-k.  So the constants are summed once per call in ``decimal`` at 40 + k
-log10(2) digits, alpha + i too (in float it moves n^(alpha+i) by an ulp,
-magnified as much); each boundary then takes n^(alpha+1) and ln n at those
-digits, and I_k(n) is taken off exactly before the sample is rounded once.
+k.  So I_k(n) stays in ``decimal`` at 5 guard digits: its constants summed
+once per call, alpha + i too (in float it moves n^(alpha+i) by an ulp,
+magnified as much), then n^(alpha+1) and ln n at each boundary; rounded once
+to 40 + k log10(2) digits, it is taken off exactly, and the sample rounded once.
 
 The Riesz sums of a list of boundaries come from one kernel, ``_riesz_sums``:
 by the surjection identity (n-m)^k = sum_j j! S(k, j) C(n-m, j), S the
@@ -67,10 +67,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from decimal import Decimal, Overflow, getcontext, localcontext
+from decimal import Decimal, Overflow, localcontext
 from functools import lru_cache
 from itertools import accumulate
-from typing import Callable, Optional
+from typing import Optional
 
 from .evaluation import (MAX_ORDER, TRACE_LEN, CesaroEvaluation, require_finite,
                          require_order, require_tol)
@@ -93,7 +93,8 @@ POLE_GUARD = 1e-6
 DEFAULT_TOL = 1e-3
 DEFAULT_XMAX = 1e4
 _FP_DIGITS = 40
-_GUARD = 5  # extra digits for the rung powers' products
+_GUARD = 5  # extra digits for I_k(n) before its one rounding
+_EMIN = -400  # an I_k(n) below 10^-400, far below every float, keeps fewer digits
 # the extrapolated limit: a ladder of rungs 2^a and 3 * 2^a, fitted in windows
 _LADDER_FLOOR = 16  # the lowest rung
 _FIRST_TOP = 256  # the first fit reads the rungs up to here; the least X_max
@@ -197,38 +198,6 @@ def _rung_bases(alpha: float, prec: int) -> tuple[Decimal, Decimal]:
         return (e * ln2).exp(), (e * ln3).exp()
 
 
-def _power_ln(alpha: float) -> Callable[[int], tuple[Decimal, Decimal]]:
-    """The reader of n^(alpha+1) and ln n to about the current context's
-    digits, with its constants fetched once.  On a rung n = 2^a 3^b,
-    factored once, ln n is a ln 2 + b ln 3 and n^(alpha+1) is
-    (2^(alpha+1))^a (3^(alpha+1))^b, from constants cached per precision
-    (and alpha); the product runs at _GUARD more digits, so its a + b
-    roundings stay below the context's last digit.  Any other n, and every
-    n where 2^(alpha+1) or 3^(alpha+1) leaves Decimal's range, takes
-    ``Decimal.ln`` and exp((alpha+1) ln n)."""
-    ctx = getcontext()
-    prec = ctx.prec
-    ln2, ln3 = _ln2_ln3(prec)
-    try:
-        two, three = _rung_bases(alpha, prec + _GUARD)
-    except Overflow:
-        two = None
-
-    def read(n: int) -> tuple[Decimal, Decimal]:
-        rung = _two_three(n) if two is not None else None
-        if rung is None:
-            ln_n = Decimal(n).ln()
-            return ((Decimal(alpha) + 1) * ln_n).exp(), ln_n
-        a, b = rung
-        ln_n = a * ln2 + b * ln3
-        ctx.prec = prec + _GUARD
-        try:
-            return two ** a * three ** b, ln_n
-        finally:
-            ctx.prec = prec
-    return read
-
-
 def _subtrahend_coefficients(spec: StaircaseSpec, k: int) -> tuple[Decimal, Decimal, Decimal]:
     """(A, B, C) with I_k(n) = n^(alpha+1) (A + B ln n + C ln^2 n) at every
     n, summed over i = 0..k in the current context.
@@ -256,27 +225,42 @@ def _subtrahend_coefficients(spec: StaircaseSpec, k: int) -> tuple[Decimal, Deci
 
 
 def _subtrahends(spec: StaircaseSpec, k: int,
-                 boundaries: list[int]) -> list[tuple[float, float]]:
-    """I_k(n) at each boundary n as a double-double (hi, lo).  Its
-    coefficients are summed once, at 40 + k log10(2) digits, since the
-    C(k, i) cancel up to 2^k; each boundary then costs n^(alpha+1), ln n
-    and a few products.  A value past Decimal's range is past the float
-    range too: (inf, nan)."""
-    pairs = []
+                 boundaries: list[int]) -> list[Optional[Decimal]]:
+    """I_k(n) at each boundary n to 40 + k log10(2) digits, or None past
+    Decimal's range.  All of it runs at _GUARD more digits, rounded once at
+    the end: A, B and C, summed once since the C(k, i) cancel up to 2^k,
+    then at each boundary n^(alpha+1), ln n and a few products.  On a rung
+    n = 2^a 3^b, ln n is a ln 2 + b ln 3 and n^(alpha+1) is (2^(alpha+1))^a
+    (3^(alpha+1))^b, from constants cached per precision (and alpha); any
+    other n, and every n where 2^(alpha+1) or 3^(alpha+1) leaves Decimal's
+    range or underflows to 0, takes ``Decimal.ln`` and exp((alpha+1) ln n).
+    The rounding runs at Emin _EMIN: a total far below every float keeps
+    fewer digits, so its ratio of integers stays small."""
+    prec = _FP_DIGITS + math.ceil(k * math.log10(2))
+    totals = []
     with localcontext() as ctx:
-        ctx.prec = _FP_DIGITS + math.ceil(k * math.log10(2))
+        ctx.prec = prec + _GUARD
         a, b, c = _subtrahend_coefficients(spec, k)
-        power_ln = _power_ln(spec.alpha)
+        ln2, ln3 = _ln2_ln3(ctx.prec)
+        try:
+            two, three = _rung_bases(spec.alpha, ctx.prec)
+        except Overflow:
+            two = three = Decimal(0)
+        e = Decimal(spec.alpha) + 1
         for n in boundaries:
+            rung = _two_three(n) if two and three else None
             try:
-                power, ln_n = power_ln(n)
-                total = power * (a + ln_n * (b + ln_n * c))
+                if rung is None:
+                    ln_n = Decimal(n).ln()
+                    power = (e * ln_n).exp()
+                else:
+                    ln_n = rung[0] * ln2 + rung[1] * ln3
+                    power = two ** rung[0] * three ** rung[1]
+                totals.append(power * (a + ln_n * (b + ln_n * c)))
             except Overflow:
-                pairs.append((math.inf, math.nan))
-                continue
-            hi = float(total)
-            pairs.append((hi, float(total - Decimal(hi))))
-    return pairs
+                totals.append(None)
+        ctx.prec, ctx.Emin = prec, _EMIN
+        return [None if t is None else +t for t in totals]
 
 
 def _surjection_counts(k: int) -> list[int]:
@@ -365,26 +349,24 @@ def _riesz_samples(spec: StaircaseSpec, k: int,
     is an integer (``_integer_weights``; past a span of the float range,
     |alpha| above about 121 at n = 256, the power is their largest
     denominator), and ``_riesz_sums`` gives the Riesz sums of every boundary
-    exactly.  Each sample takes the double-double I_k(n) off the exact Riesz
-    sum and is rounded once.
+    exactly.  Each sample takes the Decimal I_k(n) off the exact Riesz sum
+    and is rounded once.
 
     A sample that reads a weight past the float range, or whose I_k(n) is
-    past it, is nan: its true value can be finite and of either sign.  At
-    k >= 1 the sum reads the weights up to n - 1 only, since the term m = n
-    has weight (n-n)^k = 0.
+    past Decimal's, is nan: its true value can be finite and of either
+    sign.  At k >= 1 the sum reads the weights up to n - 1 only, since the
+    term m = n has weight (n-n)^k = 0.
     """
     weights = _weights(spec, boundaries[-1])
     integers, den = _integer_weights(weights)
     sums = _riesz_sums(integers, k, boundaries)
     samples = []
-    for n, riesz, (hi, lo) in zip(boundaries, sums, _subtrahends(spec, k, boundaries)):
-        if not (math.isfinite(hi) and math.isfinite(lo)) or n - (k > 0) > len(weights):
+    for n, riesz, total in zip(boundaries, sums, _subtrahends(spec, k, boundaries)):
+        if total is None or n - (k > 0) > len(weights):
             samples.append(math.nan)
         else:
-            (a, d), (c, e) = hi.as_integer_ratio(), lo.as_integer_ratio()
-            common = max(den, d, e)  # every denominator is a power of two
-            num = riesz * (common // den) - n ** k * (a * (common // d) + c * (common // e))
-            samples.append(_quotient(num, common * n ** k))
+            p, q = total.as_integer_ratio()
+            samples.append(_quotient(riesz * q - den * n ** k * p, den * q * n ** k))
     return samples
 
 

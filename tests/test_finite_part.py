@@ -190,6 +190,29 @@ def test_extract_refuses_nonfinite_eps_points_before_sampling(basis, eps):
     assert calls == []
 
 
+@pytest.mark.parametrize("basis", [[(0, 1.5)], [(1, math.inf)], [(math.nan, 0)]],
+                         ids=["fractional log power", "infinite log power", "nan power"])
+def test_extract_refuses_a_basis_pair_it_cannot_fit_before_sampling(basis):
+    # a log power b must be integral and a power a finite: refused before g
+    # is called, not truncated, overflowed or blamed on the fit
+    calls = []
+
+    def g(e):
+        calls.append(e)
+        return 1.0 / e
+
+    with pytest.raises(ValueError, match="finite a and an integral b"):
+        fp.extract_finite_part(g, basis, GRID)
+    assert calls == []
+
+
+def test_extract_reads_an_integral_float_log_power_as_an_int():
+    dec = fp.extract_finite_part(lambda e: math.log(1 / e) ** 2 + 0.5, [(0, 2.0)], GRID)
+    (a, b, c), = dec.divergent_terms
+    assert (a, b) == (0.0, 2) and type(b) is int
+    assert c == pytest.approx(1.0) and dec.finite_part == pytest.approx(0.5)
+
+
 def test_extract_flags_near_dependent_basis():
     # eps^-1e-9 ln(1/e) vs ln(1/e): columns nearly parallel on any grid
     with pytest.raises(fp.IllConditionedFitError) as err:

@@ -300,18 +300,30 @@ def test_rung_bases_past_the_decimal_range_leave_boundary_one_finite():
     # from n = 2 on n^(alpha+1) is past the float range or Decimal's
     a = 3e6 + 0.5
     spec = zeta.StaircaseSpec(a)
-    (hi, lo), *rest = zeta._subtrahends(spec, 2, [1, 2, 16, 256])
-    assert hi == pytest.approx(2 / ((a + 1) * (a + 2) * (a + 3)), rel=1e-15)
-    for n, pair in zip((2, 16, 256), rest):
-        assert not all(map(math.isfinite, pair)), n
+    total, *rest = zeta._subtrahends(spec, 2, [1, 2, 16, 256])
+    assert float(total) == pytest.approx(2 / ((a + 1) * (a + 2) * (a + 3)), rel=1e-15)
+    for n, t in zip((2, 16, 256), rest):
+        assert t is None or not math.isfinite(float(t)), n
+
+
+@pytest.mark.parametrize("alpha", [-2.2e6, -3e6, -1e300])
+def test_rung_bases_that_underflow_take_the_decimal_ln_route(alpha):
+    # 3^(alpha+1) underflows to a Decimal 0 from alpha ~ -2.1e6, where
+    # 3^0 would read 0^0: every boundary takes exp((alpha+1) ln n) instead.
+    # The limit is 1 + 2^alpha + ... = 1 (-1e6 reads 1 + eps from the fit),
+    # and -zeta'(-alpha) = 2^alpha ln 2 + ... = 0
+    ev = zeta.zeta_via_cesaro(alpha)
+    assert abs(ev.value - 1) <= 1e-15 and ev.converged
+    ev = zeta.zeta_prime_via_cesaro(alpha)
+    assert ev.value == 0 and ev.converged
 
 
 @pytest.mark.parametrize("k", [0, 1, 3, 5])
 @pytest.mark.parametrize("alpha", [-1.5, 0.5, -135.0, 130.5])
 def test_riesz_samples_are_the_exact_sums_rounded_once(alpha, k):
-    # each sample is (sum_{m<=n} w(m) (n-m)^k - n^k (hi + lo)) / n^k, summed
+    # each sample is (sum_{m<=n} w(m) (n-m)^k - n^k I_k(n)) / n^k, summed
     # directly in exact arithmetic from the float weights and I_k's
-    # double-double, then rounded once: no iterated prefix sum, no identity.
+    # Decimal, then rounded once: no iterated prefix sum, no identity.
     # At alpha = -135 the weights run normal, then subnormal, then 0 (plain
     # ones become integers by their largest denominator, log ones by one
     # power of two); at 130.5 (n <= 200, every weight finite) the plain ones
@@ -323,11 +335,36 @@ def test_riesz_samples_are_the_exact_sums_rounded_once(alpha, k):
         w = [Fraction(float(m) ** alpha * (math.log(m) if log_weight else 1.0)) for m in ns]
         den = max(f.denominator for f in w)
         num = [f.numerator * (den // f.denominator) for f in w]
-        for n, got, (hi, lo) in zip(ns, zeta._riesz_samples(spec, k, ns),
-                                    zeta._subtrahends(spec, k, ns)):
+        for n, got, total in zip(ns, zeta._riesz_samples(spec, k, ns),
+                                 zeta._subtrahends(spec, k, ns)):
             riesz = Fraction(sum(num[m - 1] * (n - m) ** k for m in range(1, n + 1)), den)
-            want = (riesz - n ** k * (Fraction(hi) + Fraction(lo))) / n ** k
+            want = (riesz - n ** k * Fraction(total)) / n ** k
             assert repr(got) == repr(float(want)), (log_weight, n)
+
+
+def test_a_sample_is_rounded_once_from_the_rounded_subtrahend():
+    # at alpha = 0.5, I_0(36) = 36^1.5 / 1.5 is exactly 144, and the Riesz
+    # sum less 144 is a tie between two doubles, read half-even; I_k(n) kept
+    # at its guard digits would read 2.799058152498256
+    assert zeta._riesz_samples(zeta.StaircaseSpec(0.5), 0, [36]) == [2.7990581524982563]
+    # the correctly rounded samples, against I_k taken at 120 and 300 digits;
+    # I_k(n) kept to 106 bits reads ...627 and ...3e0
+    for alpha, k, want in ((4.95, 6, '0x1.733a03d03b625p-17'), (5.9, 7, '0x1.a130deed573dfp-8')):
+        (got,) = zeta._riesz_samples(zeta.StaircaseSpec(alpha, log_weight=True), k, [384])
+        assert got.hex() == want, alpha
+
+
+@pytest.mark.parametrize("alpha", [-1100.5, -3e5])
+def test_a_subtrahend_far_below_the_float_range_stays_a_small_ratio(alpha):
+    # I_2(256) is about 10^-2645 and 10^-722470: rounded at Emin -400 it
+    # keeps fewer digits, so taking it off builds no 10^722470 denominator
+    # (40 ms a boundary), and the samples are those of the weights 1, 0, 0, ...
+    spec = zeta.StaircaseSpec(alpha)
+    rungs = zeta._ladder(256)
+    for total in zeta._subtrahends(spec, 2, rungs):
+        assert total.as_integer_ratio()[1] <= 10 ** 440
+    want = [float(Fraction(n - 1, n) ** 2) for n in rungs]
+    assert zeta._riesz_samples(spec, 2, rungs) == want
 
 
 @pytest.mark.parametrize("alpha,log_weight,n_max,fallback", [
@@ -721,27 +758,29 @@ def test_ladder_logs_match_the_decimal_ln_route(monkeypatch, alpha, k, log_weigh
     rungs = zeta._ladder(10**6)
     got = zeta._subtrahends(spec, k, rungs)
     monkeypatch.setattr(zeta, "_two_three", lambda n: None)
-    for n, pair, by_ln in zip(rungs, got, zeta._subtrahends(spec, k, rungs)):
-        want = sum(map(Decimal, by_ln))
-        assert abs(sum(map(Decimal, pair)) - want) <= Decimal("1e-30") * abs(want), n
+    for n, total, want in zip(rungs, got, zeta._subtrahends(spec, k, rungs)):
+        assert abs(total - want) <= Decimal("1e-38") * abs(want), n
 
 
 @pytest.mark.parametrize("alpha,k", [(-2.5, 0), (0.588, 2), (3.4265, 5), (6.5, 8),
                                      (0.5, 40), (-0.5, 150), (200.5, 3)])
 def test_rung_powers_keep_every_digit_of_the_subtrahend(alpha, k):
-    # n^(alpha+1) from the two cached powers of 2 and 3 is within one unit
-    # of the last of I_k's 40 + k log10(2) digits, on every rung to 4096
+    # I_k(n) = A n^(alpha+1), with n^(alpha+1) from the two cached powers of
+    # 2 and 3 and every product at 5 guard digits, is the one rounding to
+    # 40 + k log10(2) digits of A (at those guard digits) times n^(alpha+1)
+    # taken at 30 more, on every rung to 4096
+    spec = zeta.StaircaseSpec(alpha)
     prec = 40 + math.ceil(k * math.log10(2))
-    for n in zeta._ladder(4096):
+    with localcontext() as ctx:
+        ctx.prec = prec + 5
+        a, _, _ = zeta._subtrahend_coefficients(spec, k)
+    rungs = zeta._ladder(4096)
+    for n, got in zip(rungs, zeta._subtrahends(spec, k, rungs)):
         with localcontext() as ctx:
             ctx.prec = prec + 30
-            want = ((Decimal(alpha) + 1) * Decimal(n).ln()).exp()
-        with localcontext() as ctx:
+            power = ((Decimal(alpha) + 1) * Decimal(n).ln()).exp()
             ctx.prec = prec
-            got, _ = zeta._power_ln(alpha)(n)
-        with localcontext() as ctx:
-            ctx.prec = prec + 30
-            assert abs(got - want) <= abs(want).scaleb(-prec), n
+            assert got == a * power, n
 
 
 _SWEEP_ALPHAS = [a / 2 for a in range(-5, 14) if a != -2]
@@ -965,17 +1004,17 @@ def test_subtrahend_coefficients_are_the_exact_sums(alpha, k, log_weight):
 @pytest.mark.parametrize("alpha", [0, 1, 2, 3, 6])
 def test_integer_alpha_subtrahends_are_the_beta_integral(alpha, k):
     # n^-k int_0^n t^alpha (n-t)^k dt = n^(alpha+1) alpha! k! / (alpha+k+1)!:
-    # hi + lo within 1e-32 of it on every rung, about the double-double's
-    # resolution, plus the constant's own error bound from the test above
-    # (1.2e-31 relative at alpha = 6, k = 150)
+    # I_k(n) within 1e-39 of it on every rung, its one rounding to 40 + k
+    # log10(2) digits, plus the constant's own error bound from the test
+    # above (1.5e-36 relative at alpha = 6, k = 150)
     spec = zeta.StaircaseSpec(float(alpha))
     beta = Fraction(math.factorial(alpha) * math.factorial(k), math.factorial(alpha + k + 1))
     size = sum(abs(t) for _, t in _subtrahend_terms(alpha, k, False)) / 2 ** k
     rungs = zeta._ladder(4096)
-    for n, (hi, lo) in zip(rungs, zeta._subtrahends(spec, k, rungs)):
+    for n, total in zip(rungs, zeta._subtrahends(spec, k, rungs)):
         want = n ** (alpha + 1) * beta
-        bound = want / 10 ** 32 + n ** (alpha + 1) * size / 10 ** 38
-        assert abs(Fraction(hi) + Fraction(lo) - want) <= bound, n
+        bound = want / 10 ** 39 + n ** (alpha + 1) * size / 10 ** 38
+        assert abs(Fraction(total) - want) <= bound, n
 
 
 @pytest.mark.parametrize("call,alpha,tol,top,fits", [
