@@ -15,8 +15,10 @@ A series that fails to settle is reported through the ``converged`` flag of
 the returned evaluation; divergence is a result, never an exception.
 Overflow in the terms propagates as inf through the partial sums.
 
-The terms, every prefix pass and the normalized tail are float64 arrays;
-only ``iterated_partial_sums`` returns a list.  More than MAX_SERIES_TERMS
+The terms and the normalized tail are float64 arrays, and the k + 1 prefix
+passes run in place over the terms array, so a call holds that one array
+plus a few block-sized buffers where a pass once needed five arrays; only
+``iterated_partial_sums`` returns a list.  More than MAX_SERIES_TERMS
 terms, an order above ``evaluation.MAX_ORDER`` (512), or an order whose
 normalization leaves the float range, is refused before any term is called.
 """
@@ -28,7 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .accumulate import compensated_prefix_sums
+from .accumulate import _prefix_into
 from .evaluation import (MAX_ORDER, CesaroEvaluation, require_finite, require_order,
                          require_tol, tail_judgement)
 
@@ -40,7 +42,7 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-6
-MAX_SERIES_TERMS = 10**8  # about 0.8 GB per float64 pass
+MAX_SERIES_TERMS = 10**8  # a 0.8 GB float64 array, summed in place
 _TERMS_PER_CHUNK = 1 << 16
 _BEYOND_FLOAT = "order k={} with n_terms={} needs a normalization beyond the float range"
 
@@ -117,12 +119,12 @@ def _floats(calls) -> list[float]:
 
 def _iterated_sums(spec: SeriesSpec, k: int, n_terms: int) -> np.ndarray:
     """A^k_0 .. A^k_{n_terms-1} as a float64 array: k + 1 compensated
-    prefix passes over the terms."""
+    prefix passes, each in place over the terms array."""
     if n_terms < 1:
         raise ValueError("need at least one term")
     sums = spec.terms(n_terms)
     for _ in range(k + 1):
-        sums = compensated_prefix_sums(sums)
+        _prefix_into(sums, sums)
     return sums
 
 

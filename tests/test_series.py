@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -344,3 +345,18 @@ def test_orders_inside_the_float_range_are_unchanged():
     k, ev = series.detect_order(alt_sign(), 150, 10**4, tol=1e-4)
     assert k == 1 and ev.converged
     assert ev == series.cesaro_sum(alt_sign(), 1, 10**4, tol=1e-4)
+
+
+def test_a_high_order_mean_holds_about_one_array_of_terms():
+    # the k + 1 prefix passes run in place over the terms, through buffers of
+    # one block each; numpy reports its buffers to tracemalloc, and a
+    # constant term allocates no float objects
+    n = 500_000
+    tracemalloc.start()
+    try:
+        ev = series.cesaro_sum(series.SeriesSpec(lambda n: 1.0), 3, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ev.value == (n + 3) / 4  # A^3_(n-1) / C(n + 2, 3)
+    assert peak < 2 * 8 * n
