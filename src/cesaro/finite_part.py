@@ -30,6 +30,8 @@ from fractions import Fraction
 from numbers import Rational
 from operator import mul
 
+from .evaluation import require_finite
+
 __all__ = [
     "FinitePartDecomposition",
     "IllConditionedFitError",
@@ -68,12 +70,20 @@ class FinitePartDecomposition:
     condition: float
 
 
-def fp_power_integral(alpha: float, b: float = 1.0) -> float:
-    """F.p. int_0^b t^alpha dt as a float; alpha = -1 gives ln b."""
+def _float_arguments(alpha, b) -> tuple[float, float]:
+    """alpha and a positive b as floats, each checked by name before it is
+    converted: a NaN, an infinity or an int past the float range is refused."""
+    require_finite(b=b)
     b = float(b)
     if b <= 0:
         raise ValueError("upper limit b must be positive")
-    alpha = float(alpha)
+    require_finite(alpha=alpha)
+    return float(alpha), b
+
+
+def fp_power_integral(alpha: float, b: float = 1.0) -> float:
+    """F.p. int_0^b t^alpha dt as a float; alpha = -1 gives ln b."""
+    alpha, b = _float_arguments(alpha, b)
     if alpha == -1.0:
         return math.log(b)
     return b ** (alpha + 1.0) / (alpha + 1.0)
@@ -111,10 +121,7 @@ def fp_log_power_integral(alpha: float, b: float = 1.0) -> float:
     part is the antiderivative at b.  At b = 1 this is -1/(alpha+1)^2, the
     alpha-derivative of the power-integral finite part.
     """
-    b = float(b)
-    if b <= 0:
-        raise ValueError("upper limit b must be positive")
-    alpha = float(alpha)
+    alpha, b = _float_arguments(alpha, b)
     if alpha == -1.0:
         return math.log(b) ** 2 / 2.0
     ap1 = alpha + 1.0

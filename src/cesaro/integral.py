@@ -44,9 +44,9 @@ chain, so ``cesaro-int`` at orders 0..MAX_CHAIN-1 loads none.
 The quadrature nodes of one call reach the integrand as one array.
 ``sin_wave``, ``cos_wave`` and ``exp_decay`` evaluate it in numpy, through
 their ``array_func``, which imports numpy when it is first called; every
-other integrand (``power_log``, ``constant``, ``periodic_poly``,
-``from_primitives`` and ``sampled``) is called once per node with a Python
-float.
+other integrand (``power_log``, ``constant``, ``periodic_poly``, ``sampled``
+and any spec built without an ``array_func``) is called once per node with a
+Python float.
 """
 from __future__ import annotations
 
@@ -73,7 +73,6 @@ __all__ = [
     "power_log",
     "constant",
     "periodic_poly",
-    "from_primitives",
     "sampled",
 ]
 
@@ -95,8 +94,9 @@ class IntegrandSpec:
                 quadrature fallbacks use it in place of one func call per
                 node.  sin_wave, cos_wave and exp_decay set it.
 
-    Build instances through the factory functions below; a user's chain is
-    checked by ``from_primitives``, a built-in one is exact by construction.
+    The factory functions below build chains that are exact by construction.
+    A caller may pass a chain of their own, as IntegrandSpec(func,
+    primitives=..., label=...); it is used as given, not checked.
     """
 
     func: Callable[[float], float]
@@ -196,36 +196,6 @@ def periodic_poly(p: PeriodicPolynomial) -> IntegrandSpec:
     return IntegrandSpec(func=lambda t: p(t), primitives=chain, label=f"{p!r}@frac")
 
 
-def from_primitives(func, primitives, label: str = "user") -> IntegrandSpec:
-    """User-supplied chain: primitives[0] must be int_0^x f, and so on.
-
-    Each consecutive pair is checked by central differences at 32 fixed
-    pseudo-random points in [0.5, 20]; a wrong chain raises ValueError.  Two
-    misses per pair are allowed, for a probe that lands on a kink or jump.
-    """
-    import random
-
-    rng = random.Random(20260815)
-    pts = [math.exp(rng.uniform(math.log(0.5), math.log(20.0))) for _ in range(32)]
-    layers = (func, *primitives)
-    h = 1e-5
-    for lower, upper in zip(layers[:-1], layers[1:]):
-        misses = 0
-        for x in pts:
-            above, below = upper(x + h), upper(x - h)
-            d = (above - below) / (2.0 * h)
-            want = lower(x)
-            # the slack scales with upper(x); the mean of the two differenced
-            # values is that to O(h^2 |lower'|), and costs no extra call
-            tol = 1e-4 * (1.0 + abs(want)) + 1e-10 * abs(0.5 * (above + below))
-            if not math.isfinite(d) or abs(d - want) > tol:
-                misses += 1
-        if misses > 2:
-            raise ValueError(f"antiderivative chain of {label} fails differentiation "
-                             f"check ({misses}/{len(pts)} probe points off)")
-    return IntegrandSpec(func=func, primitives=layers[1:], label=label)
-
-
 def sampled(func, label: str = "sampled") -> IntegrandSpec:
     """A bare callable; everything downstream goes through quadrature."""
     return IntegrandSpec(func=func, label=label)
@@ -236,20 +206,29 @@ def default_grid(lo: float = 1e2, hi: float = 1e5, num: int = 16) -> tuple[float
 
     Point i is 10^(log10 lo + i step), as in numpy.geomspace, and the two
     ends are lo and hi themselves; an interior point can differ from
-    geomspace's by a few ulps, since numpy's power is not libm's."""
+    geomspace's by a few ulps, since numpy's power is not libm's.  num is an
+    integer; an integral float counts (8.0 is 8)."""
     require_finite(lo=lo, hi=hi)
     if not (0 < lo < hi):
         raise ValueError("need 0 < lo < hi")
+    require_finite(num=num)
     if num < 8:
         raise ValueError("grid needs at least 8 points")
+    if num != int(num):
+        raise ValueError(f"num must be an integer, got {num!r}")
+    num = int(num)
     a, b = math.log10(lo), math.log10(hi)
     step = (b - a) / (num - 1)
     return (float(lo), *(10.0 ** (i * step + a) for i in range(1, num - 1)), float(hi))
 
 
 def _validate_grid(grid) -> tuple[float, ...]:
-    g = tuple(float(x) for x in grid)
-    if not all(math.isfinite(x) for x in g):
+    try:
+        g = tuple(float(x) for x in grid)
+        finite = all(map(math.isfinite, g))
+    except OverflowError:  # an int point past the float range
+        finite = False
+    if not finite:
         raise ValueError("X grid must hold finite points only")
     if len(g) < 8:
         raise ValueError("X grid needs at least 8 points")

@@ -115,13 +115,15 @@ class StaircaseSpec:
 
     alpha = -1 sits on the pole of the finite-part antiderivative and is
     rejected outright, with a small guard band for floats that merely round
-    to the pole.
+    to the pole.  A NaN or infinite alpha, or an int past the float range,
+    is refused by name before it is converted.
     """
 
     alpha: float
     log_weight: bool = False
 
     def __post_init__(self):
+        require_finite(alpha=self.alpha)
         a = float(self.alpha)
         if abs(a + 1.0) < POLE_GUARD:
             raise ValueError(
@@ -161,6 +163,7 @@ def staircase_value(spec: StaircaseSpec, x: float) -> float:
     Linear in x (the sum is rebuilt each call); meant for spot checks and
     cross-validation, not for driving limits.
     """
+    require_finite(x=x)
     x = float(x)
     if x <= 0:
         raise ValueError("staircase_value needs x > 0")
@@ -580,7 +583,6 @@ def _extrapolated_evaluation(spec: StaircaseSpec, k: int, n_max: int,
 
 def _staircase_evaluation(spec: StaircaseSpec, k: Optional[int], X_max: float,
                           tol: float) -> CesaroEvaluation:
-    require_finite(alpha=spec.alpha)
     if k is None:
         k = default_order(spec.alpha)
     k, n_max = _order_and_domain(k, X_max, tol)
@@ -597,11 +599,12 @@ def zeta_via_cesaro(alpha: float, k: Optional[int] = None,
 
     k defaults to max(0, ceil(alpha) + 1).  Integer alpha >= 0 at k >= 1
     reports the exact limit, rounded once, with error_estimate 0, or inf
-    where k <= alpha and no limit exists; X_max is checked but unused there.  Every other alpha and order reports the
-    extrapolated limit, with the gap of two fits as its error; X_max only
-    caps the boundaries it sums.  No order k <= alpha converges: there the
-    staircase's order-k mean does not exist.  An order above 512, or on the
-    exact path a degree alpha + k above 512, raises ValueError.
+    where k <= alpha and no limit exists; X_max is checked but unused there.
+    Every other alpha and order reports the extrapolated limit, with the gap
+    of two fits as its error; X_max only caps the boundaries it sums.  No
+    order k <= alpha converges: there the staircase's order-k mean does not
+    exist.  An order above 512, or on the exact path a degree alpha + k
+    above 512, raises ValueError.
 
     Caveat for k = 0 with alpha >= -1: boundary sampling sees the staircase
     exactly at the points where its sawtooth layers vanish, so the honest

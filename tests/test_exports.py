@@ -70,7 +70,7 @@ _PUBLIC = [
     "extract_finite_part",
     "IntegrandSpec", "QuadratureError", "default_grid", "riesz_mean", "cesaro_integral",
     "primitive_limit", "sin_wave", "cos_wave", "exp_decay", "power_log", "constant",
-    "periodic_poly", "from_primitives", "sampled",
+    "periodic_poly", "sampled",
     "SeriesSpec", "iterated_partial_sums", "cesaro_sum", "detect_order",
     "StaircaseSpec", "PrimitiveState", "new_primitive_state", "staircase_value",
     "advance_primitives", "zeta_via_cesaro", "zeta_prime_via_cesaro", "lemma_witness",

@@ -34,6 +34,15 @@ def test_fp_power_rejects_bad_upper_limit():
         fp.fp_power_integral(0.5, b=0.0)
     with pytest.raises(ValueError):
         fp.fp_power_integral(0.5, b=-2.0)
+    # each argument is checked by name before it becomes a float, in both
+    # closed forms: no nan out, and no OverflowError from an int b
+    for closed_form in (fp.fp_power_integral, fp.fp_log_power_integral):
+        with pytest.raises(ValueError, match="^b is too large for a float"):
+            closed_form(0.5, b=10**400)
+        with pytest.raises(ValueError, match="^alpha must be finite, got nan"):
+            closed_form(math.nan)
+        with pytest.raises(ValueError, match="^alpha must be finite, got inf"):
+            closed_form(math.inf, 2.0)
 
 
 def test_fp_power_exact_fractions():

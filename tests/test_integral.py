@@ -520,9 +520,10 @@ def _triangle_wave(t):
 
 
 def test_primitive_limit_square_wave_vanishes():
-    # mean-zero square wave: F_1 is the bounded triangle wave, so the limit is 0
-    spec = integral.from_primitives(_square_wave, [_triangle_wave],
-                                    label="square-wave")
+    # mean-zero square wave: F_1 is the bounded triangle wave, so the limit is
+    # 0; a caller's own chain goes in the record as it is
+    spec = integral.IntegrandSpec(func=_square_wave, primitives=(_triangle_wave,),
+                                  label="square-wave")
     ev = integral.primitive_limit(spec, 1)
     assert ev.converged
     assert abs(ev.value) < 1e-3
@@ -592,21 +593,6 @@ def test_primitive_limit_k_zero_is_plain_sampling():
     assert abs(ev.value) < 1e-12  # e^-X at the grid tail
 
 
-def test_chain_verification_catches_wrong_primitives():
-    with pytest.raises(ValueError):
-        integral.from_primitives(math.sin, [lambda x: math.cos(x)],
-                                 label="broken")
-
-
-def test_chain_verification_accepts_correct_primitives():
-    spec = integral.from_primitives(
-        math.sin, [lambda x: 1.0 - math.cos(x)], label="sin")
-    # the accepted chain drives the closed-form paths
-    assert integral.riesz_mean(spec, 0, 2.0) == 1.0 - math.cos(2.0)
-    ev = integral.primitive_limit(spec, 1)
-    assert ev.converged and abs(ev.value) < 1e-3
-
-
 def test_sampled_integrand_through_quadrature_grid():
     grid = integral.default_grid(lo=20.0, hi=2_000.0, num=8)
     ev = integral.cesaro_integral(integral.sampled(math.sin, label="sin"),
@@ -642,11 +628,19 @@ def test_grid_validation():
         integral.cesaro_integral(integral.sin_wave(1.0), 1,
                                  X_grid=tuple(10.0 + i for i in range(10)))
     unbounded = integral.default_grid(1e2, 1e5, 15) + (math.inf,)
+    past_float = integral.default_grid(1e2, 1e5, 15) + (10**400,)  # an int
     for spec in (integral.sin_wave(1.0), integral.sampled(math.sin)):
+        for grid in (unbounded, past_float):
+            with pytest.raises(ValueError, match="^X grid must hold finite"):
+                integral.primitive_limit(spec, 1, X_grid=grid)
         with pytest.raises(ValueError, match="^X grid must hold finite"):
-            integral.primitive_limit(spec, 1, X_grid=unbounded)
+            integral.cesaro_integral(spec, 1, past_float)
     with pytest.raises(ValueError, match="^hi must be finite"):
         integral.default_grid(1e2, math.inf)
+    # num is an integer, and an integral float counts, as for the orders
+    assert integral.default_grid(num=8.0) == integral.default_grid(num=8)
+    with pytest.raises(ValueError, match="^num must be an integer, got 8.5"):
+        integral.default_grid(num=8.5)
 
 
 def test_trig_chain_layers_vanish_at_zero():

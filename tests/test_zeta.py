@@ -572,6 +572,8 @@ _NAN, _INF = float("nan"), float("inf")
     (lambda: zeta.zeta_prime_via_cesaro(0.5, X_max=_NAN), "X_max"),
     (lambda: zeta.lemma_witness(exact.pm_polynomial(2, 1), X_max=_INF), "X_max"),
     (lambda: zeta.lemma_witness(exact.pm_polynomial(2, 1), X_max=_NAN), "X_max"),
+    (lambda: zeta.StaircaseSpec(_NAN), "alpha"),
+    (lambda: zeta.staircase_value(zeta.StaircaseSpec(0.0), _INF), "x"),
 ])
 def test_non_finite_inputs_fail_fast(call, name):
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
@@ -698,13 +700,16 @@ def test_stepped_paths_read_unreachable_domains_as_a_cap(call, X):
     assert ev == call(1e4)
 
 
-@pytest.mark.parametrize("call", [
-    lambda: zeta.zeta_via_cesaro(2.0, X_max=10**400),
-    lambda: zeta.zeta_via_cesaro(2.5, X_max=10**400),
-    lambda: zeta.lemma_witness(exact.pm_polynomial(3, 1), X_max=10**400),
-], ids=["exact", "float", "lemma"])
-def test_ints_beyond_float_range_are_rejected_by_name(call):
-    with pytest.raises(ValueError, match="^X_max "):
+@pytest.mark.parametrize("call,name", [
+    (lambda: zeta.zeta_via_cesaro(2.0, X_max=10**400), "X_max"),
+    (lambda: zeta.zeta_via_cesaro(2.5, X_max=10**400), "X_max"),
+    (lambda: zeta.lemma_witness(exact.pm_polynomial(3, 1), X_max=10**400), "X_max"),
+    (lambda: zeta.zeta_via_cesaro(10**400), "alpha"),
+    (lambda: zeta.zeta_prime_via_cesaro(10**400), "alpha"),
+    (lambda: zeta.staircase_value(zeta.StaircaseSpec(0.0), 10**400), "x"),
+], ids=["exact", "float", "lemma", "alpha", "alpha-prime", "staircase-x"])
+def test_ints_beyond_float_range_are_rejected_by_name(call, name):
+    with pytest.raises(ValueError, match=f"^{name} is too large for a float"):
         call()
 
 
