@@ -81,12 +81,22 @@ def _float_arguments(alpha, b) -> tuple[float, float]:
     return float(alpha), b
 
 
+def _power(b: float, e: float) -> float:
+    """b ** e for b > 0, +inf where it leaves the float range, so that a
+    finite part past that range reads as an infinity of its own sign."""
+    try:
+        return b ** e
+    except OverflowError:
+        return math.inf
+
+
 def fp_power_integral(alpha: float, b: float = 1.0) -> float:
-    """F.p. int_0^b t^alpha dt as a float; alpha = -1 gives ln b."""
+    """F.p. int_0^b t^alpha dt as a float; alpha = -1 gives ln b.  A value
+    past the float range reads as an infinity of the sign of 1/(alpha+1)."""
     alpha, b = _float_arguments(alpha, b)
     if alpha == -1.0:
         return math.log(b)
-    return b ** (alpha + 1.0) / (alpha + 1.0)
+    return _power(b, alpha + 1.0) / (alpha + 1.0)
 
 
 def fp_power_integral_exact(alpha, b=1) -> Fraction:
@@ -119,13 +129,14 @@ def fp_log_power_integral(alpha: float, b: float = 1.0) -> float:
     Comes from the antiderivative t^(a+1) (ln t/(a+1) - 1/(a+1)^2): the
     eps-end terms are exactly the removable divergent basis, so the finite
     part is the antiderivative at b.  At b = 1 this is -1/(alpha+1)^2, the
-    alpha-derivative of the power-integral finite part.
+    alpha-derivative of the power-integral finite part.  A value past the
+    float range reads as an infinity of the sign of ln b/(a+1) - 1/(a+1)^2.
     """
     alpha, b = _float_arguments(alpha, b)
     if alpha == -1.0:
         return math.log(b) ** 2 / 2.0
     ap1 = alpha + 1.0
-    return b ** ap1 * (math.log(b) / ap1 - 1.0 / (ap1 * ap1))
+    return _power(b, ap1) * (math.log(b) / ap1 - 1.0 / (ap1 * ap1))
 
 
 def fp_log_power_integral_exact(alpha, b=1) -> Fraction:

@@ -15,16 +15,19 @@ A series that fails to settle is reported through the ``converged`` flag of
 the returned evaluation; divergence is a result, never an exception.
 Overflow in the terms propagates as inf through the partial sums.
 
-The terms and the normalized tail are float64 arrays, and the k + 1 prefix
-passes run in place over the terms array, so a call holds that one array
-plus a few block-sized buffers where a pass once needed five arrays; only
-``iterated_partial_sums`` returns a list.  More than MAX_SERIES_TERMS
-terms, an order above ``evaluation.MAX_ORDER`` (512), or an order whose
-normalization leaves the float range, is refused before any term is called.
+The terms and the normalized tail are float64 arrays.  The terms are called
+_TERMS_PER_CHUNK at a time, and each chunk's values become floats in one C
+step (``array("d", ...)``).  The k + 1 prefix passes run in place over the
+terms array, so a call holds that one array plus a few block-sized buffers
+where a pass once needed five arrays; only ``iterated_partial_sums`` returns
+a list.  More than MAX_SERIES_TERMS terms, an order above
+``evaluation.MAX_ORDER`` (512), or an order whose normalization leaves the
+float range, is refused before any term is called.
 """
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -43,7 +46,7 @@ __all__ = [
 
 DEFAULT_TOL = 1e-6
 MAX_SERIES_TERMS = 10**8  # a 0.8 GB float64 array, summed in place
-_TERMS_PER_CHUNK = 1 << 16
+_TERMS_PER_CHUNK = 1 << 12  # terms called, then converted, per step; 2^11..2^14 time alike
 _BEYOND_FLOAT = "order k={} with n_terms={} needs a normalization beyond the float range"
 
 
@@ -82,7 +85,13 @@ class SeriesSpec:
     def terms(self, n_terms: int) -> np.ndarray:
         """a_0 .. a_{n_terms-1} as a float64 array: float(term(n)), +inf
         where the term's call overflows, and an infinity of the term's sign
-        where its conversion does.  Each term is called once."""
+        where its conversion does.  Each term is called once, in order.
+
+        list.extend keeps the values read before a call's OverflowError, and
+        the map resumes after the index that raised; np.fromiter would lose
+        them.  array("d") converts a chunk through PyFloat_AsDouble, which
+        gives float(v) for every v but a str; a chunk it refuses (a str, an
+        int past the float range, None) goes through ``_floats``."""
         n_terms = _term_count(n_terms)
         if n_terms > MAX_SERIES_TERMS:
             raise ValueError(f"n_terms={n_terms} exceeds MAX_SERIES_TERMS = "
@@ -90,24 +99,23 @@ class SeriesSpec:
         out = np.zeros(n_terms)
         for lo in range(max(self.start, 0), n_terms, _TERMS_PER_CHUNK):
             hi = min(lo + _TERMS_PER_CHUNK, n_terms)
-            out[lo:hi] = _floats(map(self.term, range(lo, hi)))
+            calls, raw = map(self.term, range(lo, hi)), []
+            while True:
+                try:
+                    raw.extend(calls)
+                    break
+                except OverflowError:
+                    raw.append(math.inf)
+            try:
+                out[lo:hi] = array("d", raw)
+            except (TypeError, OverflowError):
+                out[lo:hi] = _floats(raw)
         return out
 
 
-def _floats(calls) -> list[float]:
-    """float(v) for each value v of the term calls: +inf where a call raises
-    OverflowError, and an infinity of v's sign where float(v) does.
-
-    list.extend keeps the values read before an OverflowError, and the map
-    resumes after the index that raised; np.fromiter would lose them.  The
-    raw values are kept, one chunk at a time, for the sign."""
-    raw: list = []
-    while True:
-        try:
-            raw.extend(calls)
-            break
-        except OverflowError:
-            raw.append(math.inf)
+def _floats(raw: list) -> list[float]:
+    """float(v) for each value v, and an infinity of v's sign where float(v)
+    raises OverflowError."""
     values, floats = map(float, raw), []
     while True:
         try:

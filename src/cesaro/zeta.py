@@ -92,6 +92,7 @@ __all__ = [
 POLE_GUARD = 1e-6
 DEFAULT_TOL = 1e-3
 DEFAULT_XMAX = 1e4
+MAX_STAIRCASE_X = 10**7  # staircase_value sums every m <= x: a few seconds at this bound
 _FP_DIGITS = 40
 _GUARD = 5  # extra digits for I_k(n) before its one rounding
 _EMIN = -400  # an I_k(n) below 10^-400, far below every float, keeps fewer digits
@@ -161,12 +162,16 @@ def staircase_value(spec: StaircaseSpec, x: float) -> float:
     """f(x) = sum_{n<=x} weight(n) - F.p. int_0^x weight, directly.
 
     Linear in x (the sum is rebuilt each call); meant for spot checks and
-    cross-validation, not for driving limits.
+    cross-validation, not for driving limits.  An x above MAX_STAIRCASE_X is
+    refused before any summand is called.
     """
     require_finite(x=x)
     x = float(x)
     if x <= 0:
         raise ValueError("staircase_value needs x > 0")
+    if x > MAX_STAIRCASE_X:
+        raise ValueError(f"x={x!r} is above MAX_STAIRCASE_X = {MAX_STAIRCASE_X:.0e}; "
+                         "staircase_value sums every m <= x")
     m = math.floor(x)
     s = math.fsum(spec.summand(n) for n in range(1, m + 1))
     return s - spec.fp_integral(x)

@@ -214,6 +214,15 @@ def test_finite_part_records_are_golden(capsys, argv, want):
     assert capsys.readouterr().out == want + "\n"
 
 
+def test_a_finite_part_past_the_float_range_prints_null_and_its_exact_value(capsys):
+    code, (rec,) = run_json(capsys, ["fp-int", "--alpha", "2", "--upper", "1e300"])
+    assert code == 0
+    assert rec["result"] == {"float": None, "exact": str(Fraction(10**900, 3))}
+    code, pairs = run_text(capsys, ["fp-log-int", "--alpha", "2", "--upper", "1e300"])
+    assert code == 0
+    assert pairs["result.float"] == "inf"
+
+
 @pytest.mark.parametrize("command", ["fp-int", "fp-log-int"])
 def test_finite_part_help_shows_the_negative_rational_form(capsys, command):
     assert cli.run([command, "--help"]) == 0

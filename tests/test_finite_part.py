@@ -45,6 +45,18 @@ def test_fp_power_rejects_bad_upper_limit():
             closed_form(math.inf, 2.0)
 
 
+@pytest.mark.parametrize("alpha,b,power,log_power", [
+    (2.0, 1e300, math.inf, math.inf),
+    (-3.0, 1e-300, -math.inf, math.inf),  # 1/(alpha+1) < 0; ln b/(a+1) > 1/(a+1)^2
+    (0.5, 1e300, math.inf, math.inf),
+    (-1e300, 0.5, -math.inf, math.inf),  # 1/(a+1)^2 underflows to 0
+])
+def test_a_finite_part_past_the_float_range_reads_an_infinity_of_its_sign(
+        alpha, b, power, log_power):
+    assert fp.fp_power_integral(alpha, b) == power
+    assert fp.fp_log_power_integral(alpha, b) == log_power
+
+
 def test_fp_power_exact_fractions():
     assert fp.fp_power_integral_exact(Fraction(-3, 2)) == Fraction(-2)
     assert fp.fp_power_integral_exact(Fraction(-1)) == 0

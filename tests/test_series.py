@@ -208,6 +208,64 @@ def test_an_overflowing_conversion_keeps_the_terms_sign():
             series.SeriesSpec(lambda n, bad=bad: bad).terms(3)
 
 
+_EDGE_KINDS = {
+    "call overflows": lambda n: 2.0 ** (2000 + n),
+    "-(10**400)": lambda n: -(10**400),
+    "Fraction": lambda n: Fraction(n, 3),
+    "str": lambda n: "1.5",
+    "2**53 + 1": lambda n: 2**53 + 1,
+}
+_EDGE_START, _EDGE_TERMS = 5000, 70_000
+# both sides of every multiple of 2^12 and 2^16, counted from 0 and from start
+_EDGES = sorted({origin + m for step in (1 << 12, 1 << 16) for origin in (0, _EDGE_START)
+                 for m in range(step, _EDGE_TERMS, step) if origin + m < _EDGE_TERMS})
+
+
+def _reference(v):
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
+@pytest.mark.parametrize("kinds", [
+    list(_EDGE_KINDS),
+    ["call overflows", "-(10**400)", "Fraction", "2**53 + 1"],
+    ["call overflows", "Fraction", "2**53 + 1"],  # each converts as a whole chunk
+], ids=["all", "no str", "no str or huge int"])
+def test_odd_terms_at_chunk_edges_read_as_their_float(kinds):
+    special = {}
+    for j, edge in enumerate(_EDGES):
+        for i in range(len(kinds)):
+            special[edge - 1 - i] = _EDGE_KINDS[kinds[(i + j) % len(kinds)]]
+            special[edge + i] = _EDGE_KINDS[kinds[(i + j + 2) % len(kinds)]]
+    calls = []
+
+    def value(n):
+        return special.get(n, lambda n: (-1.0) ** n / (n + 1))(n)
+
+    def term(n):
+        calls.append(n)
+        return value(n)
+
+    got = series.SeriesSpec(term, start=_EDGE_START).terms(_EDGE_TERMS).tolist()
+    assert calls == list(range(_EDGE_START, _EDGE_TERMS))
+    want = [0.0] * _EDGE_START
+    for n in range(_EDGE_START, _EDGE_TERMS):
+        try:
+            want.append(_reference(value(n)))
+        except OverflowError:
+            want.append(math.inf)  # the call raised
+    assert got == want
+
+
+@pytest.mark.parametrize("at", [8191, _EDGE_START + 4095, 65_535, _EDGE_TERMS - 1])
+def test_a_none_term_at_a_chunk_end_raises_type_error(at):
+    spec = series.SeriesSpec(lambda n: None if n == at else 1.0, start=_EDGE_START)
+    with pytest.raises(TypeError):
+        spec.terms(_EDGE_TERMS)
+
+
 @pytest.mark.parametrize("exact,twin", [
     (lambda n: Fraction((-1) ** n, n + 1), lambda n: (-1.0) ** n / (n + 1)),
     (lambda n: (-1) ** n * n * n, lambda n: (-1.0) ** n * n * n),

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 import tracemalloc
 from decimal import Decimal, localcontext
@@ -48,6 +49,26 @@ def test_staircase_splits_into_periodic_layers():
 def test_staircase_value_needs_positive_x():
     with pytest.raises(ValueError):
         zeta.staircase_value(zeta.StaircaseSpec(0.0), 0.0)
+
+
+class _CountedStaircase(zeta.StaircaseSpec):
+    def summand(self, n):
+        self.calls.append(n)
+        return super().summand(n)
+
+
+@pytest.mark.parametrize("x", [1e300, zeta.MAX_STAIRCASE_X + 1.0])
+def test_staircase_value_refuses_unbounded_work_before_any_summand(x):
+    # it sums every m <= x: 1e300 would never return
+    spec = _CountedStaircase(2.0)
+    object.__setattr__(spec, "calls", [])
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"^{re.escape(f'x={x!r}')} is above MAX_STAIRCASE_X"):
+        zeta.staircase_value(spec, x)
+    assert time.perf_counter() - start < 1.0
+    assert spec.calls == []
+    assert zeta.staircase_value(spec, 3.5) == 1 + 4 + 9 - 3.5 ** 3 / 3
+    assert spec.calls == [1, 2, 3]
 
 
 def test_pole_guard():
