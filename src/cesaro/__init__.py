@@ -30,9 +30,8 @@ _EXPORTS = {
                  "cesaro_integral", "primitive_limit", "sin_wave", "cos_wave", "exp_decay",
                  "power_log", "constant", "periodic_poly", "sampled"),
     "series": ("SeriesSpec", "iterated_partial_sums", "cesaro_sum", "detect_order"),
-    "zeta": ("StaircaseSpec", "PrimitiveState", "new_primitive_state", "staircase_value",
-             "advance_primitives", "zeta_via_cesaro", "zeta_prime_via_cesaro",
-             "lemma_witness"),
+    "zeta": ("StaircaseSpec", "new_primitive_state", "staircase_value", "advance_primitives",
+             "zeta_via_cesaro", "zeta_prime_via_cesaro", "lemma_witness"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 

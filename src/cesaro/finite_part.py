@@ -81,22 +81,31 @@ def _float_arguments(alpha, b) -> tuple[float, float]:
     return float(alpha), b
 
 
-def _power(b: float, e: float) -> float:
-    """b ** e for b > 0, +inf where it leaves the float range, so that a
-    finite part past that range reads as an infinity of its own sign."""
+def _power_times(b: float, e: float, times) -> float:
+    """times(b ** e) for b > 0.  Where b ** e alone leaves the float range,
+    h times(h) with h = b^(e/2), so that a finite part inside that range
+    reads its float, and one past it an infinity of its own sign (h is +inf
+    where it overflows too)."""
     try:
-        return b ** e
+        return times(b ** e)
     except OverflowError:
-        return math.inf
+        pass
+    try:
+        h = b ** (e / 2.0)
+    except OverflowError:
+        h = math.inf
+    return h * times(h)
 
 
 def fp_power_integral(alpha: float, b: float = 1.0) -> float:
     """F.p. int_0^b t^alpha dt as a float; alpha = -1 gives ln b.  A value
-    past the float range reads as an infinity of the sign of 1/(alpha+1)."""
+    past the float range reads as an infinity of the sign of 1/(alpha+1);
+    one inside it reads its float, though b^(alpha+1) may overflow."""
     alpha, b = _float_arguments(alpha, b)
     if alpha == -1.0:
         return math.log(b)
-    return _power(b, alpha + 1.0) / (alpha + 1.0)
+    ap1 = alpha + 1.0
+    return _power_times(b, ap1, lambda p: p / ap1)
 
 
 def fp_power_integral_exact(alpha, b=1) -> Fraction:
@@ -130,13 +139,15 @@ def fp_log_power_integral(alpha: float, b: float = 1.0) -> float:
     eps-end terms are exactly the removable divergent basis, so the finite
     part is the antiderivative at b.  At b = 1 this is -1/(alpha+1)^2, the
     alpha-derivative of the power-integral finite part.  A value past the
-    float range reads as an infinity of the sign of ln b/(a+1) - 1/(a+1)^2.
+    float range reads as an infinity of the sign of ln b/(a+1) - 1/(a+1)^2;
+    one inside it reads its float, though b^(a+1) may overflow.
     """
     alpha, b = _float_arguments(alpha, b)
     if alpha == -1.0:
         return math.log(b) ** 2 / 2.0
     ap1 = alpha + 1.0
-    return _power(b, ap1) * (math.log(b) / ap1 - 1.0 / (ap1 * ap1))
+    c = math.log(b) / ap1 - 1.0 / (ap1 * ap1)
+    return _power_times(b, ap1, lambda p: p * c)
 
 
 def fp_log_power_integral_exact(alpha, b=1) -> Fraction:

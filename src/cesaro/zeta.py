@@ -65,7 +65,6 @@ exact paths X_max only passes the shared checks.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, replace
 from decimal import Decimal, Overflow, localcontext
 from functools import lru_cache
@@ -80,7 +79,6 @@ from .finite_part import (IllConditionedFitError, _weighted_fit, fp_log_power_in
 
 __all__ = [
     "StaircaseSpec",
-    "PrimitiveState",
     "new_primitive_state",
     "staircase_value",
     "advance_primitives",
@@ -135,7 +133,10 @@ class StaircaseSpec:
     def summand(self, n: int) -> float:
         if n < 1:
             raise ValueError("summand index starts at 1")
-        v = float(n) ** self.alpha
+        try:
+            v = float(n) ** self.alpha
+        except OverflowError:  # every weight is >= 0
+            return math.inf
         return v * math.log(n) if self.log_weight else v
 
     def fp_integral(self, x: float) -> float:
@@ -163,7 +164,9 @@ def staircase_value(spec: StaircaseSpec, x: float) -> float:
 
     Linear in x (the sum is rebuilt each call); meant for spot checks and
     cross-validation, not for driving limits.  An x above MAX_STAIRCASE_X is
-    refused before any summand is called.
+    refused before any summand is called.  A sum past the float range reads
+    +inf, and where the finite part is infinite too, so that their
+    difference is no number, the x is refused by name.
     """
     require_finite(x=x)
     x = float(x)
@@ -173,8 +176,15 @@ def staircase_value(spec: StaircaseSpec, x: float) -> float:
         raise ValueError(f"x={x!r} is above MAX_STAIRCASE_X = {MAX_STAIRCASE_X:.0e}; "
                          "staircase_value sums every m <= x")
     m = math.floor(x)
-    s = math.fsum(spec.summand(n) for n in range(1, m + 1))
-    return s - spec.fp_integral(x)
+    try:
+        s = math.fsum(spec.summand(n) for n in range(1, m + 1))
+    except OverflowError:  # finite weights whose sum leaves the float range
+        s = math.inf
+    f = s - spec.fp_integral(x)
+    if math.isnan(f):
+        raise ValueError(f"staircase_value at x={x!r}, alpha={spec.alpha!r}: the sum and "
+                         "the finite part both leave the float range")
+    return f
 
 
 # -- the Riesz-sum sampler --------------------------------------------------
@@ -524,29 +534,21 @@ def _expansion_exponents(spec: StaircaseSpec, k: int) -> list[tuple[float, int]]
     return columns
 
 
-def _window_fits(rungs: list[int], samples: list[float],
-                 exponents: list[tuple[float, int]],
-                 below: Optional[float] = None) -> tuple[float, float]:
-    """The constant fitted on the top window of rungs, and its gap to the
-    constant fitted on the window one rung lower, or to ``below``, that
-    window's fit when the caller has it.  A window holds _FIT_RUNGS rungs
-    and fits the exponents, _FIT_COLUMNS at most, besides the constant; the
-    columns of both windows are built once.  A non-finite sample or an
-    ill-conditioned fit reads as (the last sample, inf)."""
-    n, y = rungs[-_FIT_RUNGS - 1:], samples[-_FIT_RUNGS - 1:]
+def _fit(rungs: list[int], samples: list[float],
+         exponents: list[tuple[float, int]]) -> Optional[float]:
+    """The constant fitted on the last _FIT_RUNGS samples, at their rungs,
+    beside the columns n^e (ln n)^b of the exponents, _FIT_COLUMNS at most;
+    None where one of those samples is not finite or the fit is
+    ill-conditioned."""
+    n, y = rungs[len(samples) - _FIT_RUNGS:len(samples)], samples[-_FIT_RUNGS:]
     if not all(math.isfinite(v) for v in y):
-        return samples[-1], math.inf
+        return None
     columns = [[r ** e * math.log(r) for r in n] if b else [r ** e for r in n]
                for e, b in exponents]
-    columns.append([1.0] * len(n))
-    fits = []
-    for window in [slice(1, None)] + ([slice(None, -1)] if below is None else []):
-        try:
-            fits.append(_weighted_fit([c[window] for c in columns], y[window])[0][-1])
-        except IllConditionedFitError:
-            return samples[-1], math.inf
-    gap = abs(fits[0] - (fits[1] if below is None else below))
-    return fits[0], gap if math.isfinite(gap) else math.inf
+    try:
+        return _weighted_fit(columns + [[1.0] * len(n)], y)[0][-1]
+    except IllConditionedFitError:
+        return None
 
 
 def _extrapolated_evaluation(spec: StaircaseSpec, k: int, n_max: int,
@@ -554,14 +556,17 @@ def _extrapolated_evaluation(spec: StaircaseSpec, k: int, n_max: int,
     """The limit as the fitted constant of the sample's expansion, read on
     a ladder of boundaries that climbs only as far as tol asks.
 
-    The first fit reads the rungs up to _FIRST_TOP in one Riesz-sum pass.
-    A rung is added only while the gap between the two window fits is above
-    tol / 10, still shrinking, and the rung is at most n_max and _TOP_RUNG:
-    a float sample carries noise of about eps n^(alpha+1/2), so past the
-    point where the gap grows, climbing makes the fit worse.  There the fit
-    below is kept, with the larger of its two gaps as its error.  After a
-    climb the lower window is the former top one, the same rungs, columns
-    and samples, so its fit is not made again.
+    The first ladder, the rungs up to _FIRST_TOP, is read in one Riesz-sum
+    pass and fitted twice: on its top window and on the window one rung
+    lower, their gap the error.  A rung is added only while that gap is
+    above tol / 10, and the rung is at most n_max and _TOP_RUNG; each
+    climbed rung makes one fit, of the new top window, whose gap is to the
+    fit it replaces.  It is kept only while the gap still shrinks: a float
+    sample carries noise of about eps n^(alpha+1/2), so past the point where
+    the gap grows, climbing makes the fit worse.  There the fit below is
+    kept, with the larger of its two gaps as its error.  A fit that fails
+    gives gap inf (on the first ladder, beside the last sample), and so
+    does a gap that is not a finite number.
 
     An order k <= alpha never converges: there the staircase's order-k
     Cesaro mean does not exist, though its samples can settle, since the
@@ -570,17 +575,21 @@ def _extrapolated_evaluation(spec: StaircaseSpec, k: int, n_max: int,
     zeta(-1)).
     """
     rungs = _ladder(min(n_max, _TOP_RUNG))
-    top = bisect_right(rungs, _FIRST_TOP)
-    samples = _riesz_samples(spec, k, rungs[:top])
+    samples = _riesz_samples(spec, k, _ladder(_FIRST_TOP))
     exponents = _expansion_exponents(spec, k)
-    value, gap = _window_fits(rungs[:top], samples, exponents)
-    while tol / 10 < gap < math.inf and top < len(rungs):
-        samples += _riesz_samples(spec, k, rungs[top:top + 1])
-        v, g = _window_fits(rungs[:top + 1], samples, exponents, below=value)
-        if not g < gap:
-            gap = max(gap, g)
+    value, gap, below = None, math.inf, _fit(rungs, samples[:-1], exponents)
+    while True:
+        fit = _fit(rungs, samples, exponents)
+        failed = fit is None or below is None
+        g = math.inf if failed else abs(fit - below)
+        g = g if math.isfinite(g) else math.inf  # an overflow, or inf - inf
+        if value is None or g < gap:
+            value = samples[-1] if failed else fit
+        climb = g < gap and tol / 10 < g and len(samples) < len(rungs)
+        gap, below = g, fit
+        if not climb:
             break
-        value, gap, top = v, g, top + 1
+        samples += _riesz_samples(spec, k, rungs[len(samples):len(samples) + 1])
     return CesaroEvaluation(value=value, order=k, n_terms=rungs[len(samples) - 1],
                             trace=tuple(samples[-TRACE_LEN:]), error_estimate=gap,
                             converged=gap <= tol and k > spec.alpha)

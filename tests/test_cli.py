@@ -223,6 +223,14 @@ def test_a_finite_part_past_the_float_range_prints_null_and_its_exact_value(caps
     assert pairs["result.float"] == "inf"
 
 
+def test_a_finite_part_that_fits_a_float_prints_that_float(capsys):
+    # 2^1024 overflows, the finite part 2^1024 / 1024 = 2^1014 does not
+    code, (rec,) = run_json(capsys, ["fp-int", "--alpha", "1023", "--upper", "2"])
+    assert code == 0
+    assert rec["result"]["exact"] == str(2 ** 1014)
+    assert rec["result"]["float"] == float(Fraction(rec["result"]["exact"])) == 2.0 ** 1014
+
+
 @pytest.mark.parametrize("command", ["fp-int", "fp-log-int"])
 def test_finite_part_help_shows_the_negative_rational_form(capsys, command):
     assert cli.run([command, "--help"]) == 0

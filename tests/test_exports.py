@@ -72,8 +72,8 @@ _PUBLIC = [
     "primitive_limit", "sin_wave", "cos_wave", "exp_decay", "power_log", "constant",
     "periodic_poly", "sampled",
     "SeriesSpec", "iterated_partial_sums", "cesaro_sum", "detect_order",
-    "StaircaseSpec", "PrimitiveState", "new_primitive_state", "staircase_value",
-    "advance_primitives", "zeta_via_cesaro", "zeta_prime_via_cesaro", "lemma_witness",
+    "StaircaseSpec", "new_primitive_state", "staircase_value", "advance_primitives",
+    "zeta_via_cesaro", "zeta_prime_via_cesaro", "lemma_witness",
 ]
 _SUBMODULES = ["accumulate", "evaluation", "exact", "finite_part", "integral", "series",
                "zeta"]

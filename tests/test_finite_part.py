@@ -57,6 +57,16 @@ def test_a_finite_part_past_the_float_range_reads_an_infinity_of_its_sign(
     assert fp.fp_log_power_integral(alpha, b) == log_power
 
 
+def test_a_finite_part_inside_the_float_range_reads_its_float():
+    # b^(alpha+1) = 2^1024 overflows, the finite parts do not: each is read
+    # as h (h/(alpha+1)) or h (c h), h = b^((alpha+1)/2) = 2^512 exactly
+    assert fp.fp_power_integral(1023.0, 2.0) == float(Fraction(2 ** 1024, 1024))
+    assert fp.fp_power_integral(1023.0, 2.0) == 1.7555597020139804e305
+    assert fp.fp_log_power_integral(1023.0, 2.0) == 1.2151468439841502e305
+    exact = 2 ** 1024 * (Fraction(math.log(2.0)) / 1024 - Fraction(1, 1024 ** 2))
+    assert fp.fp_log_power_integral(1023.0, 2.0) == pytest.approx(float(exact), rel=1e-15)
+
+
 def test_fp_power_exact_fractions():
     assert fp.fp_power_integral_exact(Fraction(-3, 2)) == Fraction(-2)
     assert fp.fp_power_integral_exact(Fraction(-1)) == 0

@@ -51,6 +51,33 @@ def test_staircase_value_needs_positive_x():
         zeta.staircase_value(zeta.StaircaseSpec(0.0), 0.0)
 
 
+def test_a_summand_past_the_float_range_reads_inf():
+    # every weight is >= 0; the log weight's product overflows on its own
+    assert zeta.StaircaseSpec(400.0).summand(10) == math.inf
+    assert zeta.StaircaseSpec(400.0, log_weight=True).summand(10) == math.inf
+    assert zeta.StaircaseSpec(308.0, log_weight=True).summand(10) == math.inf
+    assert zeta.StaircaseSpec(400.0).summand(1) == 1.0
+
+
+@pytest.mark.parametrize("alpha,log_weight,x,want", [
+    (308.0, True, 10.0, math.inf),  # the finite part is 7.4e306
+    (1024.0, False, 2.0, math.inf),  # the finite part 2^1025 / 1025 fits a float
+    (1023.0, False, 2.0, 8.97091007729144e307),  # 1 + 2^1023 - 2^1014
+])
+def test_a_staircase_past_the_float_range_reads_the_difference(alpha, log_weight, x, want):
+    assert zeta.staircase_value(zeta.StaircaseSpec(alpha, log_weight), x) == want
+
+
+@pytest.mark.parametrize("alpha,log_weight,x", [
+    (400.0, False, 10.0), (400.0, True, 10.0),
+    (100.0, False, 1200.0),  # each weight fits a float, their sum does not
+])
+def test_a_staircase_whose_sum_and_finite_part_both_overflow_is_refused(alpha, log_weight, x):
+    with pytest.raises(ValueError, match=f"^staircase_value at x={x!r}, alpha={alpha!r}: "
+                                         "the sum and the finite part both leave"):
+        zeta.staircase_value(zeta.StaircaseSpec(alpha, log_weight), x)
+
+
 class _CountedStaircase(zeta.StaircaseSpec):
     def summand(self, n):
         self.calls.append(n)
@@ -977,6 +1004,18 @@ _PINNED_RECORDS = [
      ('-0x1.42da39ae29da8p-3', '-0x1.5e64b4ccd5c9dp-3', '-0x1.7941cece1bc65p-3',
       '-0x1.862e95c79cfe7p-3', '-0x1.92a2a087faab6p-3', '-0x1.98a7ab111920bp-3',
       '-0x1.9e8576c03102ap-3', '-0x1.a164c3b9079b6p-3')),
+    # the top window's fit is ill-conditioned, the lower one's is not: the
+    # value is the last sample, with gap inf
+    ('zeta_prime_via_cesaro', 12.05, {},
+     '0x1.0de2eb1d87ff3p+20', 'inf', 256, False,
+     ('0x1.8da4efed42f0cp-11', '0x1.5e73898589569p-6', '0x1.573c46075834bp-5',
+      '0x1.7388a330b890ap-4', '0x1.fb3e135d4441bp+3', '0x1.ca4d37db0e566p+8',
+      '-0x1.5dd1976004658p+15', '0x1.0de2eb1d87ff3p+20')),
+    # samples past the float range read nan, so no window is fitted
+    ('zeta_via_cesaro', 200.0, {'k': 0},
+     'nan', 'inf', 256, False,
+     ('0x1.c0a15e7957294p+916', '0x1.af622684253f1p+999', 'nan', 'nan', 'nan', 'nan',
+      'nan', 'nan')),
 ]
 
 
