@@ -28,7 +28,7 @@ _EXPORTS = {
                     "fp_log_power_integral_exact", "extract_finite_part"),
     "integral": ("IntegrandSpec", "QuadratureError", "default_grid", "riesz_mean",
                  "cesaro_integral", "primitive_limit", "sin_wave", "cos_wave", "exp_decay",
-                 "power_log", "constant", "periodic_poly", "sampled"),
+                 "power_log", "periodic_poly", "sampled"),
     "series": ("SeriesSpec", "iterated_partial_sums", "cesaro_sum", "detect_order"),
     "zeta": ("StaircaseSpec", "new_primitive_state", "staircase_value", "advance_primitives",
              "zeta_via_cesaro", "zeta_prime_via_cesaro", "lemma_witness"),

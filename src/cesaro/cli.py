@@ -17,14 +17,11 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from fractions import Fraction
 from functools import partial
 
 from . import exact
-
-FORMAT_ENV = "CESARO_FORMAT"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -119,14 +116,11 @@ def _emit_estimate(inputs: dict, ev, args, fmt: str) -> int:
 # takes the module that evaluates it and then those options); the parser
 # offers these names, and a record echoes exactly these options
 _SEQUENCES = {
-    "alt-sign": ((), lambda series: series.SeriesSpec(lambda n: (-1.0) ** n,
-                                                      label="alt-sign")),
-    "alt-sign-n": ((), lambda series: series.SeriesSpec(lambda n: (-1.0) ** n * n,
-                                                        label="alt-sign-n")),
-    "geometric": (("ratio",), lambda series, r: series.SeriesSpec(
-        lambda n: r ** n, label=f"geometric({r:g})")),
+    "alt-sign": ((), lambda series: series.SeriesSpec(lambda n: (-1.0) ** n)),
+    "alt-sign-n": ((), lambda series: series.SeriesSpec(lambda n: (-1.0) ** n * n)),
+    "geometric": (("ratio",), lambda series, r: series.SeriesSpec(lambda n: r ** n)),
     "power": (("power",), lambda series, p: series.SeriesSpec(
-        lambda n: float(n) ** p, start=1, label=f"power({p:g})")),
+        lambda n: float(n) ** p, start=1)),
 }
 
 _INTEGRANDS = {
@@ -275,9 +269,9 @@ def _cmd_finite_part(args, fmt: str, float_fn: str, exact_fn: str) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "structured"),
-                        default=None, help="output format (default from "
-                        f"${FORMAT_ENV}, else text)")
+    common.add_argument("--format", choices=("text", "structured"), default="text",
+                        help="output format: key: value lines (text, the default) "
+                             "or one JSON object per line (structured)")
     common.add_argument("--strict", action="store_true",
                         help="exit 2 when the evaluation did not converge")
 
@@ -371,15 +365,8 @@ def run(argv) -> int:
         # latter into this tool's usage-error code.
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
 
-    fmt = args.format
-    if fmt is None:
-        fmt = os.environ.get(FORMAT_ENV, "text")
-        if fmt not in ("text", "structured"):
-            _warn("ignoring %s=%r (want text|structured)", FORMAT_ENV, fmt)
-            fmt = "text"
-
     try:
-        return args.handler(args, fmt)
+        return args.handler(args, args.format)
     except (ValueError, OverflowError, ZeroDivisionError, RuntimeError) as exc:
         if not isinstance(exc, _domain_errors()):  # a RuntimeError of no layer
             raise

@@ -79,12 +79,20 @@ def require_finite(**named) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def require_count(name: str, value) -> int:
+    """A count as an int: finite, non-negative and integral (2.0 counts as
+    2), else ValueError by name."""
+    require_finite(**{name: value})
+    if value < 0 or value != int(value):
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+    return int(value)
+
+
 def require_order(k) -> int:
-    """A Cesaro order as an int: finite, non-negative and integral (2.0 is 2)."""
+    """A Cesaro order as a count: named k where it is not finite, order k
+    where it is not a non-negative integer."""
     require_finite(k=k)
-    if k < 0 or k != int(k):
-        raise ValueError("order k must be a non-negative integer")
-    return int(k)
+    return require_count("order k", k)
 
 
 def require_tol(tol) -> None:

@@ -24,6 +24,10 @@ __all__ = [
     "periodic_mean",
 ]
 
+# the largest Bernoulli index the table builds: about a second of integer
+# work, growing as n^2.5, so a larger index is refused before any starts
+MAX_BERNOULLI = 2048
+
 
 def _tangent_numbers(n: int) -> list[int]:
     """Tangent numbers T_1..T_n (1, 2, 16, 272, ...), as ``out[k-1] = T_k``.
@@ -65,8 +69,9 @@ class BernoulliTable:
     with B_0 = 1, B_1 = -1/2 and every other odd value 0.  Only the final
     division per entry leaves the integers, so building B_0..B_N costs
     O(N^2) integer operations.  Each extension rebuilds the whole table to
-    at least twice its previous length, which keeps a run of small
-    extensions amortized O(N^2) as well.
+    at least twice its previous length, but never past MAX_BERNOULLI, which
+    keeps a run of small extensions amortized O(N^2) as well.  An index
+    above MAX_BERNOULLI is refused with ValueError before any work starts.
 
     Thread safety: the table is an immutable tuple that an extension
     replaces with one reference assignment, so a reader sees either the old
@@ -84,24 +89,23 @@ class BernoulliTable:
             raise ValueError(f"Bernoulli index must be >= 0, got {n}")
         if n < len(self._values):
             return
+        if n > MAX_BERNOULLI:
+            raise ValueError(f"Bernoulli index {n} is above MAX_BERNOULLI = {MAX_BERNOULLI}, "
+                             "the most the exact table builds")
         with self._lock:
             length = len(self._values)
             if n >= length:
-                self._values = _bernoulli_values(max(n + 1, 2 * length))
+                self._values = _bernoulli_values(
+                    min(max(n + 1, 2 * length), MAX_BERNOULLI + 1))
 
     def value(self, n: int) -> Fraction:
         self.extend_to(n)
         return self._values[n]
 
-    __getitem__ = value
-
     @property
     def values(self) -> tuple[Fraction, ...]:
         """Snapshot of everything computed so far."""
         return self._values
-
-    def __len__(self) -> int:
-        return len(self._values)
 
 
 _TABLE = BernoulliTable()

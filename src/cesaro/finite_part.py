@@ -42,6 +42,9 @@ __all__ = [
     "extract_finite_part",
 ]
 
+# the largest condition number a fit is trusted at, here and on the staircase
+MAX_CONDITION = 1e12
+
 
 class IllConditionedFitError(RuntimeError):
     """The divergent-basis fit cannot be trusted; change basis or grid."""
@@ -162,8 +165,7 @@ def fp_log_power_integral_exact(alpha, b=1) -> Fraction:
     return -1 / (alpha + 1) ** 2
 
 
-def extract_finite_part(g, basis, eps_grid,
-                        cond_limit: float = 1e12) -> FinitePartDecomposition:
+def extract_finite_part(g, basis, eps_grid) -> FinitePartDecomposition:
     """Fit g(eps) ~ sum_i c_i eps^-a_i (ln 1/eps)^b_i + A and return A.
 
     g         callable sampled on the grid
@@ -175,9 +177,9 @@ def extract_finite_part(g, basis, eps_grid,
 
     The fit is weighted least squares: rows are scaled by 1/max(1, |g|) so
     the divergent end does not drown the constant, and columns are scaled to
-    unit norm before solving.  A condition number beyond ``cond_limit`` for
-    the scaled design matrix, or a column that vanishes on the grid or
-    leaves the float range, raises IllConditionedFitError instead of
+    unit norm before solving.  A condition number beyond ``MAX_CONDITION``
+    (1e12) for the scaled design matrix, or a column that vanishes on the
+    grid or leaves the float range, raises IllConditionedFitError instead of
     returning a garbage constant.
     """
     basis = [(float(a), b) for a, b in basis]
@@ -206,7 +208,7 @@ def extract_finite_part(g, basis, eps_grid,
 
     cols = [[_basis_value(e, a, b) for e in eps] for a, b in basis]
     cols.append([1.0] * len(eps))
-    coefs, residual, condition = _weighted_fit(cols, gvals, cond_limit)
+    coefs, residual, condition = _weighted_fit(cols, gvals)
     divergent = tuple((a, b, c) for (a, b), c in zip(basis, coefs[:-1]))
     return FinitePartDecomposition(
         divergent_terms=divergent,
@@ -224,7 +226,7 @@ def _basis_value(eps: float, a: float, b: int) -> float:
         return math.inf
 
 
-def _weighted_fit(columns, values, cond_limit: float = 1e12):
+def _weighted_fit(columns, values):
     """Least-squares coefficients of ``values`` on ``columns`` (each a list
     with one entry per row), with the rms misfit and the condition number
     it was solved at.
@@ -238,7 +240,7 @@ def _weighted_fit(columns, values, cond_limit: float = 1e12):
     number ||R||_F ||R^-1||_F: an upper bound on the 2-norm condition
     number, at most the column count times it.  A column that vanishes on
     the rows or is not finite, a rank deficit, or a condition number beyond
-    ``cond_limit`` raises IllConditionedFitError instead of returning
+    ``MAX_CONDITION`` raises IllConditionedFitError instead of returning
     garbage coefficients.
 
     Only the square roots are float calls; the rest is arithmetic that any
@@ -266,7 +268,7 @@ def _weighted_fit(columns, values, cond_limit: float = 1e12):
     inverse = (_back_substitute(rows, [0] * j + [1]) for j in range(len(r)))
     condition = math.sqrt(sum(sum(map(mul, col, col)) for col in r)
                           * sum(sum(map(mul, col, col)) for col in inverse))
-    if condition > cond_limit:
+    if condition > MAX_CONDITION:
         raise IllConditionedFitError(
             f"finite-part fit is ill-conditioned (cond={condition:.3e}); "
             "separate the basis exponents or widen the eps grid", condition)

@@ -44,8 +44,8 @@ chain, so ``cesaro-int`` at orders 0..MAX_CHAIN-1 loads none.
 The quadrature nodes of one call reach the integrand as one array.
 ``sin_wave``, ``cos_wave`` and ``exp_decay`` evaluate it in numpy, through
 their ``array_func``, which imports numpy when it is first called; every
-other integrand (``power_log``, ``constant``, ``periodic_poly``, ``sampled``
-and any spec built without an ``array_func``) is called once per node with a
+other integrand (``power_log``, ``periodic_poly``, ``sampled`` and any spec
+built without an ``array_func``) is called once per node with a
 Python float.
 """
 from __future__ import annotations
@@ -56,8 +56,8 @@ from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Callable, Optional
 
-from .evaluation import (CesaroEvaluation, QuadratureError, require_finite, require_order,
-                         require_tol, tail_judgement)
+from .evaluation import (CesaroEvaluation, QuadratureError, require_count, require_finite,
+                         require_order, require_tol, tail_judgement)
 from .exact import PeriodicPolynomial, _periodic_primitives
 
 __all__ = [
@@ -71,7 +71,6 @@ __all__ = [
     "cos_wave",
     "exp_decay",
     "power_log",
-    "constant",
     "periodic_poly",
     "sampled",
 ]
@@ -89,7 +88,7 @@ class IntegrandSpec:
     primitives  iterated integrals from 0: primitives[j] is the (j+1)-fold
                 primitive of func (so primitives[0](x) = int_0^x f); integer
                 Riesz orders k < len(primitives) are read off this chain
-    label       human-readable tag for CLI output and reprs
+    label       human-readable tag for reprs and QuadratureError messages
     array_func  optional: func on a float64 array of nodes, in one call; the
                 quadrature fallbacks use it in place of one func call per
                 node.  sin_wave, cos_wave and exp_decay set it.
@@ -164,22 +163,13 @@ def power_log(alpha: float, p: int = 0) -> IntegrandSpec:
         raise ValueError(
             f"alpha={alpha} is not locally integrable at 0; "
             "use finite_part.fp_power_integral / fp_log_power_integral instead")
-    if p < 0 or p != int(p):
-        raise ValueError(f"log power p must be a non-negative integer, got {p!r}")
-    p = int(p)
+    p = require_count("p", p)
 
     body = _power_log_layer(alpha, [(p, 1.0)])
     at_zero = 0.0 if alpha > 0 or (alpha == 0 and p > 0) else (1.0 if alpha == 0 else math.inf)
     return IntegrandSpec(func=lambda t: at_zero if t == 0.0 else body(t),
-                         primitives=_power_log_chain(alpha, p, 1.0),
+                         primitives=_power_log_chain(alpha, p),
                          label=f"t^{alpha:g}" + (f"*ln^{p}(t)" if p else ""))
-
-
-def constant(c: float = 1.0) -> IntegrandSpec:
-    require_finite(c=c)
-    c = float(c)
-    return IntegrandSpec(func=lambda t: c, primitives=_power_log_chain(0.0, 0, c),
-                         label=f"{c:g}")
 
 
 def periodic_poly(p: PeriodicPolynomial) -> IntegrandSpec:
@@ -211,12 +201,9 @@ def default_grid(lo: float = 1e2, hi: float = 1e5, num: int = 16) -> tuple[float
     require_finite(lo=lo, hi=hi)
     if not (0 < lo < hi):
         raise ValueError("need 0 < lo < hi")
-    require_finite(num=num)
+    num = require_count("num", num)
     if num < 8:
         raise ValueError("grid needs at least 8 points")
-    if num != int(num):
-        raise ValueError(f"num must be an integer, got {num!r}")
-    num = int(num)
     a, b = math.log10(lo), math.log10(hi)
     step = (b - a) / (num - 1)
     return (float(lo), *(10.0 ** (i * step + a) for i in range(1, num - 1)), float(hi))
@@ -308,19 +295,18 @@ def primitive_limit(spec: IntegrandSpec, k: int, X_grid=None,
 
 # -- closed-form chains ---------------------------------------------------------
 
-def _power_log_chain(alpha: float, p: int, coeff: float) -> tuple:
-    """The 1..MAX_CHAIN-fold primitives of coeff t^alpha ln^p t, alpha > -1,
-    each vanishing at 0.
+def _power_log_chain(alpha: float, p: int) -> tuple:
+    """The 1..MAX_CHAIN-fold primitives of t^alpha ln^p t, alpha > -1, each
+    vanishing at 0: the chain of ``power_log``.
 
     Layer j is t^g sum_q c[q] ln^q t with g = alpha + j.  Integrating
     t^(g-1) ln^q t = t^g sum_i (-1)^i q!/(q-i)! ln^(q-i) t / g^(i+1) gives
     the next layer's coefficients from this one's.  A coefficient that
     underflows to 0 is kept, so that its layer still reads inf where t^g
-    overflows; only coeff = 0 gives layers with no terms.  A coefficient that
-    overflows (q!/(q-i)! past p = 170, or 1/g^(i+1) for alpha near -1) raises
-    ValueError.
+    overflows.  A coefficient that overflows (q!/(q-i)! past p = 170, or
+    1/g^(i+1) for alpha near -1) raises ValueError.
     """
-    chain, g, terms = [], alpha, [(p, coeff)]
+    chain, g, terms = [], alpha, [(p, 1.0)]
     for _ in range(MAX_CHAIN):
         g += 1.0
         coeffs = [0.0] * (p + 1)
@@ -334,7 +320,7 @@ def _power_log_chain(alpha: float, p: int, coeff: float) -> tuple:
         if not all(map(math.isfinite, coeffs)):
             raise ValueError(f"alpha={alpha:g} with log power p={p} is out of range: "
                              "its primitive chain's coefficients overflow a float")
-        terms = [(q, coeffs[q]) for q in range(p, -1, -1)] if coeff else []
+        terms = [(q, coeffs[q]) for q in range(p, -1, -1)]
         chain.append(_power_log_layer(g, terms))
     return tuple(chain)
 
@@ -348,7 +334,7 @@ def _power_log_layer(g: float, terms) -> Callable[[float], float]:
         t = float(t)
         if t < 0.0:
             raise ValueError("power_log and its primitives are defined on t >= 0")
-        if t == 0.0 or not terms:
+        if t == 0.0:
             return 0.0
         lt = math.log(t) if has_log else 0.0
         try:

@@ -34,7 +34,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .accumulate import _prefix_into
-from .evaluation import (MAX_ORDER, CesaroEvaluation, require_finite, require_order,
+from .evaluation import (MAX_ORDER, CesaroEvaluation, require_count, require_order,
                          require_tol, tail_judgement)
 
 __all__ = [
@@ -59,15 +59,6 @@ def _bounded_order(k, name: str = "order k") -> int:
     return k
 
 
-def _term_count(n_terms) -> int:
-    """A number of terms as an int: finite, non-negative and integral (1e4
-    is 10000)."""
-    require_finite(n_terms=n_terms)
-    if n_terms < 0 or n_terms != int(n_terms):
-        raise ValueError(f"n_terms must be a non-negative integer, got {n_terms!r}")
-    return int(n_terms)
-
-
 @dataclass(frozen=True)
 class SeriesSpec:
     """A series given by its term generator.
@@ -80,7 +71,6 @@ class SeriesSpec:
 
     term: Callable[[int], float]
     start: int = 0
-    label: str = ""
 
     def terms(self, n_terms: int) -> np.ndarray:
         """a_0 .. a_{n_terms-1} as a float64 array: float(term(n)), +inf
@@ -92,7 +82,7 @@ class SeriesSpec:
         them.  array("d") converts a chunk through PyFloat_AsDouble, which
         gives float(v) for every v but a str; a chunk it refuses (a str, an
         int past the float range, None) goes through ``_floats``."""
-        n_terms = _term_count(n_terms)
+        n_terms = require_count("n_terms", n_terms)
         if n_terms > MAX_SERIES_TERMS:
             raise ValueError(f"n_terms={n_terms} exceeds MAX_SERIES_TERMS = "
                              f"{MAX_SERIES_TERMS:.0e}")
@@ -155,7 +145,7 @@ def iterated_partial_sums(spec: SeriesSpec, k: int, n_terms: int) -> list[float]
     k = 0 gives the plain partial sums.  Every pass is a compensated prefix
     sum, so iterating does not amplify rounding drift.
     """
-    return _iterated_sums(spec, _bounded_order(k), _term_count(n_terms)).tolist()
+    return _iterated_sums(spec, _bounded_order(k), require_count("n_terms", n_terms)).tolist()
 
 
 def cesaro_sum(spec: SeriesSpec, k: int, n_terms: int,
@@ -168,7 +158,7 @@ def cesaro_sum(spec: SeriesSpec, k: int, n_terms: int,
     """
     k = _bounded_order(k)
     require_tol(tol)
-    n_terms = _term_count(n_terms)
+    n_terms = require_count("n_terms", n_terms)
     if n_terms < 8:
         raise ValueError(f"n_terms={n_terms} leaves no tail window to judge convergence")
     tail_count = max(8, n_terms // 10)
@@ -191,7 +181,7 @@ def detect_order(spec: SeriesSpec, k_max: int, n_terms: int,
     geometric growth, where every A^k_n outruns the n^k normalization).
     A k_max above 512 raises ValueError before any term is called.
     """
-    k_max, n_terms = _bounded_order(k_max, "k_max"), _term_count(n_terms)
+    k_max, n_terms = _bounded_order(k_max, "k_max"), require_count("n_terms", n_terms)
     for k in range(k_max + 1):
         ev = cesaro_sum(spec, k, n_terms, tol=tol)
         if ev.converged:

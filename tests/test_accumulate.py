@@ -75,7 +75,7 @@ def test_prefix_sums_leave_their_argument_alone():
     assert x.tobytes() == before
 
 
-_SPEC = SeriesSpec(lambda n: (-1.0) ** n * (n + 1) ** 0.5, label="alternating sqrt")
+_SPEC = SeriesSpec(lambda n: (-1.0) ** n * (n + 1) ** 0.5)
 
 
 @pytest.mark.parametrize("k", range(4))

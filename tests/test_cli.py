@@ -338,26 +338,6 @@ def test_cesaro_sum_names_the_missing_parameter(capsys, sequence, flag):
     assert f"needs {flag}" in captured.err
 
 
-def test_env_var_sets_default_format(capsys, monkeypatch):
-    monkeypatch.setenv(cli.FORMAT_ENV, "structured")
-    code = cli.run(["bernoulli", "4"])
-    out = capsys.readouterr().out.strip()
-    assert code == 0
-    json.loads(out)  # structured by default now
-    # explicit flag wins over the env var
-    code = cli.run(["bernoulli", "4", "--format", "text"])
-    out = capsys.readouterr().out
-    assert out.startswith("command: bernoulli")
-
-
-def test_bad_env_var_falls_back_to_text(capsys, monkeypatch):
-    monkeypatch.setenv(cli.FORMAT_ENV, "yaml")
-    code = cli.run(["bernoulli", "4"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert out.startswith("command: bernoulli")
-
-
 def test_floats_are_printed_with_17_significant_digits(capsys):
     _, pairs = run_text(capsys, ["zeta", "-1"])
     assert pairs["result.float"] == format(-1.0 / 12.0, ".17g")
@@ -540,6 +520,21 @@ def test_an_estimate_past_the_order_bound_exits_one_at_once(capsys, argv, what):
     assert captured.out == ""
     assert f"error: {what} is above 512, " in captured.err
     assert "`cesaro zeta -n` or zeta_neg_int(n)" in captured.err
+
+
+@pytest.mark.parametrize("argv,index", [
+    (["bernoulli", str(exact.MAX_BERNOULLI + 1)], exact.MAX_BERNOULLI + 1),
+    (["zeta", str(-exact.MAX_BERNOULLI - 1)], exact.MAX_BERNOULLI + 2),  # B_{n+1}
+], ids=["bernoulli", "zeta"])
+def test_an_exact_command_past_the_bernoulli_bound_exits_one_at_once(capsys, argv, index):
+    start = time.perf_counter()
+    code = cli.run(argv)
+    captured = capsys.readouterr()
+    assert time.perf_counter() - start < 0.1
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: Bernoulli index {index} is above "
+                                   f"MAX_BERNOULLI = {exact.MAX_BERNOULLI},")
 
 
 def test_cesaro_int_names_a_log_power_whose_coefficients_overflow(capsys):

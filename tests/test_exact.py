@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -88,11 +89,38 @@ def test_bernoulli_rejects_bad_input():
 def test_bernoulli_table_grows_and_snapshots():
     t = exact.BernoulliTable()
     t.extend_to(10)
-    assert len(t) >= 11
+    assert len(t.values) >= 11
     snap = t.values
     t.extend_to(20)
     assert len(snap) < len(t.values)
-    assert t[12] == Fraction(-691, 2730)
+    assert t.value(12) == Fraction(-691, 2730)
+
+
+@pytest.mark.parametrize("call", [
+    exact.bernoulli, exact.zeta_neg_int, lambda n: exact.faulhaber_sum(n, 10),
+    lambda n: exact.pm_polynomial(n, 0), lambda n: exact.BernoulliTable().extend_to(n),
+], ids=["bernoulli", "zeta_neg_int", "faulhaber_sum", "pm_polynomial", "extend_to"])
+def test_an_index_past_the_bernoulli_bound_is_refused_at_once(call):
+    # the build grows as n^2.5: an index past the bound would run for hours
+    # at n = 1e5, so it is refused before any work starts; zeta(-n) reads
+    # B_{n+1}, so its message names n + 1
+    n = exact.MAX_BERNOULLI + 1
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=rf"^Bernoulli index ({n}|{n + 1}) is above "
+                                         rf"MAX_BERNOULLI = {exact.MAX_BERNOULLI},"):
+        call(n)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_the_table_never_doubles_past_the_bound(monkeypatch):
+    monkeypatch.setattr(exact, "MAX_BERNOULLI", 40)
+    t = exact.BernoulliTable()
+    t.extend_to(30)
+    t.extend_to(31)  # would double to 62 entries
+    assert len(t.values) <= 41
+    assert t.value(40) == ORACLE[40]
+    with pytest.raises(ValueError, match="^Bernoulli index 41 is above MAX_BERNOULLI = 40"):
+        t.extend_to(41)
 
 
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=120))

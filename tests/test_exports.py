@@ -69,8 +69,8 @@ _PUBLIC = [
     "fp_power_integral_exact", "fp_log_power_integral", "fp_log_power_integral_exact",
     "extract_finite_part",
     "IntegrandSpec", "QuadratureError", "default_grid", "riesz_mean", "cesaro_integral",
-    "primitive_limit", "sin_wave", "cos_wave", "exp_decay", "power_log", "constant",
-    "periodic_poly", "sampled",
+    "primitive_limit", "sin_wave", "cos_wave", "exp_decay", "power_log", "periodic_poly",
+    "sampled",
     "SeriesSpec", "iterated_partial_sums", "cesaro_sum", "detect_order",
     "StaircaseSpec", "new_primitive_state", "staircase_value", "advance_primitives",
     "zeta_via_cesaro", "zeta_prime_via_cesaro", "lemma_witness",

@@ -245,11 +245,13 @@ def test_extract_reads_an_integral_float_log_power_as_an_int():
 
 
 def test_extract_flags_near_dependent_basis():
-    # eps^-1e-9 ln(1/e) vs ln(1/e): columns nearly parallel on any grid
+    # eps^-1e-12 ln(1/e) vs ln(1/e): columns nearly parallel on any grid, at
+    # condition 3e12, past MAX_CONDITION; a ten times wider gap reads 3e11
     with pytest.raises(fp.IllConditionedFitError) as err:
-        fp.extract_finite_part(lambda e: -math.log(e),
-                               [(0, 1), (1e-9, 1)], GRID, cond_limit=1e4)
-    assert err.value.condition > 1e4
+        fp.extract_finite_part(lambda e: -math.log(e), [(0, 1), (1e-12, 1)], GRID)
+    assert err.value.condition > fp.MAX_CONDITION == 1e12
+    dec = fp.extract_finite_part(lambda e: -math.log(e), [(0, 1), (1e-11, 1)], GRID)
+    assert 1e11 < dec.condition <= fp.MAX_CONDITION
 
 
 @pytest.mark.parametrize("basis", [[(400, 0)], [(1, 400)], [(1e-20, 0)]],

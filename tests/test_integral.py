@@ -38,8 +38,23 @@ def test_riesz_mean_sin_closed_form():
             (X - math.sin(X)) / X, abs=1e-12)
 
 
+def _constant(c):
+    """The constant c with a hand-built chain, c t^j / j!: layer j is the
+    running product c (t/1) (t/2) ... (t/j), so no step leaves the float
+    range before the layer itself does, and c = 0 gives a chain of zeros."""
+    def layer(j):
+        def F(t):
+            v = c
+            for i in range(1, j + 1):
+                v *= t / i
+            return v
+        return F
+    return integral.IntegrandSpec(func=lambda t: c, label=f"{c:g}", primitives=tuple(
+        layer(j) for j in range(1, integral.MAX_CHAIN + 1)))
+
+
 def test_riesz_mean_of_zero_is_zero():
-    spec = integral.constant(0.0)
+    spec = _constant(0.0)
     for k in (0, 1, 2, 0.5):
         assert integral.riesz_mean(spec, k, 75.0) == pytest.approx(0.0, abs=1e-12)
 
@@ -61,7 +76,7 @@ def test_riesz_mean_at_k_zero_is_the_plain_integral():
         (integral.power_log(0.5, 1), 12.0),
         (integral.power_log(-0.5, 2), 9.0),
         (integral.power_log(1.5, 3), 12.0),
-        (integral.constant(3.0), 18.0),
+        (integral.power_log(0.0), 18.0),
     ]
     for spec, X in cases:
         for k in range(integral.MAX_CHAIN + 1):
@@ -259,7 +274,7 @@ if loaded():
     sys.exit(f"import cesaro.cli loaded {loaded()}")
 I = cesaro.integral
 for spec in (I.sin_wave(1.0), I.cos_wave(1.0), I.exp_decay(), I.power_log(0.5, 1),
-             I.constant(2.0)):
+             I.power_log(0.0)):
     for k in range(8):
         I.riesz_mean(spec, k, 300.0)
     for k in range(3):
@@ -328,8 +343,6 @@ def test_power_log_rejects_nonintegrable_exponent():
 @pytest.mark.parametrize("factory,value,name", [
     (integral.power_log, math.inf, "alpha"),
     (integral.power_log, math.nan, "alpha"),
-    (integral.constant, math.inf, "c"),
-    (integral.constant, math.nan, "c"),
     (integral.sin_wave, math.inf, "a"),
     (integral.sin_wave, math.nan, "a"),
     (integral.cos_wave, -math.inf, "a"),
@@ -388,23 +401,15 @@ def test_power_log_past_the_float_range_reads_inf(alpha, p):
         assert ev.value == math.inf and not ev.converged, k
 
 
-def test_zero_constant_has_zero_primitives_past_the_float_range():
-    # t^j overflows there, but a zero integrand's layers have no terms
-    spec = integral.constant(0.0)
-    for X in (75.0, 1e40, 1e100, 1e300):
-        assert [F(X) for F in spec.primitives] == [0.0] * integral.MAX_CHAIN
-    assert integral.riesz_mean(spec, integral.MAX_CHAIN - 1, 1e40) == 0.0
-
-
 def test_constant_past_the_float_range_reads_inf():
-    ev = integral.cesaro_integral(integral.constant(1e308), 1)
+    ev = integral.cesaro_integral(_constant(1e308), 1)
     assert ev.value == math.inf and not ev.converged
 
 
 @pytest.mark.parametrize("spec,X,want", [
-    (integral.constant(0.0), 1e300, 0.0),
+    (_constant(0.0), 1e300, 0.0),
     # c X / 8, with F_8 = c X^8 / 8! finite where X^7 is not
-    (integral.constant(1e-60), 1e45, 1e-60 * 1e45 / 8),
+    (_constant(1e-60), 1e45, 1e-60 * 1e45 / 8),
 ], ids=["zero", "tiny"])
 def test_closed_form_mean_is_finite_where_x_to_the_k_overflows(spec, X, want):
     assert integral.riesz_mean(spec, 7, X) == pytest.approx(want, rel=1e-12, abs=0.0)
@@ -446,7 +451,7 @@ def test_power_log_chain_is_zero_at_zero_and_undefined_below():
 
 
 def test_primitive_limit_of_constant():
-    ev = integral.primitive_limit(integral.constant(1.0), 2)
+    ev = integral.primitive_limit(integral.power_log(0.0), 2)
     assert ev.converged
     assert ev.value == pytest.approx(1.0, abs=1e-9)
 
@@ -555,7 +560,7 @@ def test_primitive_limit_of_a_sampled_integrand_answers_beyond_order_one(k):
 
 @pytest.mark.parametrize("spec", [
     integral.sin_wave(1.0), integral.exp_decay(), integral.power_log(0.5, 1),
-    integral.constant(2.0), integral.sampled(math.sin, label="sampled-sin"),
+    _constant(2.0), integral.sampled(math.sin, label="sampled-sin"),
     integral.sampled(math.cos, label="sampled-cos")],
     ids=lambda spec: spec.label)
 def test_primitive_limit_is_k_over_x_times_the_riesz_mean_one_order_down(spec):
@@ -639,7 +644,7 @@ def test_grid_validation():
         integral.default_grid(1e2, math.inf)
     # num is an integer, and an integral float counts, as for the orders
     assert integral.default_grid(num=8.0) == integral.default_grid(num=8)
-    with pytest.raises(ValueError, match="^num must be an integer, got 8.5"):
+    with pytest.raises(ValueError, match="^num must be a non-negative integer, got 8.5"):
         integral.default_grid(num=8.5)
 
 
@@ -691,16 +696,15 @@ def _exp_layers(c, part):
     return want, [z / scale for z in (1e-3, 0.5, 3.0, 9.7, 40.0)], 1e-13, 0.0
 
 
-def _power_layers(alpha, coeff):
-    """Layer j of coeff t^alpha: coeff t^(alpha+j) Gamma(alpha+1)/Gamma(alpha+j+1),
-    summed in logarithms, so that a layer past the float range reads inf."""
+def _power_layers(alpha):
+    """Layer j of t^alpha: t^(alpha+j) Gamma(alpha+1)/Gamma(alpha+j+1), summed
+    in logarithms, so that a layer past the float range reads inf."""
     def want(j, t):
         if t == 0.0:
-            return coeff * (math.inf if alpha + j < 0 else float(alpha + j == 0))
-        x = (math.log(abs(coeff)) + (alpha + j) * math.log(t)
-             + math.lgamma(alpha + 1) - math.lgamma(alpha + j + 1))
-        return math.copysign(math.exp(x) if x < math.log(sys.float_info.max) else math.inf,
-                             coeff)
+            return math.inf if alpha + j < 0 else float(alpha + j == 0)
+        x = ((alpha + j) * math.log(t) + math.lgamma(alpha + 1)
+             - math.lgamma(alpha + j + 1))
+        return math.exp(x) if x < math.log(sys.float_info.max) else math.inf
     return want, [0.0, 1e-6, 0.01, 0.5, 1.0, 2.5, 7.3, 100.0, 1e3, 1e5, 1e6], 1e-12, 0.0
 
 
@@ -736,12 +740,10 @@ _CHAIN_CASES = (
     + [("exp_decay", integral.exp_decay,
         functools.partial(_exp_layers, (Fraction(-1), Fraction(0)), 0))]
     + [(f"power_log({alpha:g})", functools.partial(integral.power_log, alpha),
-        functools.partial(_power_layers, alpha, 1.0))
+        functools.partial(_power_layers, alpha))
        for alpha in (-0.9, -0.5, 0.0, 0.3, 1.5, 3.7, 7.0, 100.0)]
     + [(f"power_log({alpha:g}, {p})", functools.partial(integral.power_log, alpha, p),
         None) for alpha in (-0.9, 0.0, 0.5, 3.7, 100.0) for p in (1, 2, 3)]
-    + [(f"constant({c:g})", functools.partial(integral.constant, c),
-        functools.partial(_power_layers, 0.0, c)) for c in (1.0, -0.3, 1e308)]
     + [(f"periodic_poly({name})", functools.partial(integral.periodic_poly, p),
         functools.partial(_periodic_layers, p))
        for name, p in (("3, 1", exact.pm_polynomial(3, 1)), ("3, 0", exact.pm_polynomial(3, 0)),
@@ -755,8 +757,8 @@ _CHAIN_CASES = (
 def test_builtin_chain_layers_match_an_independent_route(build, route):
     # the built-in chains come from closed-form recurrences and are not probed
     # when built; this checks every layer, the integrand included, so every
-    # consecutive pair.  a = 5e3 and 1e4 and c = 1e308 are correct chains
-    # that a fixed-step difference probe once rejected at build
+    # consecutive pair.  a = 5e3 and 1e4 are correct chains that a
+    # fixed-step difference probe once rejected at build
     spec = build()
     want, points, rel, floor = route() if route else _quad_layers(spec)
     for j, layer in enumerate((spec.func,) + spec.primitives):

@@ -13,15 +13,15 @@ from oracles import prefix_sums_naive
 
 
 def alt_sign():
-    return series.SeriesSpec(lambda n: (-1.0) ** n, label="alt-sign")
+    return series.SeriesSpec(lambda n: (-1.0) ** n)
 
 
 def alt_sign_n():
-    return series.SeriesSpec(lambda n: (-1.0) ** n * n, label="alt-sign-n")
+    return series.SeriesSpec(lambda n: (-1.0) ** n * n)
 
 
 def geometric(r):
-    return series.SeriesSpec(lambda n: r ** n, label=f"geo({r})")
+    return series.SeriesSpec(lambda n: r ** n)
 
 
 @given(st.lists(st.floats(min_value=-10, max_value=10), min_size=1, max_size=60),
@@ -47,7 +47,7 @@ def test_once_iterated_alt_sign_hand_values():
 
 
 def test_once_iterated_constant_is_triangular():
-    ones = series.SeriesSpec(lambda n: 1.0, label="ones")
+    ones = series.SeriesSpec(lambda n: 1.0)
     got = series.iterated_partial_sums(ones, 1, 30)
     for n, g in enumerate(got):
         assert g == (n + 1) * (n + 2) / 2, n
@@ -102,10 +102,10 @@ def test_convergent_series_invariant_under_order(r, k):
 
 
 @pytest.mark.parametrize("spec,want", [
-    (series.SeriesSpec(lambda n: 1.0 / (n * n), start=1, label="1/n^2"),
+    (series.SeriesSpec(lambda n: 1.0 / (n * n), start=1),
      math.pi ** 2 / 6),
-    (series.SeriesSpec(lambda n: 0.5 ** n, label="2^-n"), 2.0),
-    (series.SeriesSpec(lambda n: (-1.0) ** n / n, start=1, label="(-1)^n/n"),
+    (series.SeriesSpec(lambda n: 0.5 ** n), 2.0),
+    (series.SeriesSpec(lambda n: (-1.0) ** n / n, start=1),
      -math.log(2)),
 ])
 def test_convergent_sums_survive_every_order(spec, want):
@@ -136,7 +136,7 @@ def test_detect_order_finds_the_minimal_k():
 
 
 def test_detect_order_on_convergent_series_is_zero():
-    spec = series.SeriesSpec(lambda n: 1.0 / (n * n), start=1, label="1/n^2")
+    spec = series.SeriesSpec(lambda n: 1.0 / (n * n), start=1)
     found = series.detect_order(spec, k_max=3, n_terms=5_000, tol=1e-3)
     assert found is not None
     k, ev = found
@@ -145,7 +145,7 @@ def test_detect_order_on_convergent_series_is_zero():
 
 
 def test_start_index_shifts_the_series():
-    spec = series.SeriesSpec(lambda n: float(n), start=1, label="n from 1")
+    spec = series.SeriesSpec(lambda n: float(n), start=1)
     sums = series.iterated_partial_sums(spec, 0, 5)
     assert sums == [0.0, 1.0, 3.0, 6.0, 10.0]
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from scipy.integrate import quad
 
-from cesaro import exact, integral, series, zeta
+from cesaro import evaluation, exact, integral, series, zeta
 from oracles import (_EVEN_BERNOULLI, ZETA_HALF, ZETA_PRIME_0, ZETA_PRIME_2, ZETA_PRIME_3,
                      ZETA_PRIME_NEG_2, ZETA_PRIME_NEG_3, bernoulli_table_akiyama_tanigawa,
                      euler_maclaurin_zeta, euler_maclaurin_zeta_decimal,
@@ -701,6 +701,35 @@ def test_both_drivers_check_the_order_alike(call):
             call(bad)
 
 
+# each count argument, by its name: a call that reads it, and that call's
+# outcome at 3 (num's 8-point floor is checked after the count)
+_COUNTS = {
+    "k": (evaluation.require_order, "3"),
+    "n_terms": (lambda n: _ALT_SIGN.terms(n).tolist(), "[1.0, -1.0, 1.0]"),
+    "p": (lambda p: integral.power_log(0.5, p).label, "'t^0.5*ln^3(t)'"),
+    "num": (lambda num: integral.default_grid(num=num), "grid needs at least 8 points"),
+}
+
+
+def _outcome(call, value) -> str:
+    try:
+        return repr(call(value))
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", list(_COUNTS))
+def test_every_count_argument_follows_one_rule(name):
+    # a non-negative integer, with 3.0 counting as 3, refused by name
+    # otherwise: evaluation.require_count
+    call, three = _COUNTS[name]
+    for bad in (-1, 2.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match=rf"(^|order ){name} must be "
+                                             rf"(finite|a non-negative integer), got {bad!r}$"):
+            call(bad)
+    assert _outcome(call, 3.0) == _outcome(call, 3) == three
+
+
 def _never_sampled(*_):
     raise AssertionError("sampled before tol was checked")
 
@@ -728,7 +757,9 @@ def test_every_evaluator_checks_tol_before_sampling(call):
     lambda: zeta.zeta_via_cesaro(2.0, tol=0.0),
     lambda: zeta.lemma_witness(exact.PeriodicPolynomial((1,)), tol=0),
     lambda: series.cesaro_sum(_ALT_SIGN, 1, 64, tol=0.0),
-    lambda: integral.cesaro_integral(integral.constant(0.0), 1, tol=0.0),
+    lambda: integral.cesaro_integral(  # a chain of zeros: an exact tail
+        integral.IntegrandSpec(lambda t: 0.0, (lambda t: 0.0,) * integral.MAX_CHAIN), 1,
+        tol=0.0),
 ], ids=["zeta", "lemma", "cesaro_sum", "cesaro_integral"])
 def test_a_zero_tol_asks_for_an_exact_tail(call):
     ev = call()
